@@ -53,6 +53,21 @@ def _load_spec(path: str) -> dict:
     return spec
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tolerance(value) -> float:
+    """A tolerance given as a number or numeric string; the backend checks its range."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValidationError(f"tolerance must be a real number, got {value!r}")
+
+
 def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
     try:
         n = spec["dimension"]
@@ -60,7 +75,7 @@ def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
         generators_data = spec["generators"]
     except KeyError as exc:
         raise ValidationError(f"group spec is missing key {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValidationError("dimension must be a positive integer")
     if backend_tag not in ("exact", "float"):
         raise ValidationError(f"unknown backend {backend_tag!r}")
@@ -70,7 +85,7 @@ def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
             raise ValidationError("tolerance only applies to the float backend")
         backend = EXACT
     else:
-        backend = float_backend(float(tolerance)) if tolerance is not None else float_backend()
+        backend = float_backend() if tolerance is None else float_backend(_tolerance(tolerance))
     if not isinstance(generators_data, list) or not generators_data:
         raise ValidationError("generators must be a nonempty list")
     generators = []
@@ -83,7 +98,7 @@ def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
     max_order = args.max_order
     if max_order is None:
         max_order = spec.get("max_group_order", DEFAULT_MAX_ORDER)
-    if not isinstance(max_order, int) or max_order < 1:
+    if not _is_int(max_order) or max_order < 1:
         raise ValidationError("max_group_order must be a positive integer")
     return close_group(generators, max_order=max_order)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from typing import Sequence
@@ -52,48 +53,52 @@ class FiniteMatrixGroup:
 class _ElementIndex:
     """Identity lookup for discovered elements.
 
-    Exact backend: plain dict on the entry tuples. Float backend: dict on
-    entries quantised to a lattice of pitch tolerance, verified entrywise
-    on hit; a rare quantisation-boundary miss falls back to a linear scan
-    and the drifted key is then registered as an alias.
+    Exact backend, and a float backend with tolerance 0: a dict on the
+    entry tuples. Float backend: elements are binned by the fixed real
+    projection s(M) = sum_k w_k * x_k over the real and imaginary parts
+    x_k of the entries, with weights w_k in (0, 1). Entrywise equality
+    within the tolerance t moves s by at most t * sum(w); the bin pitch
+    is twice that, leaving room for rounding in s, so equal matrices land
+    in the same or adjacent bins, and find checks those three entrywise.
     """
 
-    def __init__(self, backend: ScalarBackend):
-        self.backend = backend
-        self.table: dict = {}
+    def __init__(self, backend: ScalarBackend, n: int):
         self.elements: list[SquareMatrix] = []
+        self.table: dict = {}
+        self.binned = not backend.is_exact and backend.tolerance > 0
+        if self.binned:
+            # fractional parts of multiples of the golden ratio: distinct,
+            # with no small integer relations between them
+            golden = (math.sqrt(5) - 1) / 2
+            self.weights = [(k * golden) % 1.0 for k in range(1, 2 * n * n + 1)]
+            self.pitch = 2 * backend.tolerance * sum(self.weights)
 
-    def _key(self, matrix: SquareMatrix):
-        if self.backend.is_exact:
-            return matrix.rows
-        pitch = self.backend.tolerance
-        if pitch == 0:
-            return matrix.rows
-        return tuple(
-            (round(x.real / pitch), round(x.imag / pitch))
-            for row in matrix.rows
-            for x in row
-        )
+    def _bin(self, matrix: SquareMatrix) -> int:
+        parts = (p for row in matrix.rows for x in row for p in (x.real, x.imag))
+        return math.floor(sum(w * p for w, p in zip(self.weights, parts)) / self.pitch)
 
     def find(self, matrix: SquareMatrix) -> int | None:
-        key = self._key(matrix)
-        hit = self.table.get(key)
-        if hit is not None:
-            if self.backend.is_exact or matrix.equals(self.elements[hit]):
-                return hit
-        if self.backend.is_exact:
-            return None
-        for i, known in enumerate(self.elements):
-            if matrix.equals(known):
-                if key not in self.table:
-                    self.table[key] = i
-                return i
-        return None
+        """Smallest index of a known element equal to matrix, or None."""
+        if not self.binned:
+            return self.table.get(matrix.rows)
+        b = self._bin(matrix)
+        return min(
+            (
+                i
+                for key in (b - 1, b, b + 1)
+                for i in self.table.get(key, ())
+                if matrix.equals(self.elements[i])
+            ),
+            default=None,
+        )
 
     def add(self, matrix: SquareMatrix) -> int:
         index = len(self.elements)
         self.elements.append(matrix)
-        self.table.setdefault(self._key(matrix), index)
+        if self.binned:
+            self.table.setdefault(self._bin(matrix), []).append(index)
+        else:
+            self.table.setdefault(matrix.rows, index)
         return index
 
 
@@ -120,7 +125,7 @@ def close_group(
         if not g.is_unitary():
             raise ValidationError(f"generator {pos} is not unitary")
 
-    index = _ElementIndex(backend)
+    index = _ElementIndex(backend, n)
     identity = SquareMatrix.identity(n, backend)
     index.add(identity)
     queue = deque([0])
@@ -133,22 +138,21 @@ def close_group(
                     raise ClosureOverflowError(max_order)
                 queue.append(index.add(product))
 
-    elements = list(index.elements)
-    order = len(elements)
+    elements = index.elements
     generator_indices = []
     for g in generators:
         found = index.find(g)
         assert found is not None
         generator_indices.append(found)
 
-    inverse_of = [-1] * order
-    for i in range(order):
-        for j in range(order):
-            if (elements[i] @ elements[j]).equals(identity):
-                inverse_of[i] = j
-                break
-        else:
+    # unitary elements: the inverse is the conjugate transpose, which one
+    # lookup finds and one product confirms
+    inverse_of = []
+    for i, element in enumerate(elements):
+        j = index.find(element.conj_transpose())
+        if j is None or not (element @ elements[j]).equals(identity):
             raise ValidationError(f"element {i} has no inverse in the closure")
+        inverse_of.append(j)
 
     return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, backend)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from molien.action import induced_first, induced_matrix
 from molien.errors import ConsistencyError
 from molien.groups import FiniteMatrixGroup
-from molien.matrices import row_reduce
+from molien.matrices import SquareMatrix, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial, monomial_basis, substitute_linear
 
 # Accumulated float error over |G| terms needs more headroom than the

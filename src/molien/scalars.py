@@ -8,10 +8,11 @@ MOLIEN_PURE_PYTHON=1 to force the fallback.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
-from molien.errors import BackendError, ScalarParseError
+from molien.errors import BackendError, ScalarParseError, ValidationError
 
 if os.environ.get("MOLIEN_PURE_PYTHON", "") not in ("", "0"):
     from molien._gauss_py import GaussianRational
@@ -44,8 +45,8 @@ class ScalarBackend:
     def __init__(self, tag: str, tolerance: float = 0.0):
         if tag not in ("exact", "float"):
             raise ValueError(f"unknown backend tag {tag!r}")
-        if tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not math.isfinite(tolerance) or tolerance < 0:
+            raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
         self.tag = tag
         self.tolerance = float(tolerance)
 

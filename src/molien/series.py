@@ -75,21 +75,35 @@ def series_reciprocal(p: UnivariatePoly, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs), backend)
 
 
-def averaged_reciprocal_series(
-    group: FiniteMatrixGroup, order: int, conjugate_elements: bool = False
-) -> TruncatedSeries:
+def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple[UnivariatePoly, int]]:
+    """The distinct det(id - lambda*T_g) over the group with their multiplicities.
+
+    Listed in order of first occurrence. The determinant is a class
+    function, so there are at most as many as conjugacy classes.
+    """
+    counts: dict[UnivariatePoly, int] = {}
+    for element in group.elements:
+        p = det_one_minus_lambda(element)
+        counts[p] = counts.get(p, 0) + 1
+    return list(counts.items())
+
+
+def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:
     """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order.
 
-    With conjugate_elements=True the sum runs over the entrywise
-    conjugates (the first induced matrices) instead; because the sum runs
-    over the whole group, the result is the same, which is tested.
+    The exact backend expands one reciprocal per distinct determinant,
+    weighted by its multiplicity. The float backend sums every element's
+    reciprocal in element order, so its rounding is reproducible.
     """
     backend = group.backend
+    if backend.is_exact:
+        terms = _distinct_dets(group)
+    else:
+        terms = [(det_one_minus_lambda(element), 1) for element in group.elements]
     acc = [backend.zero] * (order + 1)
-    for element in group.elements:
-        matrix = element.entrywise_conj() if conjugate_elements else element
-        expansion = series_reciprocal(det_one_minus_lambda(matrix), order)
-        acc = [a + c for a, c in zip(acc, expansion.coeffs)]
+    for p, multiplicity in terms:
+        expansion = series_reciprocal(p, order)
+        acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
     factor = backend.coerce(Fraction(1, group.order))
     return TruncatedSeries(order, tuple(c * factor for c in acc), backend)
 
@@ -134,29 +148,29 @@ def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
 def molien_rational(group: FiniteMatrixGroup) -> tuple[UnivariatePoly, UnivariatePoly]:
     """The Molien series as a reduced rational function (exact backend only).
 
-    Combines the per-element reciprocals over the common denominator
-    prod_g det(id - lambda*T_g), then removes the monic polynomial GCD and
-    scales so the denominator has constant term 1.
+    With p_1..p_k the distinct det(id - lambda*T_g) and m_i their
+    multiplicities, combines the reciprocals over the common denominator
+    prod_i p_i into the numerator (1/|G|) sum_i m_i prod_{j != i} p_j, then
+    removes the monic polynomial GCD and scales so the denominator has
+    constant term 1.
     """
     backend = group.backend
     if not backend.is_exact:
         raise BackendError("molien_rational requires the exact backend")
-    dets = [det_one_minus_lambda(element) for element in group.elements]
-    order = group.order
+    terms = _distinct_dets(group)
     one = UnivariatePoly.one(backend)
     prefix = [one]
-    for p in dets:
+    for p, _ in terms:
         prefix.append(prefix[-1] * p)
-    suffix = [one]
-    for p in reversed(dets):
-        suffix.append(suffix[-1] * p)
-    suffix.reverse()
-    denominator = prefix[order]
-    numerator = None
-    for g in range(order):
-        cofactor = prefix[g] * suffix[g + 1]
-        numerator = cofactor if numerator is None else numerator + cofactor
-    numerator = numerator.scale(Fraction(1, order))
+    # walk back from the last term, carrying the product of the terms after i
+    numerator = UnivariatePoly([], backend)
+    suffix = one
+    for i in reversed(range(len(terms))):
+        p, multiplicity = terms[i]
+        numerator = numerator + (prefix[i] * suffix).scale(multiplicity)
+        suffix = suffix * p
+    denominator = prefix[-1]
+    numerator = numerator.scale(Fraction(1, group.order))
 
     common = poly_gcd(numerator, denominator)
     if common.degree > 0:

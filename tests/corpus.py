@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from molien import EXACT, SquareMatrix, close_group, from_permutations
+import math
+
+from molien import EXACT, SquareMatrix, close_group, float_backend, from_permutations
 
 ROTATION = [[0, -1], [1, 0]]
 REFLECTION = [[1, 0], [0, -1]]
@@ -40,6 +42,28 @@ def q8():
     return close_group(
         [SquareMatrix([["i", "0"], ["0", "-i"]], EXACT), SquareMatrix(ROTATION, EXACT)]
     )
+
+
+def s5():
+    return close_group(from_permutations([(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]))
+
+
+def binary_tetrahedral():
+    """2T in SU(2), order 24: Q8 and the unit quaternion (1+i+j+k)/2; not monomial."""
+    return close_group(
+        [
+            SquareMatrix([["i", "0"], ["0", "-i"]], EXACT),
+            SquareMatrix(ROTATION, EXACT),
+            SquareMatrix([["1/2+1/2i", "1/2+1/2i"], ["-1/2+1/2i", "1/2-1/2i"]], EXACT),
+        ]
+    )
+
+
+def dihedral_float(m: int):
+    """The dihedral group of order 2m on R^2, on the float backend."""
+    c, s = math.cos(2 * math.pi / m), math.sin(2 * math.pi / m)
+    fb = float_backend()
+    return close_group([SquareMatrix([[c, -s], [s, c]], fb), SquareMatrix(REFLECTION, fb)])
 
 
 def build_corpus() -> dict:

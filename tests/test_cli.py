@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import pytest
 
 from molien import EXACT, parse_polynomial
 from molien.cli import main
@@ -249,6 +250,32 @@ class TestErrorPaths:
         code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:validation:")
+
+    @pytest.mark.parametrize("flag", ["-1", "nan"])
+    def test_bad_tolerance_flag(self, tmp_path, capsys, flag):
+        spec = {"dimension": 1, "backend": "float", "generators": [[[-1.0]]]}
+        code = main(["series", "--degree", "2", f"--tolerance={flag}", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:validation: tolerance")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tolerance", ["abc", True, 10**400])
+    def test_non_numeric_tolerance_in_spec(self, tmp_path, capsys, tolerance):
+        spec = {"dimension": 1, "backend": "float", "generators": [[[-1.0]]], "tolerance": tolerance}
+        code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:validation: tolerance")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["dimension", "max_group_order"])
+    def test_boolean_integers_rejected(self, tmp_path, capsys, key):
+        spec = dict(C4_SPEC, **{key: True})
+        code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error:validation: {key}")
 
     def test_wrong_generator_shape(self, tmp_path, capsys):
         spec = {"dimension": 2, "backend": "exact", "generators": [[["1", "0"]]]}

@@ -17,6 +17,7 @@ from molien import (
     from_permutations,
     permutation_from_cycles,
 )
+from molien.groups import _ElementIndex
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
 
@@ -66,12 +67,14 @@ class TestClosure:
             assert (a @ b).rows in members
 
     def test_inverse_table(self):
-        group = corpus.q8()
-        identity = group.identity()
-        for i in range(group.order):
-            j = group.inverse_of[i]
-            assert group.inverse_of[j] == i
-            assert (group.elements[i] @ group.elements[j]).equals(identity)
+        # S5 and 2T are exact, one monomial and one not; D_9 is float
+        groups = [corpus.q8(), corpus.s5(), corpus.binary_tetrahedral(), corpus.dihedral_float(9)]
+        for group in groups:
+            identity = group.identity()
+            for i in range(group.order):
+                j = group.inverse_of[i]
+                assert group.inverse_of[j] == i
+                assert (group.elements[i] @ group.elements[j]).equals(identity)
 
     def test_every_element_unitary(self, corpus):
         for group in corpus.values():
@@ -141,6 +144,28 @@ class TestFloatElementIdentity:
             [SquareMatrix(rotation, fb), SquareMatrix(perturbed, fb)]
         )
         assert group.order == 6
+
+    def test_index_finds_perturbation_across_bin_boundary(self):
+        import math
+
+        fb = float_backend(1e-9)
+        index = _ElementIndex(fb, 2)
+        # every real and imaginary part moves by 0.7 * tolerance / sqrt(2), so
+        # each entry moves by 0.7 * tolerance and the projection by 0.35 pitch
+        shift = complex(0.7e-9, 0.7e-9) / math.sqrt(2)
+        for step in range(200):
+            angle = 0.01 * step
+            rows = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+            matrix = SquareMatrix(rows, fb)
+            moved = SquareMatrix([[x + shift for x in row] for row in rows], fb)
+            if index._bin(moved) != index._bin(matrix):
+                break
+        else:
+            pytest.fail("no rotation in the sweep crosses a bin boundary")
+        position = index.add(matrix)
+        assert moved.equals(matrix)
+        assert index.find(moved) == position
+        assert index.find(SquareMatrix([[-x for x in row] for row in rows], fb)) is None
 
     def test_separation_above_tolerance_distinguishes(self):
         fb = float_backend(1e-9)

@@ -90,6 +90,12 @@ class TestReynoldsMatrix:
         assert (matrix @ matrix).equals(matrix)
         assert invariant_dimension(reynolds_matrix(group, 3)) == 2
 
+    def test_annotations_resolve(self):
+        import typing
+
+        hints = typing.get_type_hints(ReynoldsMatrix)
+        assert hints["matrix"] is SquareMatrix
+
 
 class TestInvariantDimension:
     @pytest.mark.parametrize("n", [1, 2, 3])

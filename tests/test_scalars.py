@@ -13,6 +13,7 @@ from molien import (
     BackendError,
     GaussianRational,
     ScalarParseError,
+    ValidationError,
     float_backend,
     format_scalar,
     parse_scalar,
@@ -199,6 +200,11 @@ class TestBackends:
         assert fb.eq(1 + 0j, 1 + 1e-10j)
         assert not fb.eq(1 + 0j, 1 + 1e-8j)
         assert fb.is_zero(1e-12 + 0j)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValidationError):
+            float_backend(tolerance)
 
     def test_backend_identity(self):
         assert EXACT == EXACT

@@ -18,6 +18,7 @@ from molien import (
     close_group,
     cross_check,
     expand_rational,
+    format_scalar,
     molien_coefficients,
     molien_rational,
     molien_series,
@@ -94,9 +95,13 @@ class TestMolienSeries:
         assert molien_coefficients(group, 6) == expected
 
     def test_summing_over_conjugates_matches(self, corpus):
+        # the entrywise conjugates form a group whose series is the
+        # conjugate of G's, and G's series is real
         for group in corpus.values():
             direct = averaged_reciprocal_series(group, 6)
-            conjugated = averaged_reciprocal_series(group, 6, conjugate_elements=True)
+            conjugate_group = close_group([g.entrywise_conj() for g in group.generators()])
+            conjugated = averaged_reciprocal_series(conjugate_group, 6)
+            assert conjugate_group.order == group.order
             assert direct.coeffs == conjugated.coeffs
             assert all(c.is_real() for c in direct.coeffs)
 
@@ -144,6 +149,32 @@ class TestMolienRational:
             numerator, denominator = molien_rational(group)
             expanded = ints(expand_rational(numerator, denominator, 8))
             assert expanded == molien_coefficients(group, 8)
+
+    def test_s5_is_the_chevalley_product(self):
+        # S5 on C^5: 1/prod_{k<=5} (1 - lambda^k) (Stanley 1979)
+        numerator, denominator = molien_rational(corpus.s5())
+        product = UnivariatePoly.one(EXACT)
+        for k in range(1, 6):
+            product = product * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
+        assert numerator == UnivariatePoly.one(EXACT)
+        assert denominator == product
+        expanded = ints(expand_rational(numerator, denominator, 15))
+        assert expanded == [partitions_with_parts_at_most(d, 5) for d in range(16)]
+
+    def test_q8_matches_sloane(self):
+        # Sloane (1977): (1 + lambda^6) / (1 - lambda^4)^2, here in lowest terms
+        numerator, denominator = molien_rational(corpus.q8())
+        sloane_num = UnivariatePoly([1, 0, 0, 0, 0, 0, 1], EXACT)
+        sloane_den = UnivariatePoly([1, 0, 0, 0, -2, 0, 0, 0, 1], EXACT)
+        assert numerator * sloane_den == denominator * sloane_num
+        assert denominator.coefficient(0) == EXACT.one
+
+    def test_s4_form_is_pinned(self):
+        numerator, denominator = molien_rational(corpus.s4())
+        assert [format_scalar(c) for c in numerator.coeffs] == ["1"]
+        assert [format_scalar(c) for c in denominator.coeffs] == [
+            "1", "-1", "-1", "0", "0", "2", "0", "0", "-1", "-1", "1"
+        ]
 
     def test_float_backend_rejected(self):
         from molien import float_backend
