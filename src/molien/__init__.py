@@ -27,6 +27,7 @@ from molien.invariants import (
     ReynoldsMatrix,
     invariant_basis,
     invariant_dimension,
+    reynolds_matrices,
     reynolds_matrix,
     verify_invariant,
 )
@@ -36,7 +37,6 @@ from molien.matrices import (
     conj_transpose,
     det_one_minus_lambda,
     is_unitary,
-    mat_mul,
     row_reduce,
     row_reduce_rank,
 )
@@ -46,7 +46,6 @@ from molien.polynomials import (
     format_polynomial,
     monomial_basis,
     parse_polynomial,
-    poly_mul,
     substitute_linear,
 )
 from molien.scalars import (
@@ -107,7 +106,6 @@ __all__ = [
     "invariant_basis",
     "invariant_dimension",
     "is_unitary",
-    "mat_mul",
     "molien_coefficients",
     "molien_rational",
     "molien_series",
@@ -115,7 +113,7 @@ __all__ = [
     "parse_polynomial",
     "parse_scalar",
     "permutation_from_cycles",
-    "poly_mul",
+    "reynolds_matrices",
     "reynolds_matrix",
     "row_reduce",
     "row_reduce_rank",

@@ -1,22 +1,107 @@
 """The lifted group action on polynomials: induced matrices per degree.
 
 A group element acting on variables by the unitary matrix A sends the
-linear form x_i to sum_k conj(A[k][i]) x_k, so the first induced matrix
-is the entrywise conjugate of A. The degree-d induced matrix is built by
-expanding the images of the degree-d basis monomials with the polynomial
-ring operations and writing their coordinates into columns.
+linear form x_i to L_i = sum_k conj(A[k][i]) x_k, so the first induced
+matrix is the entrywise conjugate of A. Images of the basis monomials are
+built degree by degree on raw dicts: image(x^a) = image(x^(a - e_i)) * L_i,
+with x_i the first variable of x^a, so each degree needs only the images
+of the degree below.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from molien.errors import ShapeError
 from molien.matrices import SquareMatrix
-from molien.polynomials import MonomialBasis, SparsePolynomial, substitute_linear
+from molien.polynomials import MonomialBasis
+from molien.scalars import ScalarBackend
 
 
 def induced_first(a: SquareMatrix) -> SquareMatrix:
     """First induced matrix: the entrywise conjugate of the representing matrix."""
     return a.entrywise_conj()
+
+
+class DegreeStep:
+    """The degree-d basis and how it hangs off the degree-(d-1) basis.
+
+    first[j] = (p, i): basis monomial j is x_i times monomial p of degree
+    d-1, where x_i is the first variable of monomial j. up[p][k] is the
+    position of x_k times monomial p of degree d-1. Both are empty at d=0.
+    """
+
+    __slots__ = ("basis", "first", "up")
+
+    def __init__(self, basis: MonomialBasis, first: tuple, up: tuple):
+        self.basis = basis
+        self.first = first
+        self.up = up
+
+
+def monomial_ladder(n: int, max_degree: int) -> list[DegreeStep]:
+    """Bases of degrees 0..max_degree in n variables, with their links."""
+    prev = MonomialBasis(n, 0)
+    ladder = [DegreeStep(prev, (), ())]
+    for d in range(1, max_degree + 1):
+        basis = MonomialBasis(n, d)
+        index = basis.index
+        up = tuple(
+            tuple(index[m[:k] + (m[k] + 1,) + m[k + 1 :]] for k in range(n))
+            for m in prev.monomials
+        )
+        first = []
+        for m in basis.monomials:
+            i = next(k for k, e in enumerate(m) if e)
+            first.append((prev.index[m[:i] + (m[i] - 1,) + m[i + 1 :]], i))
+        ladder.append(DegreeStep(basis, tuple(first), up))
+        prev = basis
+    return ladder
+
+
+def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[dict]]:
+    """Images of the basis monomials under a, one degree of the ladder at a time.
+
+    Yields, for each degree, a list whose j-th dict maps basis positions
+    to the coefficients of the image of basis monomial j. Only exact zeros
+    are skipped: no coefficient is dropped by the float tolerance. Only
+    the previous degree's images are kept.
+    """
+    n = a.n
+    forms = [
+        [(k, row[i].conjugate()) for k, row in enumerate(a.rows) if row[i]]
+        for i in range(n)
+    ]
+    images = [{0: a.backend.one}]
+    yield images
+    for step in ladder[1:]:
+        up = step.up
+        nxt = []
+        for p, i in step.first:
+            form = forms[i]
+            out: dict = {}
+            for q, c in images[p].items():
+                targets = up[q]
+                for k, lk in form:
+                    t = targets[k]
+                    if t in out:
+                        out[t] = out[t] + c * lk
+                    else:
+                        out[t] = c * lk
+            nxt.append({t: v for t, v in out.items() if v})
+        images = nxt
+        yield images
+
+
+def dense_matrix(columns: list[dict], backend: ScalarBackend) -> SquareMatrix:
+    """Square matrix whose column j holds the sparse column columns[j]."""
+    size = len(columns)
+    zero = backend.zero
+    rows = [[zero] * size for _ in range(size)]
+    for j, column in enumerate(columns):
+        for q, c in column.items():
+            rows[q][j] = c
+    return SquareMatrix(rows, backend)
 
 
 def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:
@@ -27,12 +112,6 @@ def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:
     """
     if a.n != basis.n:
         raise ShapeError(f"matrix dimension {a.n} does not match basis over {basis.n} variables")
-    first = induced_first(a)
-    columns = []
-    for mono in basis.monomials:
-        image = substitute_linear(
-            SparsePolynomial.from_monomial(basis.n, mono, a.backend), first
-        )
-        columns.append(image.coefficient_vector(basis))
-    rows = [list(row) for row in zip(*columns)]
-    return SquareMatrix(rows, a.backend)
+    for images in monomial_images(a, monomial_ladder(basis.n, basis.d)):
+        pass
+    return dense_matrix(images, a.backend)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from molien.action import induced_first, induced_matrix
-from molien.errors import ConsistencyError
+from molien.action import dense_matrix, induced_first, monomial_images, monomial_ladder
+from molien.errors import ConsistencyError, ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
-from molien.polynomials import MonomialBasis, SparsePolynomial, monomial_basis, substitute_linear
+from molien.polynomials import MonomialBasis, SparsePolynomial, substitute_linear
 
 # Accumulated float error over |G| terms needs more headroom than the
 # arithmetic tolerance when deciding whether a trace is an integer.
@@ -25,15 +26,37 @@ class ReynoldsMatrix:
     matrix: SquareMatrix
 
 
-def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
-    """Average the induced matrices over the group, in element order."""
-    basis = monomial_basis(group.n, d)
-    acc = None
+def reynolds_matrices(group: FiniteMatrixGroup, max_degree: int) -> Iterator[ReynoldsMatrix]:
+    """The Reynolds matrices of degrees 0..max_degree, from one sweep over the group.
+
+    Each element's basis-monomial images of every degree are added into
+    sparse columns, in element order; the sums are scaled by 1/|G| once.
+    A degree's matrix is made dense only when the iteration reaches it.
+    """
+    if max_degree < 0:
+        raise ShapeError("degree must be nonnegative")
+    ladder = monomial_ladder(group.n, max_degree)
+    sums = [[{} for _ in step.basis.monomials] for step in ladder]
     for element in group.elements:
-        term = induced_matrix(element, basis)
-        acc = term if acc is None else acc + term
-    averaged = acc.scale(Fraction(1, group.order))
-    return ReynoldsMatrix(d, basis, averaged)
+        for columns, images in zip(sums, monomial_images(element, ladder)):
+            for column, image in zip(columns, images):
+                for q, c in image.items():
+                    if q in column:
+                        column[q] = column[q] + c
+                    else:
+                        column[q] = c
+    backend = group.backend
+    factor = backend.coerce(Fraction(1, group.order))
+    for step, columns in zip(ladder, sums):
+        scaled = [{q: factor * c for q, c in column.items()} for column in columns]
+        yield ReynoldsMatrix(step.basis.d, step.basis, dense_matrix(scaled, backend))
+
+
+def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
+    """The degree-d Reynolds matrix: the last item of reynolds_matrices(group, d)."""
+    for reynolds in reynolds_matrices(group, d):
+        pass
+    return reynolds
 
 
 def _as_integer(value, backend, tolerance: float) -> int:
@@ -62,19 +85,21 @@ def invariant_basis(
     """Basis of the degree-d invariants, from row-reduced Reynolds images.
 
     The Reynolds matrix is applied to every basis monomial; the nonzero
-    images are row-reduced, and the reduced rows come back as polynomials
-    whose leading (grlex-first) coefficient is 1.
+    images, each distinct one once, are row-reduced, and the reduced rows
+    come back as polynomials whose leading (grlex-first) coefficient is 1.
     """
     if reynolds is None:
         reynolds = reynolds_matrix(group, d)
     matrix = reynolds.matrix
     backend = matrix.backend
-    size = matrix.n
     image_rows = []
-    for j in range(size):
-        column = [matrix.rows[i][j] for i in range(size)]
+    seen = set()
+    for column in zip(*matrix.rows):
+        if column in seen:
+            continue
+        seen.add(column)
         if any(not backend.is_zero(x) for x in column):
-            image_rows.append(column)
+            image_rows.append(list(column))
     if not image_rows:
         return []
     rank, reduced = row_reduce(image_rows, backend)

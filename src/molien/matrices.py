@@ -36,11 +36,6 @@ class SquareMatrix:
         one, zero = backend.one, backend.zero
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], backend)
 
-    @classmethod
-    def zero(cls, n: int, backend: ScalarBackend) -> "SquareMatrix":
-        zero = backend.zero
-        return cls([[zero] * n for _ in range(n)], backend)
-
     def _check_compatible(self, other: "SquareMatrix") -> None:
         if self.n != other.n:
             raise ShapeError(f"dimension mismatch: {self.n} vs {other.n}")
@@ -55,18 +50,6 @@ class SquareMatrix:
             for row in self.rows
         ]
         return SquareMatrix(rows, self.backend)
-
-    def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check_compatible(other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return SquareMatrix(rows, self.backend)
-
-    def scale(self, factor) -> "SquareMatrix":
-        c = self.backend.coerce(factor)
-        return SquareMatrix([[c * x for x in row] for row in self.rows], self.backend)
 
     def conj_transpose(self) -> "SquareMatrix":
         conj = self.backend.conj
@@ -119,10 +102,6 @@ def _dot(row, col):
     for a, b in it:
         acc = acc + a * b
     return acc
-
-
-def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    return a @ b
 
 
 def conj_transpose(a: SquareMatrix) -> SquareMatrix:
@@ -242,11 +221,11 @@ def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
     """
     backend = a.backend
     n = a.n
-    traces = []
+    traces = [a.trace()]
     power = a
-    for _ in range(n):
-        traces.append(power.trace())
+    for _ in range(n - 1):
         power = power @ a
+        traces.append(power.trace())
     e = [backend.one]
     for k in range(1, n + 1):
         acc = backend.zero

@@ -8,7 +8,6 @@ and xn^d last.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterator, Sequence
 
 from molien.errors import ScalarParseError, ShapeError
@@ -16,10 +15,6 @@ from molien.matrices import SquareMatrix
 from molien.scalars import ScalarBackend, check_same_backend, format_scalar
 
 Monomial = tuple
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def grlex_key(m: Monomial):
@@ -67,10 +62,6 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
     return MonomialBasis(n, d)
 
 
-def basis_size(n: int, d: int) -> int:
-    return comb(n + d - 1, d)
-
-
 class SparsePolynomial:
     """Polynomial in n variables as a map from exponent tuples to scalars.
 
@@ -99,10 +90,6 @@ class SparsePolynomial:
     @classmethod
     def constant(cls, n: int, value, backend: ScalarBackend) -> "SparsePolynomial":
         return cls(n, {(0,) * n: value}, backend)
-
-    @classmethod
-    def from_monomial(cls, n: int, mono: Monomial, backend: ScalarBackend, coeff=1) -> "SparsePolynomial":
-        return cls(n, {tuple(mono): coeff}, backend)
 
     @classmethod
     def variable(cls, n: int, i: int, backend: ScalarBackend) -> "SparsePolynomial":
@@ -219,10 +206,6 @@ class SparsePolynomial:
 
     def __str__(self):
         return format_polynomial(self)
-
-
-def poly_mul(f: SparsePolynomial, g: SparsePolynomial) -> SparsePolynomial:
-    return f * g
 
 
 def substitute_linear(f: SparsePolynomial, matrix: SquareMatrix) -> SparsePolynomial:

@@ -20,7 +20,7 @@ from molien.invariants import (
     INTEGER_ROUNDING_TOLERANCE,
     invariant_basis,
     invariant_dimension,
-    reynolds_matrix,
+    reynolds_matrices,
 )
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
 from molien.scalars import ScalarBackend
@@ -214,8 +214,7 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     report = molien_series(group, max_degree)
     trace_values = []
     rank_values = []
-    for d in range(max_degree + 1):
-        reynolds = reynolds_matrix(group, d)
+    for d, reynolds in enumerate(reynolds_matrices(group, max_degree)):
         trace_values.append(invariant_dimension(reynolds))
         rank_values.append(len(invariant_basis(group, d, reynolds=reynolds)))
     series_values = report.per_method["series"]

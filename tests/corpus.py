@@ -59,6 +59,12 @@ def binary_tetrahedral():
     )
 
 
+def b3():
+    """The hyperoctahedral group B3 = G(2,1,3) of signed permutations, order 48."""
+    sign = SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)
+    return close_group(from_permutations([(2, 1, 3), (2, 3, 1)]) + [sign])
+
+
 def dihedral_float(m: int):
     """The dihedral group of order 2m on R^2, on the float backend."""
     c, s = math.cos(2 * math.pi / m), math.sin(2 * math.pi / m)

@@ -91,3 +91,28 @@ def rotation_invariant_count(order: int, d: int) -> int:
     the rotation order.
     """
     return sum(1 for p in range(d + 1) if (p - (d - p)) % order == 0)
+
+
+def sympy_reynolds(mats: list[sp.Matrix], monomials: list[tuple], n: int) -> sp.Matrix:
+    """Group average of the induced matrices, expanded with sympy's Poly arithmetic.
+
+    For matrices with Gaussian-rational entries: Poly coefficients are
+    already canonical numbers, so no simplification is needed.
+    """
+    xs = sp.symbols(f"x1:{n + 1}")
+    size = len(monomials)
+    total = sp.zeros(size, size)
+    for mat in mats:
+        conj = mat.conjugate()
+        forms = [
+            sp.Poly(sum(conj[k, i] * xs[k] for k in range(n)), *xs, domain=sp.QQ_I)
+            for i in range(n)
+        ]
+        one = sp.Poly(1, *xs, domain=sp.QQ_I)
+        for j, mono in enumerate(monomials):
+            image = one
+            for i, e in enumerate(mono):
+                image = image * forms[i] ** e
+            for i, m in enumerate(monomials):
+                total[i, j] += image.coeff_monomial(m)
+    return total / len(mats)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -13,6 +15,7 @@ from molien import (
     ShapeError,
     SquareMatrix,
     det_one_minus_lambda,
+    float_backend,
     induced_first,
     induced_matrix,
     monomial_basis,
@@ -74,6 +77,28 @@ class TestInducedMatrix:
             ours = to_sympy(induced_matrix(element, basis))
             theirs = sympy_induced(to_sympy(element), list(basis.monomials), 2)
             assert sp.simplify(ours - theirs) == sp.zeros(len(basis), len(basis))
+
+    def test_float_small_terms_are_kept(self):
+        # sin(2 pi/30)^16 is about 1e-11, below the 1e-9 tolerance, yet it is
+        # a coefficient of the image and must survive the expansion
+        angle = 2 * math.pi / 30
+        c, s = math.cos(angle), math.sin(angle)
+        rotation = SquareMatrix([[c, -s], [s, c]], float_backend())
+        d = 16
+        assert s**d < rotation.backend.tolerance
+        ours = induced_matrix(rotation, monomial_basis(2, d))
+        # with two variables, position k of the degree-d basis is x1^(d-k) x2^k,
+        # so a product of linear forms is a convolution of coefficient arrays
+        forms = [np.conj([rotation.rows[0][i], rotation.rows[1][i]]) for i in range(2)]
+        theirs = np.zeros((d + 1, d + 1), dtype=complex)
+        for k in range(d + 1):
+            image = np.ones(1, dtype=complex)
+            for _ in range(d - k):
+                image = np.convolve(image, forms[0])
+            for _ in range(k):
+                image = np.convolve(image, forms[1])
+            theirs[:, k] = image
+        assert np.max(np.abs(np.array(ours.rows) - theirs)) < 1e-12
 
 
 class TestActionLaws:

@@ -13,19 +13,48 @@ from molien import (
     EXACT,
     ConsistencyError,
     ReynoldsMatrix,
+    ShapeError,
     SparsePolynomial,
     SquareMatrix,
+    cross_check,
     float_backend,
     format_polynomial,
     induced_matrix,
     invariant_basis,
     invariant_dimension,
     monomial_basis,
+    reynolds_matrices,
     reynolds_matrix,
     row_reduce_rank,
     verify_invariant,
 )
-from oracles import sympy_fixed_space_dimension, sympy_induced, to_sympy
+from oracles import sympy_fixed_space_dimension, sympy_induced, sympy_reynolds, to_sympy
+
+# Pinned exact bases: the reduced echelon form of a row space is unique, so
+# no change in how the Reynolds matrices are built may alter them.
+S4_DEGREE_6_BASIS = [
+    "x1^6 + x2^6 + x3^6 + x4^6",
+    "x1^5*x2 + x1^5*x3 + x1^5*x4 + x1*x2^5 + x1*x3^5 + x1*x4^5 + x2^5*x3 + x2^5*x4"
+    " + x2*x3^5 + x2*x4^5 + x3^5*x4 + x3*x4^5",
+    "x1^4*x2^2 + x1^4*x3^2 + x1^4*x4^2 + x1^2*x2^4 + x1^2*x3^4 + x1^2*x4^4 + x2^4*x3^2"
+    " + x2^4*x4^2 + x2^2*x3^4 + x2^2*x4^4 + x3^4*x4^2 + x3^2*x4^4",
+    "x1^4*x2*x3 + x1^4*x2*x4 + x1^4*x3*x4 + x1*x2^4*x3 + x1*x2^4*x4 + x1*x2*x3^4"
+    " + x1*x2*x4^4 + x1*x3^4*x4 + x1*x3*x4^4 + x2^4*x3*x4 + x2*x3^4*x4 + x2*x3*x4^4",
+    "x1^3*x2^3 + x1^3*x3^3 + x1^3*x4^3 + x2^3*x3^3 + x2^3*x4^3 + x3^3*x4^3",
+    "x1^3*x2^2*x3 + x1^3*x2^2*x4 + x1^3*x2*x3^2 + x1^3*x2*x4^2 + x1^3*x3^2*x4"
+    " + x1^3*x3*x4^2 + x1^2*x2^3*x3 + x1^2*x2^3*x4 + x1^2*x2*x3^3 + x1^2*x2*x4^3"
+    " + x1^2*x3^3*x4 + x1^2*x3*x4^3 + x1*x2^3*x3^2 + x1*x2^3*x4^2 + x1*x2^2*x3^3"
+    " + x1*x2^2*x4^3 + x1*x3^3*x4^2 + x1*x3^2*x4^3 + x2^3*x3^2*x4 + x2^3*x3*x4^2"
+    " + x2^2*x3^3*x4 + x2^2*x3*x4^3 + x2*x3^3*x4^2 + x2*x3^2*x4^3",
+    "x1^3*x2*x3*x4 + x1*x2^3*x3*x4 + x1*x2*x3^3*x4 + x1*x2*x3*x4^3",
+    "x1^2*x2^2*x3^2 + x1^2*x2^2*x4^2 + x1^2*x3^2*x4^2 + x2^2*x3^2*x4^2",
+    "x1^2*x2^2*x3*x4 + x1^2*x2*x3^2*x4 + x1^2*x2*x3*x4^2 + x1*x2^2*x3^2*x4"
+    " + x1*x2^2*x3*x4^2 + x1*x2*x3^2*x4^2",
+]
+BINARY_TETRAHEDRAL_DEGREE_12_BASIS = [
+    "x1^12 - 33*x1^8*x2^4 - 33*x1^4*x2^8 + x2^12",
+    "x1^10*x2^2 - 2*x1^6*x2^6 + x1^2*x2^10",
+]
 
 
 def poly(n, terms):
@@ -95,6 +124,73 @@ class TestReynoldsMatrix:
 
         hints = typing.get_type_hints(ReynoldsMatrix)
         assert hints["matrix"] is SquareMatrix
+
+
+class TestReynoldsSweep:
+    @pytest.mark.parametrize(
+        "build, max_degree",
+        [(corpus.s4, 5), (corpus.binary_tetrahedral, 10), (corpus.b3, 6)],
+    )
+    def test_each_degree_matches_reynolds_matrix(self, build, max_degree):
+        group = build()
+        swept = list(reynolds_matrices(group, max_degree))
+        assert [r.d for r in swept] == list(range(max_degree + 1))
+        for d, reynolds in enumerate(swept):
+            single = reynolds_matrix(group, d)
+            assert reynolds.basis.monomials == single.basis.monomials
+            assert reynolds.matrix == single.matrix
+
+    def test_float_degrees_match_within_tolerance(self):
+        group = corpus.dihedral_float(12)
+        for d, reynolds in enumerate(reynolds_matrices(group, 12)):
+            assert reynolds.matrix.equals(reynolds_matrix(group, d).matrix)
+
+    @pytest.mark.parametrize(
+        "build, max_degree", [(corpus.s4, 5), (corpus.binary_tetrahedral, 8)]
+    )
+    def test_exact_average_against_sympy(self, build, max_degree):
+        group = build()
+        mats = [to_sympy(g) for g in group.elements]
+        for reynolds in reynolds_matrices(group, max_degree):
+            theirs = sympy_reynolds(mats, list(reynolds.basis.monomials), group.n)
+            assert to_sympy(reynolds.matrix) == theirs
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ShapeError):
+            reynolds_matrix(corpus.s2(), -1)
+
+    def test_pinned_bases(self):
+        s4 = [format_polynomial(f) for f in invariant_basis(corpus.s4(), 6)]
+        assert s4 == S4_DEGREE_6_BASIS
+        tetrahedral = invariant_basis(corpus.binary_tetrahedral(), 12)
+        assert [format_polynomial(f) for f in tetrahedral] == BINARY_TETRAHEDRAL_DEGREE_12_BASIS
+
+    def test_duplicate_columns_reach_row_reduce_once(self, monkeypatch):
+        import molien.invariants
+
+        seen = []
+        original = molien.invariants.row_reduce
+
+        def recording(rows, backend):
+            seen.append([tuple(row) for row in rows])
+            return original(rows, backend)
+
+        monkeypatch.setattr(molien.invariants, "row_reduce", recording)
+        group = corpus.s3()
+        reynolds = reynolds_matrix(group, 3)
+        columns = set(zip(*reynolds.matrix.rows))
+        nonzero = {c for c in columns if any(c)}
+        basis = invariant_basis(group, 3, reynolds=reynolds)
+        (rows,) = seen
+        assert len(rows) == len(set(rows)) == len(nonzero) < len(reynolds.basis)
+        assert len(basis) == 3
+
+    @pytest.mark.parametrize("m", [30, 60])
+    def test_float_dihedral_rank_agrees(self, m):
+        # dropping terms below the tolerance mid-expansion used to overcount the rank
+        report = cross_check(corpus.dihedral_float(m), 16)
+        assert report.all_agree()
+        assert report.per_method["rank"] == [1 - d % 2 for d in range(17)]
 
 
 class TestInvariantDimension:

@@ -133,6 +133,23 @@ class TestDetOneMinusLambda:
         )
         assert det_one_minus_lambda(block) == det_one_minus_lambda(b) * det_one_minus_lambda(c)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_takes_n_minus_one_products(self, n, monkeypatch):
+        # the power traces Tr(A^1..A^n) need A^2..A^n and nothing beyond
+        calls = []
+        original = SquareMatrix.__matmul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting)
+        cycle = exact([[1 if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)])
+        poly = det_one_minus_lambda(cycle)
+        assert len(calls) == n - 1
+        # det(id - lambda*C) = 1 - lambda^n for the n-cycle
+        assert poly == UnivariatePoly([1] + [0] * (n - 1) + [-1], EXACT)
+
 
 class TestRowReduce:
     def test_identity_rows(self):
