@@ -59,24 +59,32 @@ def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
     return reynolds
 
 
-def _as_integer(value, backend, tolerance: float) -> int:
+def as_count(value, backend, what: str) -> int:
+    """The nonnegative integer an exact or float scalar stands for.
+
+    Exact values must be integers; float values must lie within
+    INTEGER_ROUNDING_TOLERANCE of one. Anything else raises
+    ConsistencyError, whose message starts with `what`.
+    """
     if backend.is_exact:
         if not value.is_integer():
-            raise ConsistencyError(f"expected an integer, got {value!r}")
-        return int(value.re)
-    nearest = round(value.real)
-    if abs(value - nearest) > tolerance:
-        raise ConsistencyError(f"expected an integer within {tolerance}, got {value!r}")
-    return nearest
+            raise ConsistencyError(f"{what} is not an integer: {value!r}")
+        count = value.re_num
+    else:
+        count = round(value.real)
+        if abs(value - count) > INTEGER_ROUNDING_TOLERANCE:
+            raise ConsistencyError(
+                f"{what} is {value!r}, not within {INTEGER_ROUNDING_TOLERANCE} of an integer"
+            )
+    if count < 0:
+        raise ConsistencyError(f"{what} is negative: {count}")
+    return count
 
 
 def invariant_dimension(reynolds: ReynoldsMatrix) -> int:
     """Dimension of the degree-d invariants: the trace of the Reynolds matrix."""
     trace = reynolds.matrix.trace()
-    value = _as_integer(trace, reynolds.matrix.backend, INTEGER_ROUNDING_TOLERANCE)
-    if value < 0:
-        raise ConsistencyError(f"negative invariant dimension {value}")
-    return value
+    return as_count(trace, reynolds.matrix.backend, f"Reynolds trace at degree {reynolds.d}")
 
 
 def invariant_basis(

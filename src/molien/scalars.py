@@ -1,32 +1,217 @@
-"""Scalar backends: exact Gaussian rationals and complex floats.
-
-The exact scalar type has two interchangeable implementations: a compiled
-core (molien._gauss_cy, built with Cython) and a pure-Python fallback
-(molien._gauss_py). The compiled one is used when importable; set
-MOLIEN_PURE_PYTHON=1 to force the fallback.
-"""
+"""Scalar backends: exact Gaussian rationals and complex floats."""
 
 from __future__ import annotations
 
+import functools
 import math
-import os
+import sys
 from fractions import Fraction
+from math import gcd
 
 from molien.errors import BackendError, ScalarParseError, ValidationError
 
-if os.environ.get("MOLIEN_PURE_PYTHON", "") not in ("", "0"):
-    from molien._gauss_py import GaussianRational
+# Kept for run metadata: the exact scalar core is the pure-Python class below.
+ACTIVE_IMPLEMENTATION = "python"
 
-    ACTIVE_IMPLEMENTATION = "python"
-else:
-    try:
-        from molien._gauss_cy import GaussianRational  # type: ignore[no-redef]
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
-        ACTIVE_IMPLEMENTATION = "cython"
-    except ImportError:
-        from molien._gauss_py import GaussianRational  # type: ignore[no-redef]
 
-        ACTIVE_IMPLEMENTATION = "python"
+@functools.lru_cache(maxsize=1024)
+def _hash_inverse(den: int) -> int:
+    """den^-1 modulo the hash modulus, as Fraction's hash uses it.
+
+    Cached because pow() with a negative exponent is slow next to the rest
+    of a hash, and real values such as Reynolds entries share a few
+    denominators.
+    """
+    return pow(den, -1, _HASH_MODULUS)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _make(rn, rd, im_n, im_d) -> "GaussianRational":
+    """Build from raw integer parts, dividing each pair by its gcd.
+
+    Every denominator passed in is positive: a reduced denominator, or a
+    product of them and, in division, a positive norm. So signs need no
+    normalising.
+    """
+    g = gcd(rn, rd)
+    if g != 1:
+        rn //= g
+        rd //= g
+    g = gcd(im_n, im_d)
+    if g != 1:
+        im_n //= g
+        im_d //= g
+    out = object.__new__(GaussianRational)
+    out._rn, out._rd, out._in, out._id = rn, rd, im_n, im_d
+    return out
+
+
+def _coerce(value) -> "GaussianRational | None":
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, int):
+        return _make(value, 1, 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, value.denominator, 0, 1)
+    return None
+
+
+class GaussianRational:
+    """Complex number with rational real and imaginary parts, a + bi.
+
+    Each part is kept as a reduced integer pair (numerator, positive
+    denominator); Python ints give arbitrary precision. Values are
+    immutable. Arithmetic accepts GaussianRational, int and Fraction
+    operands; division by zero raises ZeroDivisionError. A real value
+    hashes like the equal int or Fraction.
+    """
+
+    __slots__ = ("_rn", "_rd", "_in", "_id")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, GaussianRational):
+            if im != 0:
+                raise TypeError("imaginary part must be 0 when re is already complex")
+            self._rn, self._rd, self._in, self._id = re._rn, re._rd, re._in, re._id
+            return
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError("GaussianRational does not accept floats; use the float backend")
+        re, im = Fraction(re), Fraction(im)
+        self._rn, self._rd = re.numerator, re.denominator
+        self._in, self._id = im.numerator, im.denominator
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._in, self._id)
+
+    @property
+    def re_num(self) -> int:
+        return self._rn
+
+    @property
+    def re_den(self) -> int:
+        return self._rd
+
+    @property
+    def im_num(self) -> int:
+        return self._in
+
+    @property
+    def im_den(self) -> int:
+        return self._id
+
+    def conjugate(self) -> "GaussianRational":
+        return _make(self._rn, self._rd, -self._in, self._id)
+
+    def is_real(self) -> bool:
+        return self._in == 0
+
+    def is_integer(self) -> bool:
+        return self._in == 0 and self._rd == 1
+
+    def __bool__(self) -> bool:
+        return self._rn != 0 or self._in != 0
+
+    def __add__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(
+            self._rn * o._rd + o._rn * self._rd, self._rd * o._rd,
+            self._in * o._id + o._in * self._id, self._id * o._id,
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return _make(
+            self._rn * o._rd - o._rn * self._rd, self._rd * o._rd,
+            self._in * o._id - o._in * self._id, self._id * o._id,
+        )
+
+    def __rsub__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return _make(-self._rn, self._rd, -self._in, self._id)
+
+    def __mul__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        # (a + bi)(c + di): re = ac - bd, im = ad + bc, over the common
+        # denominator of a, b, c and d.
+        a, p, b, q = self._rn, self._rd, self._in, self._id
+        c, r, d, s = o._rn, o._rd, o._in, o._id
+        den = p * q * r * s
+        return _make(a * c * q * s - b * d * p * r, den, a * d * q * r + b * c * p * s, den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        # w / z = w * conj(z) / |z|^2, with |z|^2 = nn / nd.
+        a, p, b, q = self._rn, self._rd, self._in, self._id
+        c, r, d, s = o._rn, o._rd, o._in, o._id
+        nn = c * c * s * s + d * d * r * r
+        if nn == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        nd = r * r * s * s
+        den = p * q * r * s * nn
+        return _make(
+            (a * c * q * s + b * d * p * r) * nd, den,
+            (b * c * p * s - a * d * q * r) * nd, den,
+        )
+
+    def __rtruediv__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __eq__(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._rn == o._rn and self._rd == o._rd and self._in == o._in and self._id == o._id
+
+    def __hash__(self):
+        if self._in:
+            # parts are always reduced, so the raw tuple is a stable identity
+            return hash((self._rn, self._rd, self._in, self._id))
+        if self._rd == 1:
+            return hash(self._rn)
+        # Fraction's hash of rn/rd, without building the Fraction
+        try:
+            inverse = _hash_inverse(self._rd)
+        except ValueError:
+            value = _HASH_INF
+        else:
+            value = hash(hash(abs(self._rn)) * inverse)
+        value = value if self._rn >= 0 else -value
+        return -2 if value == -1 else value
+
+    def __repr__(self):
+        return f"GaussianRational({_ratio_text(self._rn, self._rd)}, {_ratio_text(self._in, self._id)})"
+
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -203,12 +388,6 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(sign * first, im_sign * im)
 
 
-def _format_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_scalar(s) -> str:
     """Canonical printer for the exact literal grammar (and repr-style floats).
 
@@ -217,15 +396,14 @@ def format_scalar(s) -> str:
     """
     if isinstance(s, complex):
         return format_float_scalar(s)
-    re, im = s.re, s.im
-    if im == 0:
-        return _format_fraction(re)
-    unit = "" if abs(im) == 1 else _format_fraction(abs(im))
-    if re == 0:
-        sign = "-" if im < 0 else ""
-        return f"{sign}{unit}i"
-    sign = "-" if im < 0 else "+"
-    return f"{_format_fraction(re)}{sign}{unit}i"
+    re = _ratio_text(s.re_num, s.re_den)
+    im_num, im_den = s.im_num, s.im_den
+    if im_num == 0:
+        return re
+    unit = "" if abs(im_num) == 1 and im_den == 1 else _ratio_text(abs(im_num), im_den)
+    if s.re_num == 0:
+        return f"{'-' if im_num < 0 else ''}{unit}i"
+    return f"{re}{'-' if im_num < 0 else '+'}{unit}i"
 
 
 def format_float_scalar(z: complex, digits: int = 12) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import (
-    INTEGER_ROUNDING_TOLERANCE,
+    as_count,
     invariant_basis,
     invariant_dimension,
     reynolds_matrices,
@@ -108,32 +108,13 @@ def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> Truncate
     return TruncatedSeries(order, tuple(c * factor for c in acc), backend)
 
 
-def _series_integers(series: TruncatedSeries) -> list[int]:
-    backend = series.backend
-    out = []
-    for d, coeff in enumerate(series.coeffs):
-        if backend.is_exact:
-            if not coeff.is_integer():
-                raise ConsistencyError(f"series coefficient at degree {d} is not an integer: {coeff!r}")
-            value = int(coeff.re)
-        else:
-            nearest = round(coeff.real)
-            if abs(coeff - nearest) > INTEGER_ROUNDING_TOLERANCE:
-                raise ConsistencyError(
-                    f"series coefficient at degree {d} is {coeff!r}, "
-                    f"not within {INTEGER_ROUNDING_TOLERANCE} of an integer"
-                )
-            value = nearest
-        if value < 0:
-            raise ConsistencyError(f"series coefficient at degree {d} is negative: {value}")
-        out.append(value)
-    return out
-
-
 def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     """Molien coefficients a_0..a_D from the generating-function formula."""
     series = averaged_reciprocal_series(group, max_degree)
-    values = _series_integers(series)
+    values = [
+        as_count(coeff, series.backend, f"series coefficient at degree {d}")
+        for d, coeff in enumerate(series.coeffs)
+    ]
     if values[0] != 1:
         raise ConsistencyError(f"constant coefficient must be 1, got {values[0]}")
     return MolienReport(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -28,3 +29,17 @@ def test_every_exported_name_resolves():
 def test_traced_functions_stay_bound(module, name):
     # profilers and the benchmark tracer patch these by module attribute
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_one_exact_scalar_core():
+    assert molien.GaussianRational.__module__ == "molien.scalars"
+    assert molien.ACTIVE_IMPLEMENTATION == "python"
+    # tracers patch coercion on the class itself
+    assert "coerce" in molien.ScalarBackend.__dict__
+
+
+def test_no_module_reads_the_environment():
+    package = pathlib.Path(molien.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name

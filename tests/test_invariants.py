@@ -223,13 +223,20 @@ class TestInvariantDimension:
     def test_non_integer_trace_raises(self):
         basis = monomial_basis(1, 1)
         bogus = ReynoldsMatrix(1, basis, SquareMatrix([["1/2"]], EXACT))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is not an integer"):
             invariant_dimension(bogus)
 
     def test_float_trace_far_from_integer_raises(self):
         basis = monomial_basis(1, 1)
         bogus = ReynoldsMatrix(1, basis, SquareMatrix([[0.4 + 0j]], float_backend()))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is .*, not within 1e-06"):
+            invariant_dimension(bogus)
+
+    @pytest.mark.parametrize("entry, backend", [("-1", EXACT), (-1 + 0j, float_backend())])
+    def test_negative_trace_raises(self, entry, backend):
+        basis = monomial_basis(1, 1)
+        bogus = ReynoldsMatrix(1, basis, SquareMatrix([[entry]], backend))
+        with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is negative: -1"):
             invariant_dimension(bogus)
 
     @pytest.mark.parametrize("build", [corpus.c4, corpus.d4, corpus.s3])

@@ -179,6 +179,96 @@ class TestArithmetic:
         table = {G(Fraction(1, 2), 1): "a"}
         assert table[G(Fraction(2, 4), 1)] == "a"
 
+    def test_equal_real_values_are_one_dict_key(self):
+        # a real value hashes like the equal int or Fraction
+        assert len({G(1), 1}) == 1
+        assert len({G(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        table = {1: "int", Fraction(1, 2): "half", G(1, -1): "complex"}
+        assert table[G(1)] == "int"
+        assert table[G(Fraction(2, 4))] == "half"
+        assert table[G(Fraction(3, 3), Fraction(-2, 2))] == "complex"
+        assert G(-1, 0) in {-1}
+        assert G(Fraction(-7, 2**61 - 1)) in {Fraction(-7, 2**61 - 1)}
+
+
+def reference(value):
+    """The (re, im) pair of Fractions that a scalar stands for."""
+    return Fraction(value.re_num, value.re_den), Fraction(value.im_num, value.im_den)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+class TestAgainstFractionPairs:
+    """The int-pair arithmetic against a reference built from two Fractions."""
+
+    def random_pair(self, rng):
+        return tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(2))
+
+    def test_random_expressions(self):
+        rng = random.Random(2026)
+        for _ in range(400):
+            x, y = self.random_pair(rng), self.random_pair(rng)
+            a, b = G(*x), G(*y)
+            cases = [
+                (a + b, (x[0] + y[0], x[1] + y[1])),
+                (a - b, (x[0] - y[0], x[1] - y[1])),
+                (a * b, ref_mul(x, y)),
+                (a.conjugate(), (x[0], -x[1])),
+                (-a, (-x[0], -x[1])),
+            ]
+            if b:
+                cases.append((a / b, ref_div(x, y)))
+            for value, expected in cases:
+                assert reference(value) == expected
+                assert (value.re, value.im) == expected
+                assert value.re_den > 0 and value.im_den > 0
+                assert math.gcd(value.re_num, value.re_den) == 1
+                assert math.gcd(value.im_num, value.im_den) == 1
+                assert value == G(*expected) and hash(value) == hash(G(*expected))
+                if expected[1] == 0:
+                    assert value == expected[0] and hash(value) == hash(expected[0])
+
+    def test_unreduced_inputs_compare_and_hash_equal(self):
+        a = G(Fraction(2, 4), Fraction(-6, 9))
+        b = GaussianRational(Fraction(1, 2), Fraction(-2, 3))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "GaussianRational(1/2, -2/3)"
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            G(1) / G(0)
+        with pytest.raises(ZeroDivisionError):
+            G(1) / 0
+        with pytest.raises(ZeroDivisionError):
+            1 / G(0)
+
+    def test_float_operands_are_rejected(self):
+        with pytest.raises(TypeError):
+            GaussianRational(1, 0.5)
+        with pytest.raises(TypeError):
+            G(1) + 0.5
+        with pytest.raises(TypeError):
+            0.5 * G(1)
+        assert G(1) != 1.0
+
+    def test_mixed_operands(self):
+        assert (G(1, 2) + 1).re == 2
+        assert (2 * G(0, 1)).im == 2
+        assert (1 / G(0, 1)).im == -1
+        assert (Fraction(1, 2) - G(0, 1)) == G(Fraction(1, 2), -1)
+        assert G(Fraction(1, 2)) == Fraction(1, 2)
+        assert Fraction(1, 2) == G(Fraction(1, 2))
+        assert G(3) / 6 == Fraction(1, 2)
+
 
 class TestBackends:
     def test_exact_coercion(self):
