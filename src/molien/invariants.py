@@ -6,11 +6,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from molien.action import dense_matrix, induced_first, monomial_images, monomial_ladder
+from molien.action import dense_matrix, monomial_images, monomial_ladder
 from molien.errors import ConsistencyError, ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
-from molien.polynomials import MonomialBasis, SparsePolynomial, substitute_linear
+from molien.polynomials import MonomialBasis, SparsePolynomial
+from molien.scalars import check_same_backend
 
 # Accumulated float error over |G| terms needs more headroom than the
 # arithmetic tolerance when deciding whether a trace is an integer.
@@ -118,9 +119,36 @@ def invariant_basis(
 
 
 def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:
-    """True iff every generator fixes f (generators suffice for the whole group)."""
+    """True iff every generator fixes f (generators suffice for the whole group).
+
+    Each generator acts through monomial_images, as in the Reynolds sweep,
+    so no coefficient is dropped by the float tolerance while the image is
+    built; the image and f are then compared coefficient by coefficient,
+    exactly or within the backend tolerance.
+    """
+    if f.n != group.n:
+        raise ShapeError(f"polynomial in {f.n} variables, group acts on {group.n}")
+    backend = group.backend
+    check_same_backend(f.backend, backend)
+    if f.is_zero():
+        return True
+    ladder = monomial_ladder(f.n, f.degree())
+    # f split by degree, each part keyed by basis position
+    parts = [{} for _ in ladder]
+    for mono, c in f.terms.items():
+        d = sum(mono)
+        parts[d][ladder[d].basis.index[mono]] = c
+    zero, is_zero = backend.zero, backend.is_zero
     for generator in group.generators():
-        moved = substitute_linear(f, induced_first(generator))
-        if not moved.equals(f):
-            return False
+        for part, images in zip(parts, monomial_images(generator, ladder)):
+            moved: dict = {}
+            for j, c in part.items():
+                for q, v in images[j].items():
+                    if q in moved:
+                        moved[q] = moved[q] + c * v
+                    else:
+                        moved[q] = c * v
+            for q in moved.keys() | part.keys():
+                if not is_zero(moved.get(q, zero) - part.get(q, zero)):
+                    return False
     return True

@@ -1,14 +1,15 @@
-"""Dense square matrices over a scalar backend, and univariate polynomials.
+"""Square matrices over a scalar backend, and univariate polynomials.
 
 Everything here is a pure function over immutable values. Matrices are
-small (dimension at most a few hundred), so the algorithms favour
-exactness over asymptotics: characteristic coefficients come from traces
-of powers via Newton's identities, rank from Gauss-Jordan elimination.
+small (dimension at most a few hundred) and stored dense, so the
+algorithms favour exactness over asymptotics: characteristic coefficients
+come from traces of powers via Newton's identities, rank from Gauss-Jordan
+elimination. Products skip exact zeros, so a monomial matrix (one nonzero
+per row) costs n multiplications per product, not n^3.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from molien.errors import ShapeError
@@ -34,7 +35,9 @@ class SquareMatrix:
     @classmethod
     def identity(cls, n: int, backend: ScalarBackend) -> "SquareMatrix":
         one, zero = backend.one, backend.zero
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], backend)
+        return _trusted(
+            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), backend
+        )
 
     def _check_compatible(self, other: "SquareMatrix") -> None:
         if self.n != other.n:
@@ -42,25 +45,41 @@ class SquareMatrix:
         check_same_backend(self.backend, other.backend)
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
+        """Product that does work only on nonzero entries.
+
+        Row i of the result gathers a_ik * b_kj over the nonzero a_ik of
+        row i and the nonzero b_kj of row k, in increasing k, so each
+        entry adds the same nonzero terms in the same order as a dense
+        dot product would. Only exact zeros are skipped, never values
+        under the float tolerance.
+        """
         self._check_compatible(other)
         n = self.n
-        cols = tuple(zip(*other.rows))
-        rows = [
-            [_dot(row, col) for col in cols]
-            for row in self.rows
-        ]
-        return SquareMatrix(rows, self.backend)
+        zero = self.backend.zero
+        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        rows = []
+        for row in self.rows:
+            acc = [None] * n
+            for a, terms in zip(row, other_rows):
+                if a:
+                    for j, b in terms:
+                        v = acc[j]
+                        if v is None:
+                            acc[j] = a * b
+                        else:
+                            acc[j] = v + a * b
+            rows.append(tuple([zero if v is None else v for v in acc]))
+        return _trusted(tuple(rows), self.backend)
 
     def conj_transpose(self) -> "SquareMatrix":
         conj = self.backend.conj
-        return SquareMatrix(
-            [[conj(self.rows[j][i]) for j in range(self.n)] for i in range(self.n)],
-            self.backend,
+        return _trusted(
+            tuple(tuple(conj(x) for x in column) for column in zip(*self.rows)), self.backend
         )
 
     def entrywise_conj(self) -> "SquareMatrix":
         conj = self.backend.conj
-        return SquareMatrix([[conj(x) for x in row] for row in self.rows], self.backend)
+        return _trusted(tuple(tuple(conj(x) for x in row) for row in self.rows), self.backend)
 
     def trace(self):
         t = self.backend.zero
@@ -95,13 +114,17 @@ class SquareMatrix:
         return f"SquareMatrix({[list(row) for row in self.rows]!r})"
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
+    """Matrix on a square tuple of row tuples that already hold scalars of backend.
+
+    For results built inside this module; SquareMatrix(rows, backend)
+    validates everything that comes from outside.
+    """
+    out = object.__new__(SquareMatrix)
+    out.n = len(rows)
+    out.rows = rows
+    out.backend = backend
+    return out
 
 
 def conj_transpose(a: SquareMatrix) -> SquareMatrix:
@@ -226,7 +249,8 @@ def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
     for _ in range(n - 1):
         power = power @ a
         traces.append(power.trace())
-    e = [backend.one]
+    one = backend.one
+    e = [one]
     for k in range(1, n + 1):
         acc = backend.zero
         sign = 1
@@ -234,7 +258,7 @@ def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
             term = e[k - j] * traces[j - 1]
             acc = acc + (term if sign > 0 else -term)
             sign = -sign
-        e.append(acc * backend.coerce(Fraction(1, k)))
+        e.append(acc * (one / k))
     coeffs = [e[k] if k % 2 == 0 else -e[k] for k in range(n + 1)]
     return UnivariatePoly(coeffs, backend)
 

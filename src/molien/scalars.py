@@ -213,6 +213,10 @@ class GaussianRational:
         return f"GaussianRational({_ratio_text(self._rn, self._rd)}, {_ratio_text(self._in, self._id)})"
 
 
+# Values are immutable, so every exact zero and one can be the same object.
+_EXACT_ZERO = _make(0, 1, 0, 1)
+_EXACT_ONE = _make(1, 1, 0, 1)
+
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -255,25 +259,29 @@ class ScalarBackend:
             return value
         if isinstance(value, bool):
             raise BackendError("cannot coerce bool to a float scalar")
-        if isinstance(value, (int, float, Fraction)):
-            return complex(float(value))
-        if isinstance(value, GaussianRational):
-            return complex(float(value.re), float(value.im))
-        if isinstance(value, str):
-            try:
+        try:
+            if isinstance(value, (int, float, Fraction)):
                 return complex(float(value))
-            except ValueError:
-                exact = parse_scalar(value)
-                return complex(float(exact.re), float(exact.im))
+            if isinstance(value, GaussianRational):
+                return complex(float(value.re), float(value.im))
+            if isinstance(value, str):
+                try:
+                    return complex(float(value))
+                except ValueError:
+                    exact = parse_scalar(value)
+                    return complex(float(exact.re), float(exact.im))
+        except OverflowError:
+            name = type(value).__name__
+            raise BackendError(f"{name} value is too large for a float scalar") from None
         raise BackendError(f"cannot coerce {type(value).__name__} to a float scalar")
 
     @property
     def zero(self):
-        return GaussianRational(0) if self.is_exact else 0j
+        return _EXACT_ZERO if self.is_exact else 0j
 
     @property
     def one(self):
-        return GaussianRational(1) if self.is_exact else complex(1)
+        return _EXACT_ONE if self.is_exact else 1 + 0j
 
     def eq(self, a, b) -> bool:
         if self.is_exact:

@@ -269,6 +269,17 @@ class TestErrorPaths:
         assert err.startswith("error:validation: tolerance")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", [10**400, f"{10**400}/3"], ids=["int", "fraction"])
+    def test_float_entry_too_large_for_a_float(self, tmp_path, capsys, entry):
+        # the int, and the Fraction the exact literal grammar parses, overflow float()
+        spec = {"dimension": 1, "backend": "float", "generators": [[[entry]]]}
+        code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:validation:")
+        assert "too large for a float scalar" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["dimension", "max_group_order"])
     def test_boolean_integers_rejected(self, tmp_path, capsys, key):
         spec = dict(C4_SPEC, **{key: True})

@@ -298,6 +298,31 @@ class TestVerifyInvariant:
         f = poly(2, {(1, 0): 1})
         assert not verify_invariant(f, corpus.plus_minus_i2())
 
+    @pytest.mark.parametrize("m, d", [(30, 16), (60, 14), (60, 16)])
+    def test_float_dihedral_basis_is_invariant(self, m, d):
+        # substituting through SparsePolynomial products dropped terms below
+        # the tolerance mid-expansion and rejected (x1^2 + x2^2)^(d/2)
+        group = corpus.dihedral_float(m)
+        (f,) = invariant_basis(group, d)
+        assert verify_invariant(f, group)
+
+    def test_float_dihedral_moved_form_is_not_invariant(self):
+        group = corpus.dihedral_float(60)
+        f = SparsePolynomial(2, {(16, 0): 1, (0, 16): 1}, group.backend)
+        assert not verify_invariant(f, group)
+
+    def test_mixed_degrees_are_checked_per_degree(self):
+        group = corpus.c4()
+        assert verify_invariant(poly(2, {(0, 0): 5, (2, 0): 1, (0, 2): 1}), group)
+        assert not verify_invariant(poly(2, {(2, 0): 1, (0, 2): 1, (1, 0): 1}), group)
+
+    def test_zero_polynomial_is_invariant(self):
+        assert verify_invariant(SparsePolynomial.zero(2, EXACT), corpus.c4())
+
+    def test_variable_count_mismatch(self):
+        with pytest.raises(ShapeError):
+            verify_invariant(poly(3, {(1, 1, 0): 1}), corpus.c4())
+
     def test_swap_fixes_product(self):
         f = poly(2, {(1, 1): 1})
         assert verify_invariant(f, corpus.s2())

@@ -11,11 +11,14 @@ import pytest
 from molien import (
     EXACT,
     BackendError,
+    GaussianRational,
     ShapeError,
     SquareMatrix,
     UnivariatePoly,
+    close_group,
     det_one_minus_lambda,
     float_backend,
+    from_permutations,
     parse_scalar,
     row_reduce,
     row_reduce_rank,
@@ -62,6 +65,105 @@ class TestProduct:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             exact([[1, 2], [3, 4], [5, 6]])
+
+
+def reference_product(a, b):
+    """Textbook triple loop, summing every term, zeros included."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a.rows[i][0] * b.rows[0][j]
+            for k in range(1, n):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(rows, a.backend)
+
+
+def random_gaussian(rng):
+    return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3))
+
+
+def random_exact(rng, n, shape):
+    if shape == "monomial":
+        perm = rng.sample(range(n), n)
+        entries = ["1", "-1", "i", "-i", "1/2+1/2i"]
+        return exact(
+            [[rng.choice(entries) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        )
+    density = 0.3 if shape == "sparse" else 1.0
+    rows = [
+        [random_gaussian(rng) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)
+    ]
+    rows[rng.randrange(n)] = [0] * n
+    return exact(rows)
+
+
+class TestZeroAwareProduct:
+    @pytest.mark.parametrize("shape", ["sparse", "monomial", "dense"])
+    def test_exact_matches_reference(self, shape):
+        rng = random.Random(f"exact-{shape}")
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a, b = random_exact(rng, n, shape), random_exact(rng, n, shape)
+            assert a @ b == reference_product(a, b)
+
+    def test_float_matches_reference(self):
+        rng = random.Random(11)
+        fb = float_backend()
+
+        def entry():
+            return complex(rng.gauss(0, 1), rng.gauss(0, 1)) if rng.random() < 0.5 else 0
+
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a = SquareMatrix([[0] * n] + [[entry() for _ in range(n)] for _ in range(n - 1)], fb)
+            b = SquareMatrix([[entry() for _ in range(n)] for _ in range(n)], fb)
+            # skipping exact zeros leaves every sum of nonzero terms unchanged
+            assert (a @ b).rows == reference_product(a, b).rows
+
+    def test_results_are_tuples_of_backend_scalars(self):
+        fb = float_backend()
+        a = exact([["1/2", "i"], [0, -1]])
+        f = SquareMatrix([[0.5, 1j], [0, -1]], fb)
+        made = [a @ a, a.conj_transpose(), a.entrywise_conj(), SquareMatrix.identity(3, EXACT)]
+        made += [f @ f, f.conj_transpose(), f.entrywise_conj(), SquareMatrix.identity(3, fb)]
+        for m in made:
+            scalar = GaussianRational if m.backend.is_exact else complex
+            assert isinstance(m.rows, tuple)
+            assert all(isinstance(row, tuple) and len(row) == m.n for row in m.rows)
+            assert all(isinstance(x, scalar) for row in m.rows for x in row)
+
+    def test_terms_under_the_tolerance_are_kept(self):
+        fb = float_backend(1e-9)
+        a = SquareMatrix([[1e-12, 1], [0, 1]], fb)
+        b = SquareMatrix([[1, 0], [1e-12, 1]], fb)
+        assert (a @ b).rows == ((2e-12 + 0j, 1 + 0j), (1e-12 + 0j, 1 + 0j))
+
+    def test_backend_constants_are_shared(self):
+        assert EXACT.zero is EXACT.zero
+        assert EXACT.one is EXACT.one
+
+    def test_monomial_products_make_n_multiplications(self, monkeypatch):
+        products, multiplications = [], []
+        matmul, mul = SquareMatrix.__matmul__, GaussianRational.__mul__
+
+        def counting_matmul(self, other):
+            products.append(1)
+            return matmul(self, other)
+
+        def counting_mul(self, other):
+            multiplications.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+        group = close_group(from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)]))
+        assert group.order == 24
+        assert products
+        assert len(multiplications) <= 4 * len(products)
 
 
 class TestConjTranspose:

@@ -285,6 +285,15 @@ class TestBackends:
         assert fb.coerce("1/2-i") == 0.5 - 1j
         assert fb.coerce(G(Fraction(1, 4), -2)) == 0.25 - 2j
 
+    @pytest.mark.parametrize(
+        "value",
+        [10**400, -(10**400), Fraction(10**400, 3), G(1, Fraction(10**400, 7))],
+        ids=["int", "negative-int", "fraction", "gaussian"],
+    )
+    def test_float_coercion_overflow_is_a_backend_error(self, value):
+        with pytest.raises(BackendError, match="too large for a float scalar"):
+            float_backend().coerce(value)
+
     def test_float_equality_uses_tolerance(self):
         fb = float_backend(1e-9)
         assert fb.eq(1 + 0j, 1 + 1e-10j)
