@@ -34,9 +34,7 @@ from molien.invariants import (
 from molien.matrices import (
     SquareMatrix,
     UnivariatePoly,
-    conj_transpose,
     det_one_minus_lambda,
-    is_unitary,
     row_reduce,
     row_reduce_rank,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "ValidationError",
     "averaged_reciprocal_series",
     "close_group",
-    "conj_transpose",
     "cross_check",
     "det_one_minus_lambda",
     "expand_rational",
@@ -105,7 +102,6 @@ __all__ = [
     "induced_matrix",
     "invariant_basis",
     "invariant_dimension",
-    "is_unitary",
     "molien_coefficients",
     "molien_rational",
     "molien_series",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from molien.errors import ShapeError
-from molien.matrices import SquareMatrix
+from molien.matrices import SquareMatrix, _trusted
 from molien.polynomials import MonomialBasis
 from molien.scalars import ScalarBackend
 
@@ -94,14 +94,17 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[
 
 
 def dense_matrix(columns: list[dict], backend: ScalarBackend) -> SquareMatrix:
-    """Square matrix whose column j holds the sparse column columns[j]."""
+    """Square matrix whose column j holds the sparse column columns[j].
+
+    The entries are scalars of backend already, so they are not coerced again.
+    """
     size = len(columns)
     zero = backend.zero
     rows = [[zero] * size for _ in range(size)]
     for j, column in enumerate(columns):
         for q, c in column.items():
             rows[q][j] = c
-    return SquareMatrix(rows, backend)
+    return _trusted(tuple(map(tuple, rows)), backend)
 
 
 def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:

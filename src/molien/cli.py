@@ -29,7 +29,7 @@ from molien.groups import (
     from_permutations,
     permutation_from_cycles,
 )
-from molien.invariants import invariant_basis, reynolds_matrix
+from molien.invariants import invariant_basis
 from molien.matrices import SquareMatrix
 from molien.polynomials import format_polynomial
 from molien.scalars import EXACT, float_backend
@@ -144,8 +144,7 @@ def cmd_series(args) -> int:
 
 def cmd_invariants(args) -> int:
     group = build_group(args)
-    reynolds = reynolds_matrix(group, args.degree)
-    basis = invariant_basis(group, args.degree, reynolds=reynolds)
+    basis = invariant_basis(group, args.degree)
     rendered = [format_polynomial(f) for f in basis]
     if args.format == "json":
         payload = {
@@ -189,7 +188,15 @@ def cmd_verify(args) -> int:
                 f"{report.per_method['trace'][d]:>6}  {report.per_method['rank'][d]:>6}  {agree}"
             )
         print("OK" if report.all_agree() else "MISMATCH")
-    return EXIT_OK if report.all_agree() else EXIT_MISMATCH
+    if report.all_agree():
+        return EXIT_OK
+    disagreeing = "; ".join(
+        f"d={d} series={report.per_method['series'][d]} "
+        f"trace={report.per_method['trace'][d]} rank={report.per_method['rank'][d]}"
+        for d, agree in enumerate(report.agreement)
+        if not agree
+    )
+    return _fail("mismatch", disagreeing, EXIT_MISMATCH)
 
 
 def _make_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from typing import Sequence
 
 from molien.errors import ClosureOverflowError, ValidationError
@@ -19,16 +18,19 @@ class FiniteMatrixGroup:
 
     Element order is the breadth-first discovery order of close_group and
     is part of the contract: float-backend averaging sums in this order.
+    right[i][s] is the index of elements[i] @ generators()[s].
     """
 
-    __slots__ = ("n", "elements", "inverse_of", "generator_indices", "backend")
+    __slots__ = ("n", "elements", "inverse_of", "generator_indices", "right", "backend", "_classes")
 
-    def __init__(self, n, elements, inverse_of, generator_indices, backend):
+    def __init__(self, n, elements, inverse_of, generator_indices, right, backend):
         self.n = n
         self.elements = tuple(elements)
         self.inverse_of = tuple(inverse_of)
         self.generator_indices = tuple(generator_indices)
+        self.right = tuple(right)
         self.backend = backend
+        self._classes = None
 
     @property
     def order(self) -> int:
@@ -42,6 +44,35 @@ class FiniteMatrixGroup:
 
     def inverse(self, index: int) -> SquareMatrix:
         return self.elements[self.inverse_of[index]]
+
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugacy classes as sorted tuples of element indices.
+
+        Classes are listed by their smallest index, which is also each
+        class's first element in element order. Each class is the orbit of
+        its first element under conjugation by the generators,
+        s^-1 g s = inv[right[inv[right[g][s]]][s]]: table lookups, no
+        matrix products.
+        """
+        if self._classes is None:
+            right, inv = self.right, self.inverse_of
+            moves = range(len(self.generator_indices))
+            seen = [False] * len(self.elements)
+            classes = []
+            for start in range(len(self.elements)):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                orbit = [start]
+                for g in orbit:
+                    for s in moves:
+                        h = inv[right[inv[right[g][s]]][s]]
+                        if not seen[h]:
+                            seen[h] = True
+                            orbit.append(h)
+                classes.append(tuple(sorted(orbit)))
+            self._classes = tuple(classes)
+        return self._classes
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -128,15 +159,20 @@ def close_group(
     index = _ElementIndex(backend, n)
     identity = SquareMatrix.identity(n, backend)
     index.add(identity)
-    queue = deque([0])
-    while queue:
-        current = index.elements[queue.popleft()]
+    # elements are visited in index order, so right[i] is filled at visit i
+    right = []
+    while len(right) < len(index.elements):
+        current = index.elements[len(right)]
+        row = []
         for g in generators:
             product = current @ g
-            if index.find(product) is None:
+            found = index.find(product)
+            if found is None:
                 if len(index.elements) + 1 > max_order:
                     raise ClosureOverflowError(max_order)
-                queue.append(index.add(product))
+                found = index.add(product)
+            row.append(found)
+        right.append(tuple(row))
 
     elements = index.elements
     generator_indices = []
@@ -154,7 +190,7 @@ def close_group(
             raise ValidationError(f"element {i} has no inverse in the closure")
         inverse_of.append(j)
 
-    return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, backend)
+    return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, right, backend)
 
 
 def from_permutations(

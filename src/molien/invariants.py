@@ -1,9 +1,18 @@
-"""Reynolds operators, invariant dimensions, and explicit invariant bases."""
+"""Reynolds operators, invariant dimensions, and explicit invariant bases.
+
+The paper's method averages over every group element: the Reynolds
+matrix, its trace and its row-reduced columns. The exact backend also
+has two routes that never sweep the group: traces taken once per
+conjugacy class and weighted by class size, and the common fixed space
+of the generators (a polynomial is invariant iff every generator fixes
+it), eliminated on sparse rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from molien.action import dense_matrix, monomial_images, monomial_ladder
@@ -60,6 +69,128 @@ def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
     return reynolds
 
 
+def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
+    """Tr of the Reynolds matrices of degrees 0..max_degree, as counts.
+
+    Tr rho_d(g) is a class function, so each class adds its size times the
+    trace at its first element, read from the diagonals of that element's
+    monomial images; the sums are scaled by 1/|G| once.
+    """
+    ladder = monomial_ladder(group.n, max_degree)
+    backend = group.backend
+    sums = [backend.zero] * (max_degree + 1)
+    for members in group.conjugacy_classes():
+        walk = monomial_images(group.elements[members[0]], ladder)
+        for d, images in enumerate(walk):
+            trace = backend.zero
+            for j, image in enumerate(images):
+                if j in image:
+                    trace = trace + image[j]
+            sums[d] = sums[d] + len(members) * trace
+    factor = backend.coerce(Fraction(1, group.order))
+    return [
+        as_count(total * factor, backend, f"Reynolds trace at degree {d}")
+        for d, total in enumerate(sums)
+    ]
+
+
+def _generator_images(group: FiniteMatrixGroup, max_degree: int) -> Iterator[tuple]:
+    """Per degree 0..max_degree: the basis and each generator's monomial images."""
+    if max_degree < 0:
+        raise ShapeError("degree must be nonnegative")
+    ladder = monomial_ladder(group.n, max_degree)
+    walks = [monomial_images(s, ladder) for s in group.generators()]
+    for step, images in zip(ladder, zip(*walks)):
+        yield step.basis, images
+
+
+def _eliminate(per_generator, size: int, one) -> dict:
+    """Exact sparse elimination of the stacked rows of rho(s) - I.
+
+    Returns {pivot column: the rest of its row}, with pivot coefficient 1
+    and every pivot the largest column of its row, so the rest holds only
+    smaller columns. Each new row is reduced by the known pivots, largest
+    first, before its own largest column becomes a pivot.
+    """
+    pivots: dict = {}
+    for images in per_generator:
+        # row q holds coordinate q of every monomial image, minus 1 at q
+        rows = [{} for _ in range(size)]
+        for j, image in enumerate(images):
+            for q, c in image.items():
+                rows[q][j] = c
+        for q, row in enumerate(rows):
+            c = row.get(q)
+            c = -one if c is None else c - one
+            if c:
+                row[q] = c
+            else:
+                del row[q]
+            heap = [-k for k in row if k in pivots]
+            heapify(heap)
+            while heap:
+                p = -heappop(heap)
+                factor = row.pop(p, None)
+                if factor is None:
+                    continue
+                for k, v in pivots[p].items():
+                    if k in row:
+                        w = row[k] - factor * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+                    else:
+                        row[k] = -factor * v
+                        if k in pivots:
+                            heappush(heap, -k)
+            if row:
+                top = max(row)
+                scale = one / row.pop(top)
+                pivots[top] = {k: v * scale for k, v in row.items()}
+    return pivots
+
+
+def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
+    """Dimensions of the generators' common fixed spaces, degrees 0..max_degree (exact)."""
+    one = group.backend.one
+    return [
+        len(basis) - len(_eliminate(images, len(basis), one))
+        for basis, images in _generator_images(group, max_degree)
+    ]
+
+
+def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
+    """The degree-d invariants as the reduced echelon basis of the common fixed space.
+
+    Exact backend only. Back-substitution in increasing pivot order writes
+    every pivot variable in terms of the free columns; the kernel vector
+    of free column f is 1 at f, 0 at the other free columns, and nonzero
+    only at pivots above f. That is the unique reduced echelon form, so
+    the basis equals the one row-reduced from the Reynolds images.
+    """
+    for basis, images in _generator_images(group, d):
+        pass
+    backend = group.backend
+    zero, one = backend.zero, backend.one
+    pivots = _eliminate(images, len(basis), one)
+    vectors = {f: {f: one} for f in range(len(basis)) if f not in pivots}
+    solved: dict = {}  # pivot column -> {free column: its coefficient}
+    for p in sorted(pivots):
+        acc: dict = {}
+        for k, v in pivots[p].items():
+            for f, w in (solved[k].items() if k in pivots else ((k, one),)):
+                acc[f] = acc.get(f, zero) - v * w
+        solved[p] = coeffs = {f: w for f, w in acc.items() if w}
+        for f, w in coeffs.items():
+            vectors[f][p] = w
+    monomials = basis.monomials
+    return [
+        SparsePolynomial(basis.n, {monomials[q]: c for q, c in vector.items()}, backend)
+        for vector in vectors.values()
+    ]
+
+
 def as_count(value, backend, what: str) -> int:
     """The nonnegative integer an exact or float scalar stands for.
 
@@ -91,13 +222,19 @@ def invariant_dimension(reynolds: ReynoldsMatrix) -> int:
 def invariant_basis(
     group: FiniteMatrixGroup, d: int, reynolds: ReynoldsMatrix | None = None
 ) -> list[SparsePolynomial]:
-    """Basis of the degree-d invariants, from row-reduced Reynolds images.
+    """Basis of the degree-d invariants in reduced echelon form.
 
-    The Reynolds matrix is applied to every basis monomial; the nonzero
-    images, each distinct one once, are row-reduced, and the reduced rows
-    come back as polynomials whose leading (grlex-first) coefficient is 1.
+    Polynomials come back with leading (grlex-first) coefficient 1. On the
+    exact backend with no Reynolds matrix given, this is
+    fixed_space_basis. Otherwise it is the paper's method: the Reynolds
+    matrix is applied to every basis monomial and the nonzero images, each
+    distinct one once, are row-reduced. The float backend always takes
+    that route: elimination residuals on the fixed-space rows cross the
+    tolerance (D_60 at d=12, 14, 16 lost its one invariant).
     """
     if reynolds is None:
+        if group.backend.is_exact:
+            return fixed_space_basis(group, d)
         reynolds = reynolds_matrix(group, d)
     matrix = reynolds.matrix
     backend = matrix.backend
@@ -132,15 +269,14 @@ def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:
     check_same_backend(f.backend, backend)
     if f.is_zero():
         return True
-    ladder = monomial_ladder(f.n, f.degree())
-    # f split by degree, each part keyed by basis position
-    parts = [{} for _ in ladder]
+    # f split by degree
+    parts: list = [{} for _ in range(f.degree() + 1)]
     for mono, c in f.terms.items():
-        d = sum(mono)
-        parts[d][ladder[d].basis.index[mono]] = c
+        parts[sum(mono)][mono] = c
     zero, is_zero = backend.zero, backend.is_zero
-    for generator in group.generators():
-        for part, images in zip(parts, monomial_images(generator, ladder)):
+    for (basis, per_generator), part in zip(_generator_images(group, f.degree()), parts):
+        part = {basis.index[mono]: c for mono, c in part.items()}
+        for images in per_generator:
             moved: dict = {}
             for j, c in part.items():
                 for q, v in images[j].items():

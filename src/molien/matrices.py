@@ -117,7 +117,7 @@ class SquareMatrix:
 def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
     """Matrix on a square tuple of row tuples that already hold scalars of backend.
 
-    For results built inside this module; SquareMatrix(rows, backend)
+    For results built inside the package; SquareMatrix(rows, backend)
     validates everything that comes from outside.
     """
     out = object.__new__(SquareMatrix)
@@ -125,14 +125,6 @@ def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
     out.rows = rows
     out.backend = backend
     return out
-
-
-def conj_transpose(a: SquareMatrix) -> SquareMatrix:
-    return a.conj_transpose()
-
-
-def is_unitary(a: SquareMatrix) -> bool:
-    return a.is_unitary()
 
 
 class UnivariatePoly:

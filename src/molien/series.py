@@ -4,9 +4,13 @@ The series coefficients are computed three independent ways and compared:
 
 * series -- average the truncated reciprocals of det(id - lambda*T_g),
 * trace  -- the trace of the degree-d Reynolds matrix,
-* rank   -- the size of the explicitly computed invariant basis.
+* rank   -- the dimension of the explicitly computed invariants.
 
 Their degree-by-degree agreement is the content of Molien's 1897 formula.
+On the exact backend dets and traces are taken once per conjugacy class
+and the rank is the dimension of the generators' common fixed space, so
+rank shares nothing with the other two. The float backend reads trace
+and rank from the Reynolds matrix.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import (
     as_count,
+    fixed_space_dimensions,
     invariant_basis,
     invariant_dimension,
     reynolds_matrices,
+    reynolds_traces,
 )
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
 from molien.scalars import ScalarBackend
@@ -78,13 +84,14 @@ def series_reciprocal(p: UnivariatePoly, order: int) -> TruncatedSeries:
 def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple[UnivariatePoly, int]]:
     """The distinct det(id - lambda*T_g) over the group with their multiplicities.
 
-    Listed in order of first occurrence. The determinant is a class
-    function, so there are at most as many as conjugacy classes.
+    The determinant is a class function: it is taken once per conjugacy
+    class and counted with the class size. Listed in order of first
+    occurrence in element order.
     """
     counts: dict[UnivariatePoly, int] = {}
-    for element in group.elements:
-        p = det_one_minus_lambda(element)
-        counts[p] = counts.get(p, 0) + 1
+    for members in group.conjugacy_classes():
+        p = det_one_minus_lambda(group.elements[members[0]])
+        counts[p] = counts.get(p, 0) + len(members)
     return list(counts.items())
 
 
@@ -92,8 +99,9 @@ def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> Truncate
     """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order.
 
     The exact backend expands one reciprocal per distinct determinant,
-    weighted by its multiplicity. The float backend sums every element's
-    reciprocal in element order, so its rounding is reproducible.
+    weighted by its multiplicity (dets are taken once per conjugacy
+    class). The float backend sums every element's reciprocal in element
+    order, so its rounding is reproducible.
     """
     backend = group.backend
     if backend.is_exact:
@@ -193,11 +201,17 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     consistency errors (non-integer traces or coefficients) do propagate.
     """
     report = molien_series(group, max_degree)
-    trace_values = []
-    rank_values = []
-    for d, reynolds in enumerate(reynolds_matrices(group, max_degree)):
-        trace_values.append(invariant_dimension(reynolds))
-        rank_values.append(len(invariant_basis(group, d, reynolds=reynolds)))
+    if group.backend.is_exact:
+        trace_values = reynolds_traces(group, max_degree)
+        rank_values = fixed_space_dimensions(group, max_degree)
+    else:
+        # float elimination residuals on the fixed-space rows cross the
+        # tolerance (see invariant_basis): float reads both from the sweep
+        trace_values = []
+        rank_values = []
+        for d, reynolds in enumerate(reynolds_matrices(group, max_degree)):
+            trace_values.append(invariant_dimension(reynolds))
+            rank_values.append(len(invariant_basis(group, d, reynolds=reynolds)))
     series_values = report.per_method["series"]
     report.per_method["trace"] = trace_values
     report.per_method["rank"] = rank_values

@@ -193,6 +193,7 @@ def test_cli_contract(tmp_path):
     )
     result = run("verify", "--degree", "2", str(mismatch))
     assert result.returncode == 2
+    assert result.stderr.startswith("error:mismatch: d=") and result.stderr.count("\n") == 1
 
     result = run("series", "--degree", "2", "--max-order", "3", str(spec))
     assert result.returncode == 3 and result.stderr.startswith("error:overflow:")

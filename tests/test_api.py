@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
 import molien
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _tracer_targets():
+    """The (module, attribute) pairs the benchmark tracer wraps, read from its span lists."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(module, attr) for module, attr, _layer in spans.COARSE + spans.FINE]
 
 
 def test_every_exported_name_resolves():
@@ -17,18 +28,17 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "module, name",
-    [
-        ("molien.action", "induced_matrix"),
-        ("molien.polynomials", "substitute_linear"),
-        ("molien.invariants", "reynolds_matrix"),
-        ("molien.matrices", "row_reduce"),
-        ("molien.matrices", "det_one_minus_lambda"),
-    ],
+    "module, name", _tracer_targets(), ids=[f"{m}-{a}" for m, a in _tracer_targets()]
 )
 def test_traced_functions_stay_bound(module, name):
-    # profilers and the benchmark tracer patch these by module attribute
-    assert callable(getattr(importlib.import_module(module), name))
+    # the benchmark tracer patches these by module attribute, and methods
+    # in their class's own namespace
+    owner = importlib.import_module(module)
+    if "." in name:
+        cls_name, method = name.split(".")
+        assert callable(getattr(owner, cls_name).__dict__[method])
+    else:
+        assert callable(getattr(owner, name))
 
 
 def test_one_exact_scalar_core():

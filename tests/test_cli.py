@@ -171,6 +171,44 @@ class TestVerifyCommand:
         assert all(e["agree"] for e in payload["degrees"])
 
 
+    @pytest.mark.parametrize(
+        "bumped, message",
+        [
+            ({2}, "d=2 series=2 trace=2 rank=3"),
+            ({0, 3}, "d=0 series=1 trace=1 rank=2; d=3 series=3 trace=3 rank=4"),
+        ],
+    )
+    def test_mismatch_names_each_disagreeing_degree(self, monkeypatch, capsys, bumped, message):
+        import molien.series
+
+        honest = molien.series.fixed_space_dimensions
+
+        def off_by_one(group, max_degree):
+            return [r + (d in bumped) for d, r in enumerate(honest(group, max_degree))]
+
+        monkeypatch.setattr(molien.series, "fixed_space_dimensions", off_by_one)
+        argv = ["verify", "--degree", "3", "--perm", "(1 2)(3)", "--perm", "(1 2 3)"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        rows = [
+            f"{d:>3}  {a:>6}  {a:>6}  {a + (d in bumped):>6}  {'NO' if d in bumped else 'yes'}"
+            for d, a in enumerate([1, 1, 2, 3])
+        ]
+        header = f"{'d':>3}  {'series':>6}  {'trace':>6}  {'rank':>6}  agree"
+        assert captured.out == "\n".join(["group_order = 6", header, *rows, "MISMATCH"]) + "\n"
+        assert captured.err == f"error:mismatch: {message}\n"
+        assert main(argv + ["--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert [e["agree"] for e in json.loads(captured.out)["degrees"]] == [
+            d not in bumped for d in range(4)
+        ]
+        assert captured.err == f"error:mismatch: {message}\n"
+
+    def test_agreement_prints_nothing_on_stderr(self, capsys):
+        assert main(["verify", "--degree", "3", "--perm", "(1 2)(3)", "--perm", "(1 2 3)"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code = main(["series", "--degree", "2", "/nonexistent/group.json"])

@@ -119,6 +119,79 @@ class TestClosure:
             close_group([irrational], max_order=64)
 
 
+def symmetric(n: int):
+    """S_n on a transposition and an n-cycle."""
+    transposition = (2, 1) + tuple(range(3, n + 1))
+    cycle = tuple(range(2, n + 1)) + (1,)
+    return close_group(from_permutations([transposition, cycle]))
+
+
+def as_permutation(matrix) -> tuple[int, ...]:
+    """0-based image of each point: the row of the one nonzero entry in each column."""
+    return tuple(
+        next(k for k in range(matrix.n) if matrix.rows[k][i]) for i in range(matrix.n)
+    )
+
+
+def table_groups():
+    """The corpus plus S5, 2T, B3 and the float D_12."""
+    extra = [corpus.s5(), corpus.binary_tetrahedral(), corpus.b3(), corpus.dihedral_float(12)]
+    return [*corpus.build_corpus().values(), *extra]
+
+
+class TestRightTable:
+    def test_entries_index_the_products(self):
+        for group in table_groups():
+            generators = group.generators()
+            assert len(group.right) == group.order
+            for i, element in enumerate(group.elements):
+                assert len(group.right[i]) == len(generators)
+                for s, generator in enumerate(generators):
+                    product = element @ generator
+                    first = next(j for j, e in enumerate(group.elements) if e.equals(product))
+                    assert group.right[i][s] == first
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_partition_matches_sympy(self, n):
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        group = symmetric(n)
+        ours = {
+            frozenset(as_permutation(group.elements[i]) for i in members)
+            for members in group.conjugacy_classes()
+        }
+        theirs = PermutationGroup(
+            [Permutation(list(as_permutation(g))) for g in group.generators()]
+        ).conjugacy_classes()
+        assert ours == {frozenset(tuple(p.array_form) for p in cls) for cls in theirs}
+
+    def test_classes_partition_the_group_in_element_order(self):
+        for group in table_groups():
+            classes = group.conjugacy_classes()
+            assert sorted(i for members in classes for i in members) == list(range(group.order))
+            assert all(list(members) == sorted(members) for members in classes)
+            assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+            assert classes[0] == (0,)
+
+    @pytest.mark.parametrize("build", [corpus.binary_tetrahedral, corpus.b3, corpus.q8])
+    def test_classes_by_matrix_conjugation(self, build):
+        # not permutation groups: conjugate every element by every element
+        group = build()
+        position = {g.rows: i for i, g in enumerate(group.elements)}
+        for members in group.conjugacy_classes():
+            g = group.elements[members[0]]
+            conjugates = {
+                position[(group.inverse(i) @ g @ h).rows] for i, h in enumerate(group.elements)
+            }
+            assert conjugates == set(members)
+
+    def test_classes_are_computed_once(self):
+        group = corpus.s4()
+        assert group.conjugacy_classes() is group.conjugacy_classes()
+
+
 class TestFloatElementIdentity:
     def test_rotation_closes_at_order(self):
         import math

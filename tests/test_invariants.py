@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -28,6 +29,7 @@ from molien import (
     row_reduce_rank,
     verify_invariant,
 )
+from molien.invariants import fixed_space_basis, fixed_space_dimensions, reynolds_traces
 from oracles import sympy_fixed_space_dimension, sympy_induced, sympy_reynolds, to_sympy
 
 # Pinned exact bases: the reduced echelon form of a row space is unique, so
@@ -59,6 +61,17 @@ BINARY_TETRAHEDRAL_DEGREE_12_BASIS = [
 
 def poly(n, terms):
     return SparsePolynomial(n, terms, EXACT)
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_reynolds_sweep(build, max_degree):
+    """sympy's Reynolds matrices of degrees 0..max_degree; slow, so computed once per group."""
+    group = build()
+    mats = [to_sympy(g) for g in group.elements]
+    return [
+        sympy_reynolds(mats, list(monomial_basis(group.n, d).monomials), group.n)
+        for d in range(max_degree + 1)
+    ]
 
 
 class TestReynoldsMatrix:
@@ -150,10 +163,9 @@ class TestReynoldsSweep:
     )
     def test_exact_average_against_sympy(self, build, max_degree):
         group = build()
-        mats = [to_sympy(g) for g in group.elements]
+        theirs = sympy_reynolds_sweep(build, max_degree)
         for reynolds in reynolds_matrices(group, max_degree):
-            theirs = sympy_reynolds(mats, list(reynolds.basis.monomials), group.n)
-            assert to_sympy(reynolds.matrix) == theirs
+            assert to_sympy(reynolds.matrix) == theirs[reynolds.d]
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ShapeError):
@@ -184,6 +196,26 @@ class TestReynoldsSweep:
         (rows,) = seen
         assert len(rows) == len(set(rows)) == len(nonzero) < len(reynolds.basis)
         assert len(basis) == 3
+
+    def test_entries_are_not_coerced_again(self, monkeypatch):
+        from molien.scalars import ScalarBackend
+
+        calls = []
+        original = ScalarBackend.coerce
+
+        def counting(self, value):
+            calls.append(value)
+            return original(self, value)
+
+        monkeypatch.setattr(ScalarBackend, "coerce", counting)
+        counts = []
+        for d in (2, 5):
+            calls.clear()
+            reynolds_matrix(corpus.s4(), d)
+            counts.append(len(calls))
+        # the closure coerces the same few scalars at both degrees; no
+        # Reynolds entry (56^2 of them at d=5) passes through coerce
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("m", [30, 60])
     def test_float_dihedral_rank_agrees(self, m):
@@ -287,6 +319,61 @@ class TestInvariantBasis:
                     assert f.is_homogeneous()
                     assert f.is_zero() or f.degree() == d
                     assert verify_invariant(f, group)
+
+
+class TestFixedSpace:
+    """The exact routes that never sweep the group, pinned to the paper's averages."""
+
+    @pytest.mark.parametrize(
+        "name, max_degree",
+        [("corpus", 6), ("s5", 4), ("binary_tetrahedral", 12), ("b3", 8)],
+    )
+    def test_basis_equals_reynolds_route(self, name, max_degree):
+        if name == "corpus":
+            groups = corpus.build_corpus().values()
+        else:
+            groups = [getattr(corpus, name)()]
+        for group in groups:
+            sizes = []
+            for reynolds in reynolds_matrices(group, max_degree):
+                ours = fixed_space_basis(group, reynolds.d)
+                assert ours == invariant_basis(group, reynolds.d, reynolds=reynolds)
+                assert invariant_basis(group, reynolds.d) == ours
+                sizes.append(len(ours))
+            assert fixed_space_dimensions(group, max_degree) == sizes
+
+    @pytest.mark.parametrize(
+        "build, max_degree", [(corpus.s4, 5), (corpus.binary_tetrahedral, 8)]
+    )
+    def test_class_traces_against_sympy(self, build, max_degree):
+        theirs = sympy_reynolds_sweep(build, max_degree)
+        assert reynolds_traces(build(), max_degree) == [int(m.trace()) for m in theirs]
+
+    def test_exact_routes_never_sweep(self, monkeypatch, capsys):
+        import molien.invariants
+        import molien.series
+        from molien.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact backend swept the group")
+
+        monkeypatch.setattr(molien.invariants, "reynolds_matrices", refuse)
+        monkeypatch.setattr(molien.series, "reynolds_matrices", refuse)
+        group = corpus.binary_tetrahedral()
+        assert cross_check(group, 12).all_agree()
+        assert len(invariant_basis(group, 12)) == 2
+        assert main(["verify", "--degree", "6", "--perm", "(1 2)", "--perm", "(1 2 3 4)"]) == 0
+        assert main(["invariants", "--degree", "4", "--perm", "(1 2)", "--perm", "(1 2 3 4)"]) == 0
+        assert "a_4 = 5" in capsys.readouterr().out
+
+    def test_wrong_class_partition_is_a_mismatch(self):
+        # series and trace read the classes, rank does not: lumping every
+        # element into one class must show up as a disagreement
+        group = corpus.s4()
+        group._classes = (tuple(range(group.order)),)
+        report = cross_check(group, 4)
+        assert report.per_method["rank"] == [1, 1, 2, 3, 5]
+        assert not report.all_agree()
 
 
 class TestVerifyInvariant:

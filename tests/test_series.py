@@ -120,6 +120,29 @@ class TestMolienSeries:
         assert float_report.coefficients == exact_report.coefficients
 
 
+class TestDetsPerClass:
+    @pytest.mark.parametrize("build", [corpus.s5, corpus.binary_tetrahedral, corpus.b3])
+    def test_one_det_per_class_matches_per_element_grouping(self, build, monkeypatch):
+        import molien.series
+        from molien.matrices import det_one_minus_lambda
+
+        group = build()
+        expected: dict = {}
+        for element in group.elements:
+            p = det_one_minus_lambda(element)
+            expected[p] = expected.get(p, 0) + 1
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return det_one_minus_lambda(a)
+
+        monkeypatch.setattr(molien.series, "det_one_minus_lambda", counting)
+        # same polynomials, multiplicities and first-occurrence order
+        assert molien.series._distinct_dets(group) == list(expected.items())
+        assert len(calls) == len(group.conjugacy_classes())
+
+
 class TestMolienRational:
     def test_trivial_on_c1(self):
         numerator, denominator = molien_rational(corpus.trivial(1))
