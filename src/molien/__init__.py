@@ -7,7 +7,7 @@ generating-function expansion, Reynolds-operator trace, and the rank of
 averaged monomials.
 """
 
-from molien.action import induced_first, induced_matrix
+from molien.action import induced_matrix
 from molien.errors import (
     BackendError,
     ClosureOverflowError,
@@ -36,7 +36,6 @@ from molien.matrices import (
     UnivariatePoly,
     det_one_minus_lambda,
     row_reduce,
-    row_reduce_rank,
 )
 from molien.polynomials import (
     MonomialBasis,
@@ -98,7 +97,6 @@ __all__ = [
     "format_polynomial",
     "format_scalar",
     "from_permutations",
-    "induced_first",
     "induced_matrix",
     "invariant_basis",
     "invariant_dimension",
@@ -112,7 +110,6 @@ __all__ = [
     "reynolds_matrices",
     "reynolds_matrix",
     "row_reduce",
-    "row_reduce_rank",
     "series_reciprocal",
     "substitute_linear",
     "verify_invariant",

@@ -18,11 +18,6 @@ from molien.polynomials import MonomialBasis
 from molien.scalars import ScalarBackend
 
 
-def induced_first(a: SquareMatrix) -> SquareMatrix:
-    """First induced matrix: the entrywise conjugate of the representing matrix."""
-    return a.entrywise_conj()
-
-
 class DegreeStep:
     """The degree-d basis and how it hangs off the degree-(d-1) basis.
 

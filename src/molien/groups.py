@@ -17,7 +17,8 @@ class FiniteMatrixGroup:
     """Closed list of unitary matrices; element 0 is the identity.
 
     Element order is the breadth-first discovery order of close_group and
-    is part of the contract: float-backend averaging sums in this order.
+    is part of the contract: float-backend averaging sums over the
+    conjugacy classes listed by their first element in this order.
     right[i][s] is the index of elements[i] @ generators()[s].
     """
 

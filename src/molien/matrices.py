@@ -163,13 +163,6 @@ class UnivariatePoly:
             [self.coefficient(k) + other.coefficient(k) for k in range(m)], self.backend
         )
 
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        check_same_backend(self.backend, other.backend)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(m)], self.backend
-        )
-
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         check_same_backend(self.backend, other.backend)
         if self.is_zero() or other.is_zero():
@@ -303,6 +296,3 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
     rank = pivot_row
     return rank, work
 
-
-def row_reduce_rank(rows: Sequence[Sequence], backend: ScalarBackend) -> int:
-    return row_reduce(rows, backend)[0]

@@ -91,13 +91,6 @@ class SparsePolynomial:
     def constant(cls, n: int, value, backend: ScalarBackend) -> "SparsePolynomial":
         return cls(n, {(0,) * n: value}, backend)
 
-    @classmethod
-    def variable(cls, n: int, i: int, backend: ScalarBackend) -> "SparsePolynomial":
-        """The linear form x_{i+1} (0-based index i)."""
-        expo = [0] * n
-        expo[i] = 1
-        return cls(n, {tuple(expo): 1}, backend)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -151,14 +144,6 @@ class SparsePolynomial:
                 else:
                     out[key] = prod
         return SparsePolynomial(self.n, out, self.backend)
-
-    def __pow__(self, k: int) -> "SparsePolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = SparsePolynomial.constant(self.n, 1, self.backend)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def equals(self, other: "SparsePolynomial") -> bool:
         """Coefficient-wise equality: exact, or within the backend tolerance."""

@@ -7,10 +7,13 @@ The series coefficients are computed three independent ways and compared:
 * rank   -- the dimension of the explicitly computed invariants.
 
 Their degree-by-degree agreement is the content of Molien's 1897 formula.
-On the exact backend dets and traces are taken once per conjugacy class
-and the rank is the dimension of the generators' common fixed space, so
-rank shares nothing with the other two. The float backend reads trace
-and rank from the Reynolds matrix.
+det(id - lambda*T_g) is a class function, so on both backends the series
+sums one reciprocal per distinct det, weighted by class size, and the
+rational form reads the same sum over the lcm of those dets. On the
+exact backend traces are taken once per conjugacy class too, and the
+rank is the dimension of the generators' common fixed space, so rank
+shares nothing with the other two. The float backend reads trace and
+rank from the Reynolds matrix.
 """
 
 from __future__ import annotations
@@ -96,24 +99,38 @@ def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple[UnivariatePoly, int]]
 
 
 def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:
-    """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order.
+    """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order."""
+    return _class_average(group, _distinct_dets(group), order)
 
-    The exact backend expands one reciprocal per distinct determinant,
-    weighted by its multiplicity (dets are taken once per conjugacy
-    class). The float backend sums every element's reciprocal in element
-    order, so its rounding is reproducible.
+
+def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> TruncatedSeries:
+    """Molien's average from the distinct dets and their multiplicities.
+
+    One reciprocal per distinct det, weighted by its multiplicity and
+    summed in the order of _distinct_dets, so float rounding is
+    reproducible.
     """
     backend = group.backend
-    if backend.is_exact:
-        terms = _distinct_dets(group)
-    else:
-        terms = [(det_one_minus_lambda(element), 1) for element in group.elements]
     acc = [backend.zero] * (order + 1)
     for p, multiplicity in terms:
         expansion = series_reciprocal(p, order)
         acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
     factor = backend.coerce(Fraction(1, group.order))
     return TruncatedSeries(order, tuple(c * factor for c in acc), backend)
+
+
+def _truncated_product(a: tuple, b: tuple, order: int, backend: ScalarBackend) -> tuple:
+    """Coefficients 0..order of the product of the coefficient tuples a and b.
+
+    b must hold at least order + 1 coefficients.
+    """
+    out = []
+    for k in range(order + 1):
+        acc = backend.zero
+        for j in range(min(k, len(a) - 1) + 1):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return tuple(out)
 
 
 def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
@@ -137,29 +154,24 @@ def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
 def molien_rational(group: FiniteMatrixGroup) -> tuple[UnivariatePoly, UnivariatePoly]:
     """The Molien series as a reduced rational function (exact backend only).
 
-    With p_1..p_k the distinct det(id - lambda*T_g) and m_i their
-    multiplicities, combines the reciprocals over the common denominator
-    prod_i p_i into the numerator (1/|G|) sum_i m_i prod_{j != i} p_j, then
-    removes the monic polynomial GCD and scales so the denominator has
+    With L the lcm of the distinct det(id - lambda*T_g), the series times
+    L is a polynomial of degree at most deg L, so the numerator is the
+    series to order deg L times L, truncated there. The monic polynomial
+    GCD is then removed and both sides scaled so the denominator has
     constant term 1.
     """
     backend = group.backend
     if not backend.is_exact:
         raise BackendError("molien_rational requires the exact backend")
     terms = _distinct_dets(group)
-    one = UnivariatePoly.one(backend)
-    prefix = [one]
+    denominator = UnivariatePoly.one(backend)
     for p, _ in terms:
-        prefix.append(prefix[-1] * p)
-    # walk back from the last term, carrying the product of the terms after i
-    numerator = UnivariatePoly([], backend)
-    suffix = one
-    for i in reversed(range(len(terms))):
-        p, multiplicity = terms[i]
-        numerator = numerator + (prefix[i] * suffix).scale(multiplicity)
-        suffix = suffix * p
-    denominator = prefix[-1]
-    numerator = numerator.scale(Fraction(1, group.order))
+        denominator = denominator * poly_divmod(p, poly_gcd(denominator, p))[0]
+    order = denominator.degree
+    series = _class_average(group, terms, order)
+    numerator = UnivariatePoly(
+        _truncated_product(series.coeffs, denominator.coeffs, order, backend), backend
+    )
 
     common = poly_gcd(numerator, denominator)
     if common.degree > 0:
@@ -185,13 +197,8 @@ def expand_rational(
     """Series expansion of numerator/denominator with denominator(0) = 1."""
     inverse = series_reciprocal(denominator, order)
     backend = numerator.backend
-    coeffs = []
-    for k in range(order + 1):
-        acc = backend.zero
-        for j in range(0, min(k, numerator.degree) + 1):
-            acc = acc + numerator.coefficient(j) * inverse.coeffs[k - j]
-        coeffs.append(acc)
-    return TruncatedSeries(order, tuple(coeffs), backend)
+    coeffs = _truncated_product(numerator.coeffs, inverse.coeffs, order, backend)
+    return TruncatedSeries(order, coeffs, backend)
 
 
 def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:

@@ -48,6 +48,10 @@ def s5():
     return close_group(from_permutations([(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]))
 
 
+def s6():
+    return close_group(from_permutations([(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)]))
+
+
 def binary_tetrahedral():
     """2T in SU(2), order 24: Q8 and the unit quaternion (1+i+j+k)/2; not monomial."""
     return close_group(
@@ -63,6 +67,18 @@ def b3():
     """The hyperoctahedral group B3 = G(2,1,3) of signed permutations, order 48."""
     sign = SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)
     return close_group(from_permutations([(2, 1, 3), (2, 3, 1)]) + [sign])
+
+
+def g423():
+    """The imprimitive reflection group G(4,2,3), order 192.
+
+    Monomial 3x3 matrices with entries in {1, -1, i, -i} whose nonzero
+    entries multiply to +-1.
+    """
+    diagonals = [[["i", 0, 0], [0, "-i", 0], [0, 0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    return close_group(
+        from_permutations([(2, 1, 3), (2, 3, 1)]) + [SquareMatrix(d, EXACT) for d in diagonals]
+    )
 
 
 def dihedral_float(m: int):

@@ -16,7 +16,6 @@ from molien import (
     SquareMatrix,
     det_one_minus_lambda,
     float_backend,
-    induced_first,
     induced_matrix,
     monomial_basis,
     series_reciprocal,
@@ -29,14 +28,14 @@ DIAG_I = SquareMatrix([["i", "0"], ["0", "-i"]], EXACT)
 
 class TestInducedFirst:
     def test_real_matrix_is_fixed(self):
-        assert induced_first(ROTATION) == ROTATION
+        assert ROTATION.entrywise_conj() == ROTATION
 
     def test_diagonal_conjugates(self):
-        assert induced_first(DIAG_I) == SquareMatrix([["-i", "0"], ["0", "i"]], EXACT)
+        assert DIAG_I.entrywise_conj() == SquareMatrix([["-i", "0"], ["0", "i"]], EXACT)
 
     def test_induced_first_is_unitary(self):
         for matrix in (ROTATION, DIAG_I):
-            first = induced_first(matrix)
+            first = matrix.entrywise_conj()
             assert (first.conj_transpose() @ first).equals(
                 SquareMatrix.identity(2, EXACT)
             )
@@ -130,21 +129,21 @@ class TestActionLaws:
     def test_inverse_equals_conj_transpose_at_degree_one(self, corpus):
         for group in corpus.values():
             for i in range(group.order):
-                first = induced_first(group.elements[i])
-                assert induced_first(group.inverse(i)) == first.conj_transpose()
+                first = group.elements[i].entrywise_conj()
+                assert group.inverse(i).entrywise_conj() == first.conj_transpose()
 
     def test_unitarity_at_degree_one(self, corpus):
         for group in corpus.values():
             identity = SquareMatrix.identity(group.n, EXACT)
             for element in group.elements:
-                first = induced_first(element)
+                first = element.entrywise_conj()
                 assert first.conj_transpose() @ first == identity
 
     def test_spectral_reciprocity_of_traces(self, corpus):
         for group in corpus.values():
             for i in range(group.order):
-                trace = induced_first(group.elements[i]).trace()
-                inverse_trace = induced_first(group.inverse(i)).trace()
+                trace = group.elements[i].entrywise_conj().trace()
+                inverse_trace = group.inverse(i).entrywise_conj().trace()
                 assert inverse_trace == trace.conjugate()
 
     @pytest.mark.parametrize("build", [corpus.c4, corpus.q8, corpus.s3])
@@ -153,7 +152,7 @@ class TestActionLaws:
         group = build()
         for element in group.elements:
             expansion = series_reciprocal(
-                det_one_minus_lambda(induced_first(element)), 6
+                det_one_minus_lambda(element.entrywise_conj()), 6
             )
             for d in range(7):
                 induced = induced_matrix(element, monomial_basis(group.n, d))

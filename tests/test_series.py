@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -142,6 +142,25 @@ class TestDetsPerClass:
         assert molien.series._distinct_dets(group) == list(expected.items())
         assert len(calls) == len(group.conjugacy_classes())
 
+    def test_float_series_takes_one_det_per_class(self, monkeypatch):
+        import molien.series
+        from molien.matrices import det_one_minus_lambda
+
+        group = corpus.dihedral_float(30)
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return det_one_minus_lambda(a)
+
+        monkeypatch.setattr(molien.series, "det_one_minus_lambda", counting)
+        averaged_reciprocal_series(group, 32)
+        assert group.order == 60
+        assert len(calls) == len(group.conjugacy_classes()) == 18
+        # the dihedral group of order 2m on R^2: 1/((1 - lambda^2)(1 - lambda^m))
+        expected = [len([b for b in range(0, d + 1, 30) if (d - b) % 2 == 0]) for d in range(33)]
+        assert molien_series(group, 32).coefficients == expected
+
 
 class TestMolienRational:
     def test_trivial_on_c1(self):
@@ -173,16 +192,32 @@ class TestMolienRational:
             expanded = ints(expand_rational(numerator, denominator, 8))
             assert expanded == molien_coefficients(group, 8)
 
-    def test_s5_is_the_chevalley_product(self):
-        # S5 on C^5: 1/prod_{k<=5} (1 - lambda^k) (Stanley 1979)
-        numerator, denominator = molien_rational(corpus.s5())
+    @pytest.mark.parametrize(
+        "build, degrees",
+        [
+            (corpus.s5, (1, 2, 3, 4, 5)),
+            (corpus.s6, (1, 2, 3, 4, 5, 6)),
+            (corpus.b3, (2, 4, 6)),
+            (corpus.g423, (4, 6, 8)),
+        ],
+        ids=["s5", "s6", "b3", "g423"],
+    )
+    def test_reflection_group_is_the_chevalley_product(self, build, degrees):
+        # Chevalley-Shephard-Todd: 1/prod_i (1 - lambda^d_i) (Stanley 1979)
+        group = build()
+        assert prod(degrees) == group.order
+        numerator, denominator = molien_rational(group)
         product = UnivariatePoly.one(EXACT)
-        for k in range(1, 6):
+        for k in degrees:
             product = product * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
         assert numerator == UnivariatePoly.one(EXACT)
         assert denominator == product
-        expanded = ints(expand_rational(numerator, denominator, 15))
-        assert expanded == [partitions_with_parts_at_most(d, 5) for d in range(16)]
+        # [lambda^d]: the ways to write d as a sum of the degrees d_i
+        counts = [1] + [0] * 15
+        for k in degrees:
+            for d in range(k, 16):
+                counts[d] += counts[d - k]
+        assert ints(expand_rational(numerator, denominator, 15)) == counts
 
     def test_q8_matches_sloane(self):
         # Sloane (1977): (1 + lambda^6) / (1 - lambda^4)^2, here in lowest terms
