@@ -1,11 +1,13 @@
-"""The lifted group action on polynomials: induced matrices per degree.
+"""The lifted group action on polynomials: the one kernel that maps monomials.
 
 A group element acting on variables by the unitary matrix A sends the
 linear form x_i to L_i = sum_k conj(A[k][i]) x_k, so the first induced
 matrix is the entrywise conjugate of A. Images of the basis monomials are
 built degree by degree on raw dicts: image(x^a) = image(x^(a - e_i)) * L_i,
 with x_i the first variable of x^a, so each degree needs only the images
-of the degree below.
+of the degree below. The Reynolds sweep, the class traces, the fixed
+space, induced_matrix, verify_invariant and substitute_linear all read
+these images.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator
 
 from molien.errors import ShapeError
 from molien.matrices import SquareMatrix, _trusted
-from molien.polynomials import MonomialBasis
+from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import ScalarBackend
 
 
@@ -86,6 +88,26 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[
             nxt.append({t: v for t, v in out.items() if v})
         images = nxt
         yield images
+
+
+def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
+    """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
+
+    Each term of f is read off the monomial images of its degree, in the
+    order of f's terms. No coefficient is dropped by the float tolerance.
+    """
+    parts: dict = {}
+    for mono, c in f.terms.items():
+        parts.setdefault(sum(mono), []).append((mono, c))
+    ladder = monomial_ladder(f.n, max(parts, default=0))
+    out: dict = {}
+    for step, images in zip(ladder, monomial_images(a, ladder)):
+        monomials, index = step.basis.monomials, step.basis.index
+        for mono, c in parts.get(step.basis.d, ()):
+            for q, v in images[index[mono]].items():
+                t = monomials[q]
+                out[t] = out[t] + c * v if t in out else c * v
+    return out
 
 
 def dense_matrix(columns: list[dict], backend: ScalarBackend) -> SquareMatrix:

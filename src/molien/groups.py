@@ -85,8 +85,8 @@ class FiniteMatrixGroup:
 class _ElementIndex:
     """Identity lookup for discovered elements.
 
-    Exact backend, and a float backend with tolerance 0: a dict on the
-    entry tuples. Float backend: elements are binned by the fixed real
+    Tolerance 0 (always so on the exact backend): a dict on the entry
+    tuples. Positive tolerance: elements are binned by the fixed real
     projection s(M) = sum_k w_k * x_k over the real and imaginary parts
     x_k of the entries, with weights w_k in (0, 1). Entrywise equality
     within the tolerance t moves s by at most t * sum(w); the bin pitch
@@ -97,7 +97,7 @@ class _ElementIndex:
     def __init__(self, backend: ScalarBackend, n: int):
         self.elements: list[SquareMatrix] = []
         self.table: dict = {}
-        self.binned = not backend.is_exact and backend.tolerance > 0
+        self.binned = backend.tolerance > 0
         if self.binned:
             # fractional parts of multiples of the golden ratio: distinct,
             # with no small integer relations between them
@@ -176,11 +176,8 @@ def close_group(
         right.append(tuple(row))
 
     elements = index.elements
-    generator_indices = []
-    for g in generators:
-        found = index.find(g)
-        assert found is not None
-        generator_indices.append(found)
+    # identity @ g is g
+    generator_indices = right[0]
 
     # unitary elements: the inverse is the conjugate transpose, which one
     # lookup finds and one product confirms

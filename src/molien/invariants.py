@@ -15,7 +15,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
-from molien.action import dense_matrix, monomial_images, monomial_ladder
+from molien.action import _image_terms, dense_matrix, monomial_images, monomial_ladder
 from molien.errors import ConsistencyError, ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
@@ -258,8 +258,8 @@ def invariant_basis(
 def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:
     """True iff every generator fixes f (generators suffice for the whole group).
 
-    Each generator acts through monomial_images, as in the Reynolds sweep,
-    so no coefficient is dropped by the float tolerance while the image is
+    Each generator acts through the monomial images of molien.action, so
+    no coefficient is dropped by the float tolerance while the image is
     built; the image and f are then compared coefficient by coefficient,
     exactly or within the backend tolerance.
     """
@@ -267,24 +267,10 @@ def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:
         raise ShapeError(f"polynomial in {f.n} variables, group acts on {group.n}")
     backend = group.backend
     check_same_backend(f.backend, backend)
-    if f.is_zero():
-        return True
-    # f split by degree
-    parts: list = [{} for _ in range(f.degree() + 1)]
-    for mono, c in f.terms.items():
-        parts[sum(mono)][mono] = c
     zero, is_zero = backend.zero, backend.is_zero
-    for (basis, per_generator), part in zip(_generator_images(group, f.degree()), parts):
-        part = {basis.index[mono]: c for mono, c in part.items()}
-        for images in per_generator:
-            moved: dict = {}
-            for j, c in part.items():
-                for q, v in images[j].items():
-                    if q in moved:
-                        moved[q] = moved[q] + c * v
-                    else:
-                        moved[q] = c * v
-            for q in moved.keys() | part.keys():
-                if not is_zero(moved.get(q, zero) - part.get(q, zero)):
-                    return False
+    for s in group.generators():
+        moved = _image_terms(f, s)
+        for mono in moved.keys() | f.terms.keys():
+            if not is_zero(moved.get(mono, zero) - f.terms.get(mono, zero)):
+                return False
     return True

@@ -72,14 +72,12 @@ class SquareMatrix:
         return _trusted(tuple(rows), self.backend)
 
     def conj_transpose(self) -> "SquareMatrix":
-        conj = self.backend.conj
         return _trusted(
-            tuple(tuple(conj(x) for x in column) for column in zip(*self.rows)), self.backend
+            tuple(tuple(x.conjugate() for x in column) for column in zip(*self.rows)), self.backend
         )
 
     def entrywise_conj(self) -> "SquareMatrix":
-        conj = self.backend.conj
-        return _trusted(tuple(tuple(conj(x) for x in row) for row in self.rows), self.backend)
+        return _trusted(tuple(tuple(x.conjugate() for x in row) for row in self.rows), self.backend)
 
     def trace(self):
         t = self.backend.zero

@@ -3,7 +3,8 @@
 Monomials are plain exponent tuples of length n. Polynomials map exponent
 tuples to nonzero scalars of one backend. Bases list all degree-d
 monomials in graded-lexicographic descending order, so x1^d comes first
-and xn^d last.
+and xn^d last. Linear substitution is not computed here: substitute_linear
+reads the monomial images of molien.action.
 """
 
 from __future__ import annotations
@@ -197,44 +198,17 @@ def substitute_linear(f: SparsePolynomial, matrix: SquareMatrix) -> SparsePolyno
     """Substitute x_i -> sum_k L[k][i] * x_k into f.
 
     This is precomposition with a linear map: column i of the matrix
-    carries the image of the i-th variable. Substitution is an algebra
-    homomorphism and preserves total degree of homogeneous components
-    (for invertible L).
+    carries the image of the i-th variable. It is the action of the
+    entrywise conjugate of L, read off action's monomial images, so no
+    coefficient is dropped by the float tolerance before the result is
+    built.
     """
+    from molien.action import _image_terms  # action imports this module
+
     if matrix.n != f.n:
         raise ShapeError(f"matrix dimension {matrix.n} does not match {f.n} variables")
     check_same_backend(f.backend, matrix.backend)
-    n = f.n
-    backend = f.backend
-    forms = []
-    for i in range(n):
-        form: dict = {}
-        for k in range(n):
-            coeff = matrix.rows[k][i]
-            if not backend.is_zero(coeff):
-                expo = [0] * n
-                expo[k] = 1
-                form[tuple(expo)] = coeff
-        forms.append(SparsePolynomial(n, form, backend))
-    # cache powers of each linear form across the terms of f
-    powers: dict = {}
-
-    def form_power(i: int, k: int) -> SparsePolynomial:
-        if (i, k) not in powers:
-            if k == 1:
-                powers[(i, k)] = forms[i]
-            else:
-                powers[(i, k)] = form_power(i, k - 1) * forms[i]
-        return powers[(i, k)]
-
-    total = SparsePolynomial.zero(n, backend)
-    for mono, coeff in f.terms.items():
-        part = SparsePolynomial.constant(n, coeff, backend)
-        for i, e in enumerate(mono):
-            if e > 0:
-                part = part * form_power(i, e)
-        total = total + part
-    return total
+    return SparsePolynomial(f.n, _image_terms(f, matrix.entrywise_conj()), f.backend)
 
 
 # --- canonical text form ----------------------------------------------------

@@ -293,9 +293,6 @@ class ScalarBackend:
             return not a
         return abs(a) <= self.tolerance
 
-    def conj(self, a):
-        return a.conjugate()
-
     def __eq__(self, other):
         if not isinstance(other, ScalarBackend):
             return NotImplemented

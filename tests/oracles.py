@@ -101,6 +101,7 @@ def sympy_reynolds(mats: list[sp.Matrix], monomials: list[tuple], n: int) -> sp.
     """
     xs = sp.symbols(f"x1:{n + 1}")
     size = len(monomials)
+    position = {m: i for i, m in enumerate(monomials)}
     total = sp.zeros(size, size)
     for mat in mats:
         conj = mat.conjugate()
@@ -113,6 +114,6 @@ def sympy_reynolds(mats: list[sp.Matrix], monomials: list[tuple], n: int) -> sp.
             image = one
             for i, e in enumerate(mono):
                 image = image * forms[i] ** e
-            for i, m in enumerate(monomials):
-                total[i, j] += image.coeff_monomial(m)
+            for m, c in image.terms():
+                total[position[m], j] += c
     return total / len(mats)

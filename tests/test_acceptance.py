@@ -134,11 +134,10 @@ def test_float_exact_consistency():
 def test_structural_identities(corpus):
     for name, group in corpus.items():
         identity = SquareMatrix.identity(group.n, EXACT)
-        conj = EXACT.conj
         for i, element in enumerate(group.elements):
             first = element.entrywise_conj()
             expected_rows = tuple(
-                tuple(conj(x) for x in row) for row in element.rows
+                tuple(x.conjugate() for x in row) for row in element.rows
             )
             assert first.rows == expected_rows, name
             inverse_first = group.inverse(i).entrywise_conj()

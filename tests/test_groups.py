@@ -151,6 +151,11 @@ class TestRightTable:
                     first = next(j for j, e in enumerate(group.elements) if e.equals(product))
                     assert group.right[i][s] == first
 
+    def test_generator_indices_are_the_identity_row(self):
+        # identity @ g is g
+        for group in table_groups():
+            assert group.generator_indices == group.right[0]
+
 
 class TestConjugacyClasses:
     @pytest.mark.parametrize("n", [4, 5, 6])

@@ -27,6 +27,7 @@ from molien import (
     reynolds_matrices,
     reynolds_matrix,
     row_reduce,
+    substitute_linear,
     verify_invariant,
 )
 from molien.invariants import fixed_space_basis, fixed_space_dimensions, reynolds_traces
@@ -388,10 +389,13 @@ class TestVerifyInvariant:
     @pytest.mark.parametrize("m, d", [(30, 16), (60, 14), (60, 16)])
     def test_float_dihedral_basis_is_invariant(self, m, d):
         # substituting through SparsePolynomial products dropped terms below
-        # the tolerance mid-expansion and rejected (x1^2 + x2^2)^(d/2)
+        # the tolerance mid-expansion: verify_invariant rejected, and
+        # substitute_linear moved, (x1^2 + x2^2)^(d/2) by 2e-9 to 9e-9
         group = corpus.dihedral_float(m)
         (f,) = invariant_basis(group, d)
         assert verify_invariant(f, group)
+        for s in group.generators():
+            assert substitute_linear(f, s.entrywise_conj()).equals(f)
 
     def test_float_dihedral_moved_form_is_not_invariant(self):
         group = corpus.dihedral_float(60)

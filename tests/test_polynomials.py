@@ -9,10 +9,12 @@ import pytest
 
 from molien import (
     EXACT,
+    GaussianRational,
     ShapeError,
     SparsePolynomial,
     SquareMatrix,
     format_polynomial,
+    induced_matrix,
     monomial_basis,
     parse_polynomial,
     substitute_linear,
@@ -30,6 +32,10 @@ def random_poly(rng, n, max_terms=4, max_deg=2):
         mono = tuple(rng.randint(0, max_deg) for _ in range(n))
         terms[mono] = rng.randint(-4, 4)
     return poly(n, terms)
+
+
+def random_gaussian(rng, k):
+    return GaussianRational(rng.randint(-k, k), rng.randint(-k, k))
 
 
 def random_matrix(rng, n):
@@ -153,6 +159,25 @@ class TestSubstitution:
             image = substitute_linear(f, swap_like)
             assert image.is_homogeneous()
             assert image.is_zero() or image.degree() == d
+
+    def test_exact_image_is_the_induced_matrix_times_the_coefficients(self):
+        # substituting the entrywise conjugate of g is the action of g, whose
+        # induced matrix maps coefficient vectors
+        rng = random.Random(131)
+        for n in (1, 2, 3):
+            for d in range(5):
+                basis = monomial_basis(n, d)
+                for _ in range(3):
+                    rows = [[random_gaussian(rng, 2) for _ in range(n)] for _ in range(n)]
+                    g = SquareMatrix(rows, EXACT)
+                    vec = [random_gaussian(rng, 3) for _ in basis]
+                    f = SparsePolynomial.from_coefficient_vector(vec, basis, EXACT)
+                    expected = [
+                        sum((a * b for a, b in zip(row, vec)), EXACT.zero)
+                        for row in induced_matrix(g, basis).rows
+                    ]
+                    image = substitute_linear(f, g.entrywise_conj())
+                    assert image.coefficient_vector(basis) == expected
 
 
 class TestTextForm:

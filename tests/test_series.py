@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
@@ -240,6 +241,89 @@ class TestMolienRational:
         group = close_group([SquareMatrix.identity(2, float_backend())])
         with pytest.raises(BackendError):
             molien_rational(group)
+
+
+def fraction_coeffs(poly):
+    assert all(c.is_real() for c in poly.coeffs)
+    return [c.re for c in poly.coeffs]
+
+
+def times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def at_one_minus(p):
+    """Coefficients in t of p(1 - t)."""
+    out = [Fraction(0)] * len(p)
+    for k, c in enumerate(p):
+        for j in range(k + 1):
+            out[j] += c * comb(k, j) * (-1) ** j
+    return out
+
+
+def reflection_count(group):
+    """Elements g with rank(g - I) = 1: g != I and every 2x2 minor of g - I vanishes."""
+    one = EXACT.one
+    pairs = [(i, j) for i in range(group.n) for j in range(i + 1, group.n)]
+    count = 0
+    for g in group.elements:
+        a = [[x - one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g.rows)]
+        if any(x for row in a for x in row) and not any(
+            a[i][k] * a[j][l] - a[i][l] * a[j][k] for i, j in pairs for k, l in pairs
+        ):
+            count += 1
+    return count
+
+
+class TestRationalStructure:
+    """Identities of the reduced form N/D that hold at any group order (Stanley 1979)."""
+
+    @staticmethod
+    def check_laurent_terms_at_one(group):
+        # with t = 1 - lambda: t^n Phi = 1/|G| + r/(2|G|) t + O(t^2)
+        numerator, denominator = molien_rational(group)
+        num = at_one_minus(fraction_coeffs(numerator)) + [Fraction(0)]
+        den = at_one_minus(fraction_coeffs(denominator))
+        pole = next(k for k, c in enumerate(den) if c)
+        assert pole == group.n
+        den = den[pole:] + [Fraction(0)]
+        a0 = num[0] / den[0]
+        a1 = (num[1] - a0 * den[1]) / den[0]
+        assert a0 == Fraction(1, group.order)
+        assert a1 == Fraction(reflection_count(group), 2 * group.order)
+
+    def test_laurent_terms_at_one_on_the_corpus(self, corpus):
+        for group in corpus.values():
+            self.check_laurent_terms_at_one(group)
+
+    @pytest.mark.parametrize(
+        "build",
+        [corpus.s5, corpus.binary_tetrahedral, corpus.b3, corpus.g423],
+        ids=["s5", "binary_tetrahedral", "b3", "g423"],
+    )
+    def test_laurent_terms_at_one(self, build):
+        self.check_laurent_terms_at_one(build())
+
+    @pytest.mark.parametrize(
+        "build",
+        [corpus.plus_minus_i2, corpus.c4, corpus.q8, corpus.binary_tetrahedral],
+        ids=["pm_i2", "c4", "q8", "binary_tetrahedral"],
+    )
+    def test_reciprocity_in_sl2(self, build):
+        # Phi(1/lambda) = (-1)^n lambda^n Phi(lambda): with a = deg N and
+        # b = deg D, Phi(1/lambda) = lambda^(b-a) N_rev / D_rev, so b - a = n
+        # and N_rev * D = (-1)^n N * D_rev
+        group = build()
+        assert all(a * d - b * c == EXACT.one for (a, b), (c, d) in (g.rows for g in group.elements))
+        numerator, denominator = molien_rational(group)
+        num, den = fraction_coeffs(numerator), fraction_coeffs(denominator)
+        assert len(den) - len(num) == group.n
+        sign = (-1) ** group.n
+        assert times(num[::-1], den) == [sign * c for c in times(num, den[::-1])]
 
 
 class TestRandomizedGroups:
