@@ -93,20 +93,35 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[
 def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
 
-    Each term of f is read off the monomial images of its degree, in the
-    order of f's terms. No coefficient is dropped by the float tolerance.
+    The monomial images are walked only along the ladder ancestors of f's
+    monomials (the first links), so the cost follows the terms of f, not
+    the basis sizes. The terms of f are read off their images degree by
+    degree, in the order of f's terms within a degree. No coefficient is
+    dropped by the float tolerance.
     """
-    parts: dict = {}
-    for mono, c in f.terms.items():
-        parts.setdefault(sum(mono), []).append((mono, c))
-    ladder = monomial_ladder(f.n, max(parts, default=0))
+    top = max(map(sum, f.terms), default=0)
+    ladder = monomial_ladder(f.n, top)
+    wanted = [set() for _ in ladder]
+    for mono in f.terms:
+        wanted[sum(mono)].add(ladder[sum(mono)].basis.index[mono])
+    for d in range(top, 0, -1):
+        wanted[d - 1].update(ladder[d].first[j][0] for j in wanted[d])
+    chosen = [sorted(keep) for keep in wanted]
+    # the same ladder with each step's first links cut down to the chosen
+    # monomials, pointing into the chosen monomials of the degree below
+    pruned = [ladder[0]]
+    for d in range(1, top + 1):
+        slot = {j: k for k, j in enumerate(chosen[d - 1])}
+        links = tuple((slot[p], i) for p, i in (ladder[d].first[j] for j in chosen[d]))
+        pruned.append(DegreeStep(ladder[d].basis, links, ladder[d].up))
+    images = [dict(zip(keep, walk)) for keep, walk in zip(chosen, monomial_images(a, pruned))]
     out: dict = {}
-    for step, images in zip(ladder, monomial_images(a, ladder)):
-        monomials, index = step.basis.monomials, step.basis.index
-        for mono, c in parts.get(step.basis.d, ()):
-            for q, v in images[index[mono]].items():
-                t = monomials[q]
-                out[t] = out[t] + c * v if t in out else c * v
+    for mono, c in sorted(f.terms.items(), key=lambda term: sum(term[0])):
+        d = sum(mono)
+        monomials = ladder[d].basis.monomials
+        for q, v in images[d][ladder[d].basis.index[mono]].items():
+            t = monomials[q]
+            out[t] = out[t] + c * v if t in out else c * v
     return out
 
 

@@ -1,11 +1,12 @@
 """Reynolds operators, invariant dimensions, and explicit invariant bases.
 
 The paper's method averages over every group element: the Reynolds
-matrix, its trace and its row-reduced columns. The exact backend also
-has two routes that never sweep the group: traces taken once per
-conjugacy class and weighted by class size, and the common fixed space
-of the generators (a polynomial is invariant iff every generator fixes
-it), eliminated on sparse rows.
+matrix, its trace and its row-reduced columns. Both backends also have
+two routes that never sweep the group: traces taken once per conjugacy
+class and weighted by class size, and the common fixed space of the
+generators (a polynomial is invariant iff every generator fixes it),
+eliminated on sparse rows; on the float backend the rows are scaled to
+the Bombieri orthonormal basis, in which the action is unitary.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import factorial, prod, sqrt
 from typing import Iterator
 
 from molien.action import _image_terms, dense_matrix, monomial_images, monomial_ladder
@@ -94,6 +96,17 @@ def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
     ]
 
 
+def _bombieri_weights(basis: MonomialBasis) -> list[float]:
+    """sqrt(d!/a!) for each basis monomial x^a: the diagonal of W.
+
+    The monomials x^a * sqrt(d!/a!) are orthonormal for the Bombieri inner
+    product, in which rho_d(g) is unitary for unitary g; so W^-1 rho_d(g) W
+    is unitary and W^-1 (rho_d(g) - I) W has entries of magnitude at most 2.
+    """
+    top = factorial(basis.d)
+    return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
+
+
 def _generator_images(group: FiniteMatrixGroup, max_degree: int) -> Iterator[tuple]:
     """Per degree 0..max_degree: the basis and each generator's monomial images."""
     if max_degree < 0:
@@ -104,15 +117,28 @@ def _generator_images(group: FiniteMatrixGroup, max_degree: int) -> Iterator[tup
         yield step.basis, images
 
 
-def _eliminate(per_generator, size: int, one) -> dict:
-    """Exact sparse elimination of the stacked rows of rho(s) - I.
+def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
+    """Sparse elimination of the rows of W^-1 (rho_d(s) - I) W over the generators s.
 
-    Returns {pivot column: the rest of its row}, with pivot coefficient 1
-    and every pivot the largest column of its row, so the rest holds only
-    smaller columns. Each new row is reduced by the known pivots, largest
-    first, before its own largest column becomes a pivot.
+    Returns (W, pivots). W is None on the exact backend, which needs no
+    scaling; a pivot there is the largest column of its row, so every
+    pivot row holds only smaller columns. On the float backend W is
+    _bombieri_weights, a pivot is the entry of largest magnitude, and a
+    row whose entries are all within the tolerance is dependent.
+
+    pivots maps each pivot column to the rest of its row, pivot
+    coefficient 1, in the order the pivots were found. No pivot row holds
+    an earlier pivot column, so each new row is reduced by the known
+    pivots oldest first before its own pivot is chosen.
     """
+    exact, tolerance, one = backend.is_exact, backend.tolerance, backend.one
+    size = len(basis)
+    weights = None if exact else _bombieri_weights(basis)
+    # the float pivot key reads the row being reduced when max() calls it
+    magnitude = None if exact else (lambda k: abs(row[k]))
     pivots: dict = {}
+    found: list = []  # pivot columns in the order they were found
+    age: dict = {}
     for images in per_generator:
         # row q holds coordinate q of every monomial image, minus 1 at q
         rows = [{} for _ in range(size)]
@@ -126,10 +152,13 @@ def _eliminate(per_generator, size: int, one) -> dict:
                 row[q] = c
             else:
                 del row[q]
-            heap = [-k for k in row if k in pivots]
+            if weights:
+                wq = weights[q]
+                row = {k: v * (weights[k] / wq) for k, v in row.items()}
+            heap = [age[k] for k in row if k in pivots]
             heapify(heap)
             while heap:
-                p = -heappop(heap)
+                p = found[heappop(heap)]
                 factor = row.pop(p, None)
                 if factor is None:
                     continue
@@ -143,19 +172,22 @@ def _eliminate(per_generator, size: int, one) -> dict:
                     else:
                         row[k] = -factor * v
                         if k in pivots:
-                            heappush(heap, -k)
-            if row:
-                top = max(row)
-                scale = one / row.pop(top)
-                pivots[top] = {k: v * scale for k, v in row.items()}
-    return pivots
+                            heappush(heap, age[k])
+            top = max(row, key=magnitude, default=None)
+            if top is None or not exact and abs(row[top]) <= tolerance:
+                continue
+            scale = one / row.pop(top)
+            pivots[top] = {k: v * scale for k, v in row.items()}
+            age[top] = len(found)
+            found.append(top)
+    return weights, pivots
 
 
 def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
-    """Dimensions of the generators' common fixed spaces, degrees 0..max_degree (exact)."""
-    one = group.backend.one
+    """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
+    backend = group.backend
     return [
-        len(basis) - len(_eliminate(images, len(basis), one))
+        len(basis) - len(_eliminate(images, basis, backend)[1])
         for basis, images in _generator_images(group, max_degree)
     ]
 
@@ -163,20 +195,23 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     """The degree-d invariants as the reduced echelon basis of the common fixed space.
 
-    Exact backend only. Back-substitution in increasing pivot order writes
-    every pivot variable in terms of the free columns; the kernel vector
-    of free column f is 1 at f, 0 at the other free columns, and nonzero
-    only at pivots above f. That is the unique reduced echelon form, so
-    the basis equals the one row-reduced from the Reynolds images.
+    Back-substitution, newest pivot first, writes every pivot variable in
+    terms of the free columns; the kernel vector of free column f is 1 at
+    f and 0 at the other free columns. On the exact backend every pivot
+    is the largest column of its row, so f is the first nonzero entry of
+    its vector: that is the unique reduced echelon form, and the basis
+    equals the one row-reduced from the Reynolds images. On the float
+    backend the vectors are mapped back by W and row-reduced into that
+    form.
     """
     for basis, images in _generator_images(group, d):
         pass
     backend = group.backend
+    weights, pivots = _eliminate(images, basis, backend)
     zero, one = backend.zero, backend.one
-    pivots = _eliminate(images, len(basis), one)
     vectors = {f: {f: one} for f in range(len(basis)) if f not in pivots}
     solved: dict = {}  # pivot column -> {free column: its coefficient}
-    for p in sorted(pivots):
+    for p in reversed(pivots):
         acc: dict = {}
         for k, v in pivots[p].items():
             for f, w in (solved[k].items() if k in pivots else ((k, one),)):
@@ -185,9 +220,18 @@ def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial
         for f, w in coeffs.items():
             vectors[f][p] = w
     monomials = basis.monomials
-    return [
-        SparsePolynomial(basis.n, {monomials[q]: c for q, c in vector.items()}, backend)
+    if weights is None:
+        return [
+            SparsePolynomial(basis.n, {monomials[q]: vector[q] for q in sorted(vector)}, backend)
+            for vector in vectors.values()
+        ]
+    rows = [
+        [vector[q] * w if q in vector else zero for q, w in enumerate(weights)]
         for vector in vectors.values()
+    ]
+    rank, reduced = row_reduce(rows, backend)
+    return [
+        SparsePolynomial.from_coefficient_vector(row, basis, backend) for row in reduced[:rank]
     ]
 
 
@@ -224,18 +268,14 @@ def invariant_basis(
 ) -> list[SparsePolynomial]:
     """Basis of the degree-d invariants in reduced echelon form.
 
-    Polynomials come back with leading (grlex-first) coefficient 1. On the
-    exact backend with no Reynolds matrix given, this is
-    fixed_space_basis. Otherwise it is the paper's method: the Reynolds
-    matrix is applied to every basis monomial and the nonzero images, each
-    distinct one once, are row-reduced. The float backend always takes
-    that route: elimination residuals on the fixed-space rows cross the
-    tolerance (D_60 at d=12, 14, 16 lost its one invariant).
+    Polynomials come back with leading (grlex-first) coefficient 1. With
+    no Reynolds matrix given, this is fixed_space_basis, on either
+    backend. Given one, it is the paper's method: the Reynolds matrix is
+    applied to every basis monomial and the nonzero images, each distinct
+    one once, are row-reduced.
     """
     if reynolds is None:
-        if group.backend.is_exact:
-            return fixed_space_basis(group, d)
-        reynolds = reynolds_matrix(group, d)
+        return fixed_space_basis(group, d)
     matrix = reynolds.matrix
     backend = matrix.backend
     image_rows = []

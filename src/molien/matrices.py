@@ -249,10 +249,12 @@ def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
 def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, list[list]]:
     """Gauss-Jordan elimination; returns (rank, echelon rows).
 
-    Pivots are normalised to 1 and cleared above and below. The exact
-    backend takes the first nonzero entry of a column as pivot; the float
-    backend takes the largest-magnitude entry and treats anything at or
-    below the tolerance as zero.
+    Pivots are normalised to exactly 1 and every other entry of a pivot
+    column is exactly 0: each nonzero entry is eliminated, on the float
+    backend too, however small. The exact backend takes the first nonzero
+    entry of a column as pivot; the float backend takes the
+    largest-magnitude entry, and a column whose remaining entries are all
+    within the tolerance has no pivot.
     """
     work = [[backend.coerce(x) for x in row] for row in rows]
     if not work:
@@ -282,14 +284,14 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
             continue
         work[pivot_row], work[pick] = work[pick], work[pivot_row]
         pivot = work[pivot_row][col]
-        work[pivot_row] = [x / pivot for x in work[pivot_row]]
+        top = work[pivot_row] = [x / pivot for x in work[pivot_row]]
+        top[col] = backend.one
         for r in range(n_rows):
-            if r == pivot_row:
-                continue
             factor = work[r][col]
-            if backend.is_zero(factor):
+            if r == pivot_row or not factor:
                 continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[pivot_row])]
+            work[r] = [x - factor * y for x, y in zip(work[r], top)]
+            work[r][col] = backend.zero
         pivot_row += 1
     rank = pivot_row
     return rank, work

@@ -9,11 +9,10 @@ The series coefficients are computed three independent ways and compared:
 Their degree-by-degree agreement is the content of Molien's 1897 formula.
 det(id - lambda*T_g) is a class function, so on both backends the series
 sums one reciprocal per distinct det, weighted by class size, and the
-rational form reads the same sum over the lcm of those dets. On the
-exact backend traces are taken once per conjugacy class too, and the
-rank is the dimension of the generators' common fixed space, so rank
-shares nothing with the other two. The float backend reads trace and
-rank from the Reynolds matrix.
+rational form reads the same sum over the lcm of those dets. Traces are
+taken once per conjugacy class too, and the rank is the dimension of the
+generators' common fixed space, so rank shares nothing with the other
+two and no method sweeps the group.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from fractions import Fraction
 
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
-from molien.invariants import (
-    as_count,
-    fixed_space_dimensions,
-    invariant_basis,
-    invariant_dimension,
-    reynolds_matrices,
-    reynolds_traces,
-)
+from molien.invariants import as_count, fixed_space_dimensions, reynolds_traces
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
 from molien.scalars import ScalarBackend
 
@@ -208,17 +200,8 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     consistency errors (non-integer traces or coefficients) do propagate.
     """
     report = molien_series(group, max_degree)
-    if group.backend.is_exact:
-        trace_values = reynolds_traces(group, max_degree)
-        rank_values = fixed_space_dimensions(group, max_degree)
-    else:
-        # float elimination residuals on the fixed-space rows cross the
-        # tolerance (see invariant_basis): float reads both from the sweep
-        trace_values = []
-        rank_values = []
-        for d, reynolds in enumerate(reynolds_matrices(group, max_degree)):
-            trace_values.append(invariant_dimension(reynolds))
-            rank_values.append(len(invariant_basis(group, d, reynolds=reynolds)))
+    trace_values = reynolds_traces(group, max_degree)
+    rank_values = fixed_space_dimensions(group, max_degree)
     series_values = report.per_method["series"]
     report.per_method["trace"] = trace_values
     report.per_method["rank"] = rank_values

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 from molien import EXACT, SquareMatrix, close_group, float_backend, from_permutations
 
@@ -86,6 +87,32 @@ def dihedral_float(m: int):
     c, s = math.cos(2 * math.pi / m), math.sin(2 * math.pi / m)
     fb = float_backend()
     return close_group([SquareMatrix([[c, -s], [s, c]], fb), SquareMatrix(REFLECTION, fb)])
+
+
+def h3_float():
+    """The icosahedral reflection group H3 of order 120 on R^3, on the float backend."""
+    phi = (1 + math.sqrt(5)) / 2
+    fb = float_backend()
+    mirrors = []
+    for normal in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (phi, 1 / phi, 1.0)):
+        norm2 = sum(x * x for x in normal)
+        mirrors.append(
+            [[float(i == j) - 2 * normal[i] * normal[j] / norm2 for j in range(3)] for i in range(3)]
+        )
+    return close_group([SquareMatrix(m, fb) for m in mirrors])
+
+
+def signed_permutation_conjugate(group, seed: int):
+    """The group generated by P s P^-1 over the generators s, for a seeded signed permutation P."""
+    rng = random.Random(seed)
+    n = group.n
+    image = list(range(n))
+    rng.shuffle(image)
+    p = SquareMatrix(
+        [[rng.choice((-1, 1)) if image[i] == j else 0 for j in range(n)] for i in range(n)],
+        group.backend,
+    )
+    return close_group([p @ s @ p.conj_transpose() for s in group.generators()])
 
 
 def build_corpus() -> dict:

@@ -185,7 +185,7 @@ def test_cli_contract(tmp_path):
                 "dimension": 2,
                 "backend": "float",
                 "generators": [[[0.0, -1.0], [1.0, 0.0]]],
-                "tolerance": 0.6,
+                "tolerance": 1.5,
             }
         )
     )

@@ -139,8 +139,22 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:validation:")
 
     def test_tolerance_breach_exits_two(self, tmp_path, capsys):
-        # absurd tolerance drops true pivots in the rank method: the cross
-        # check must report the mismatch via exit code 2, not an exception
+        # absurd tolerance merges group elements and drops true pivots: the
+        # cross check must report the mismatch via exit code 2, not an exception
+        spec = {
+            "dimension": 2,
+            "backend": "float",
+            "generators": [[[0.0, -1.0], [1.0, 0.0]]],
+            "tolerance": 1.5,
+        }
+        code = main(["verify", "--degree", "2", write_spec(tmp_path, spec)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.rstrip().endswith("MISMATCH")
+
+    def test_coarse_tolerance_still_verifies_c4(self, tmp_path, capsys):
+        # the rank rows are scaled to be unitary, so a tolerance of 0.6 keeps
+        # every true pivot of the C4 rotation
         spec = {
             "dimension": 2,
             "backend": "float",
@@ -148,9 +162,10 @@ class TestVerifyCommand:
             "tolerance": 0.6,
         }
         code = main(["verify", "--degree", "2", write_spec(tmp_path, spec)])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert out.rstrip().endswith("MISMATCH")
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.rstrip().endswith("OK")
+        assert captured.err == ""
 
     def test_tolerance_flag_overrides_file(self, tmp_path, capsys):
         spec = {
@@ -161,7 +176,7 @@ class TestVerifyCommand:
         path = write_spec(tmp_path, spec)
         assert main(["verify", "--degree", "2", path]) == 0
         capsys.readouterr()
-        assert main(["verify", "--degree", "2", "--tolerance", "0.6", path]) == 2
+        assert main(["verify", "--degree", "2", "--tolerance", "1.5", path]) == 2
 
     def test_json_contains_agreement(self, tmp_path, capsys):
         code = main(["verify", "--degree", "3", "--format", "json", write_spec(tmp_path, C4_SPEC)])

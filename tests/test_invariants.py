@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from math import comb
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -30,7 +32,13 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.invariants import fixed_space_basis, fixed_space_dimensions, reynolds_traces
+from molien.action import monomial_images, monomial_ladder
+from molien.invariants import (
+    _bombieri_weights,
+    fixed_space_basis,
+    fixed_space_dimensions,
+    reynolds_traces,
+)
 from oracles import sympy_fixed_space_dimension, sympy_induced, sympy_reynolds, to_sympy
 
 # Pinned exact bases: the reduced echelon form of a row space is unique, so
@@ -322,8 +330,39 @@ class TestInvariantBasis:
                     assert verify_invariant(f, group)
 
 
+# (corpus builder, its argument, top degree): the float groups whose
+# fixed-space bases are pinned to the Reynolds route
+FLOAT_CASES = [("h3_float", None, 8)] + [("dihedral_float", m, 16) for m in (5, 12, 30, 60)]
+
+
+@functools.lru_cache(maxsize=None)
+def float_case(name, m, conjugated):
+    group = getattr(corpus, name)(*([] if m is None else [m]))
+    return corpus.signed_permutation_conjugate(group, seed=17) if conjugated else group
+
+
+def max_term_distance(f, g):
+    zero = f.backend.zero
+    terms = f.terms.keys() | g.terms.keys()
+    return max((abs(f.terms.get(t, zero) - g.terms.get(t, zero)) for t in terms), default=0.0)
+
+
+def refuse_sweep(monkeypatch):
+    """Make every molien binding of the Reynolds sweep raise."""
+    import sys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was swept")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("molien"):
+            for attr in ("reynolds_matrices", "reynolds_matrix"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+
+
 class TestFixedSpace:
-    """The exact routes that never sweep the group, pinned to the paper's averages."""
+    """The routes that never sweep the group, pinned to the paper's averages."""
 
     @pytest.mark.parametrize(
         "name, max_degree",
@@ -351,21 +390,58 @@ class TestFixedSpace:
         assert reynolds_traces(build(), max_degree) == [int(m.trace()) for m in theirs]
 
     def test_exact_routes_never_sweep(self, monkeypatch, capsys):
-        import molien.invariants
-        import molien.series
         from molien.cli import main
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the exact backend swept the group")
-
-        monkeypatch.setattr(molien.invariants, "reynolds_matrices", refuse)
-        monkeypatch.setattr(molien.series, "reynolds_matrices", refuse)
+        refuse_sweep(monkeypatch)
         group = corpus.binary_tetrahedral()
         assert cross_check(group, 12).all_agree()
         assert len(invariant_basis(group, 12)) == 2
         assert main(["verify", "--degree", "6", "--perm", "(1 2)", "--perm", "(1 2 3 4)"]) == 0
         assert main(["invariants", "--degree", "4", "--perm", "(1 2)", "--perm", "(1 2 3 4)"]) == 0
         assert "a_4 = 5" in capsys.readouterr().out
+
+    def test_float_routes_never_sweep(self, monkeypatch, tmp_path, capsys):
+        from molien.cli import main
+
+        refuse_sweep(monkeypatch)
+        group = corpus.dihedral_float(60)
+        assert cross_check(group, 16).all_agree()
+        assert len(invariant_basis(group, 16)) == 1
+        spec = {"dimension": 2, "backend": "float", "generators": [[[0.0, -1.0], [1.0, 0.0]]]}
+        path = tmp_path / "c4.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", "--degree", "6", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("OK")
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("name, m, max_degree", FLOAT_CASES)
+    def test_float_basis_equals_reynolds_route(self, name, m, max_degree, conjugated):
+        group = float_case(name, m, conjugated)
+        sizes = []
+        for reynolds in reynolds_matrices(group, max_degree):
+            ours = invariant_basis(group, reynolds.d)
+            theirs = invariant_basis(group, reynolds.d, reynolds=reynolds)
+            assert len(ours) == len(theirs) == invariant_dimension(reynolds)
+            for f, g in zip(ours, theirs):
+                assert max_term_distance(f, g) <= 1e-9
+            sizes.append(len(ours))
+        assert fixed_space_dimensions(group, max_degree) == sizes
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("name, m, max_degree", FLOAT_CASES)
+    def test_bombieri_scaled_generators_are_unitary(self, name, m, max_degree, conjugated):
+        group = float_case(name, m, conjugated)
+        ladder = monomial_ladder(group.n, max_degree)
+        for s in group.generators():
+            for step, images in zip(ladder, monomial_images(s, ladder)):
+                size = len(step.basis)
+                rho = np.zeros((size, size), dtype=complex)
+                for j, image in enumerate(images):
+                    for q, c in image.items():
+                        rho[q, j] = c
+                w = np.array(_bombieri_weights(step.basis))
+                scaled = rho * w[np.newaxis, :] / w[:, np.newaxis]
+                assert np.abs(scaled.conj().T @ scaled - np.eye(size)).max() <= 1e-12
 
     def test_wrong_class_partition_is_a_mismatch(self):
         # series and trace read the classes, rank does not: lumping every

@@ -294,6 +294,25 @@ class TestRowReduce:
         rank, _ = row_reduce([[1e-12, 0], [0, 1]], fb)
         assert rank == 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_pivot_columns_are_cleared_exactly(self, seed):
+        # entries below the tolerance in a pivot column are eliminated too:
+        # skipping them let later divisions by pivots below 1 push them
+        # over the tolerance
+        rng = random.Random(seed)
+        fb = float_backend(1e-9)
+        rows = [
+            [rng.choice((0.0, 3e-10, -7e-10, rng.uniform(-1, 1))) for _ in range(7)]
+            for _ in range(6)
+        ]
+        rank, reduced = row_reduce(rows, fb)
+        # a pivot is exactly 1, so the first exact 1 of a pivot row marks it
+        pivots = [row.index(1) for row in reduced[:rank]]
+        assert pivots == sorted(set(pivots))
+        for r, row in enumerate(reduced):
+            for k, p in enumerate(pivots):
+                assert row[p] == (1 if k == r else 0)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ShapeError):
             row_reduce([[1, 2], [1]], EXACT)

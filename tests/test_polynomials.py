@@ -137,6 +137,25 @@ class TestSubstitution:
                     f, matrix
                 ) * substitute_linear(g, matrix)
 
+    def test_walks_only_the_ancestors_of_the_terms(self, monkeypatch):
+        import molien.action
+
+        built = []
+        walk = molien.action.monomial_images
+
+        def counting(a, ladder):
+            for images in walk(a, ladder):
+                built.append(len(images))
+                yield images
+
+        monkeypatch.setattr(molien.action, "monomial_images", counting)
+        f = poly(4, {(10, 0, 0, 0): 1, (0, 0, 0, 10): 2})
+        matrix = SquareMatrix([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 2], [2, 1, 0, 1]], EXACT)
+        substitute_linear(f, matrix)
+        # x1^k and x4^k for k = 1..10, and the constant: not the 1001
+        # basis monomials of degrees 0..10
+        assert built == [1] + [2] * 10
+
     def test_composition_order(self):
         # substituting L then M equals substituting the product M @ L
         rng = random.Random(55)
