@@ -19,7 +19,9 @@ class FiniteMatrixGroup:
     Element order is the breadth-first discovery order of close_group and
     is part of the contract: float-backend averaging sums over the
     conjugacy classes listed by their first element in this order.
-    right[i][s] is the index of elements[i] @ generators()[s].
+    right[i][s] is the index of elements[i] @ generators()[s], and
+    inverse_of[i] the index of the inverse of elements[i]; close_group
+    reads the inverses off right and confirms each with a product.
     """
 
     __slots__ = ("n", "elements", "inverse_of", "generator_indices", "right", "backend", "_classes")
@@ -140,9 +142,13 @@ def close_group(
     """Close a generator list under multiplication, breadth-first from the identity.
 
     Generators are applied on the right in input order, which fixes the
-    discovery order. Raises ValidationError for an empty list, mismatched
-    or non-unitary generators, and ClosureOverflowError when the closure
-    would exceed max_order elements.
+    discovery order. Each element times each generator is one product and
+    one lookup, recorded in the right-multiplication table. Inverses are
+    read off that table by integer lookups, and one product per inverse
+    pair confirms them. Raises ValidationError for an empty list,
+    mismatched or non-unitary generators, or an inverse that does not
+    confirm, and ClosureOverflowError when the closure would exceed
+    max_order elements.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
@@ -178,17 +184,62 @@ def close_group(
     elements = index.elements
     # identity @ g is g
     generator_indices = right[0]
+    inverse_of = _inverse_table(right)
 
-    # unitary elements: the inverse is the conjugate transpose, which one
-    # lookup finds and one product confirms
-    inverse_of = []
-    for i, element in enumerate(elements):
-        j = index.find(element.conj_transpose())
-        if j is None or not (element @ elements[j]).equals(identity):
+    # confirm each inverse pair with one product: AB = I gives BA = I
+    for i, j in enumerate(inverse_of):
+        if j < i and inverse_of[j] == i:
+            continue
+        if not (elements[i] @ elements[j]).equals(identity):
             raise ValidationError(f"element {i} has no inverse in the closure")
-        inverse_of.append(j)
 
     return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, right, backend)
+
+
+def _discoveries(right):
+    """(p, s, i) for each element i > 0, in discovery order: g_i = g_p s.
+
+    The closure fills right row by row, so the first entry of i in
+    row-major order is where it was found, and p < i.
+    """
+    seen = bytearray(len(right))
+    seen[0] = 1
+    for p, row in enumerate(right):
+        for s, i in enumerate(row):
+            if not seen[i]:
+                seen[i] = 1
+                yield p, s, i
+
+
+def _inverse_table(right) -> list:
+    """Index of each element's inverse, by lookups along the discovery tree.
+
+    Left-multiplication by any h commutes with the right-multiplications
+    that built the tree: with g_i = g_p s, h g_i = (h g_p) s. So the table
+    of left-multiplication by s^-1 is left[i] = right[left[p]][s], started
+    at the index of s^-1, the power of s just before its powers return to
+    the identity; and g_i^-1 = s^-1 g_p^-1 is left[inv[p]] on that table.
+    """
+    order = len(right)
+    lefts = []
+    for s, generator in enumerate(right[0]):
+        # walk 0 -> s -> s^2 -> ... back to 0, at most order steps
+        power = generator
+        for _ in range(order):
+            step = right[power][s]
+            if step == 0:
+                break
+            power = step
+        else:
+            raise ValidationError(f"element {generator} has no inverse in the closure")
+        lefts.append([power] * order)
+    for p, s, i in _discoveries(right):
+        for left in lefts:
+            left[i] = right[left[p]][s]
+    inverse_of = [0] * order
+    for p, s, i in _discoveries(right):
+        inverse_of[i] = lefts[s][inverse_of[p]]
+    return inverse_of
 
 
 def from_permutations(

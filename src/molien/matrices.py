@@ -17,9 +17,14 @@ from molien.scalars import ScalarBackend, check_same_backend
 
 
 class SquareMatrix:
-    """Immutable n-by-n matrix; entry (k, i) is row k, column i."""
+    """Immutable n-by-n matrix; entry (k, i) is row k, column i.
 
-    __slots__ = ("n", "rows", "backend")
+    A matrix built by the validating constructor, such as a group
+    generator, also keeps the nonzero (column, entry) pairs of each row,
+    which products with it on the right read instead of rescanning.
+    """
+
+    __slots__ = ("n", "rows", "backend", "_terms")
 
     def __init__(self, rows: Sequence[Sequence], backend: ScalarBackend):
         coerced = tuple(tuple(backend.coerce(x) for x in row) for row in rows)
@@ -31,6 +36,7 @@ class SquareMatrix:
         self.n = n
         self.rows = coerced
         self.backend = backend
+        self._terms = _nonzero_terms(coerced)
 
     @classmethod
     def identity(cls, n: int, backend: ScalarBackend) -> "SquareMatrix":
@@ -56,7 +62,9 @@ class SquareMatrix:
         self._check_compatible(other)
         n = self.n
         zero = self.backend.zero
-        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        other_rows = other._terms
+        if other_rows is None:
+            other_rows = _nonzero_terms(other.rows)
         rows = []
         for row in self.rows:
             acc = [None] * n
@@ -116,13 +124,21 @@ def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
     """Matrix on a square tuple of row tuples that already hold scalars of backend.
 
     For results built inside the package; SquareMatrix(rows, backend)
-    validates everything that comes from outside.
+    validates everything that comes from outside. Products with the result
+    on the right find its nonzero terms per call: keeping them on every
+    element of a closure would grow with |G|.
     """
     out = object.__new__(SquareMatrix)
     out.n = len(rows)
     out.rows = rows
     out.backend = backend
+    out._terms = None
     return out
+
+
+def _nonzero_terms(rows: tuple) -> tuple:
+    """The nonzero (column, entry) pairs of each row, in column order."""
+    return tuple(tuple((j, b) for j, b in enumerate(row) if b) for row in rows)
 
 
 class UnivariatePoly:

@@ -37,24 +37,32 @@ def _make(rn, rd, im_n, im_d) -> "GaussianRational":
 
     Every denominator passed in is positive: a reduced denominator, or a
     product of them and, in division, a positive norm. So signs need no
-    normalising.
+    normalising, and a denominator of 1 needs no gcd.
     """
-    g = gcd(rn, rd)
-    if g != 1:
-        rn //= g
-        rd //= g
-    g = gcd(im_n, im_d)
-    if g != 1:
-        im_n //= g
-        im_d //= g
+    if rd != 1:
+        g = gcd(rn, rd)
+        if g != 1:
+            rn //= g
+            rd //= g
+    if im_d != 1:
+        g = gcd(im_n, im_d)
+        if g != 1:
+            im_n //= g
+            im_d //= g
     out = object.__new__(GaussianRational)
     out._rn, out._rd, out._in, out._id = rn, rd, im_n, im_d
     return out
 
 
+def _gaussian_integer(rn, im_n) -> "GaussianRational":
+    """Build rn + im_n*i from integer parts, which are already reduced."""
+    out = object.__new__(GaussianRational)
+    out._rn, out._rd, out._in, out._id = rn, 1, im_n, 1
+    return out
+
+
 def _coerce(value) -> "GaussianRational | None":
-    if isinstance(value, GaussianRational):
-        return value
+    """An int or Fraction operand as a scalar; callers take scalars as they are."""
     if isinstance(value, int):
         return _make(value, 1, 0, 1)
     if isinstance(value, Fraction):
@@ -123,18 +131,18 @@ class GaussianRational:
         return self._rn != 0 or self._in != 0
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return _make(
-            self._rn * o._rd + o._rn * self._rd, self._rd * o._rd,
-            self._in * o._id + o._in * self._id, self._id * o._id,
-        )
+        p, q, r, s = self._rd, self._id, o._rd, o._id
+        if p == q == r == s == 1:
+            return _gaussian_integer(self._rn + o._rn, self._in + o._in)
+        return _make(self._rn * r + o._rn * p, p * r, self._in * s + o._in * q, q * s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
         return _make(
@@ -152,20 +160,24 @@ class GaussianRational:
         return _make(-self._rn, self._rd, -self._in, self._id)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
         # (a + bi)(c + di): re = ac - bd, im = ad + bc, over the common
         # denominator of a, b, c and d.
         a, p, b, q = self._rn, self._rd, self._in, self._id
         c, r, d, s = o._rn, o._rd, o._in, o._id
+        if p == q == r == s == 1:
+            return _gaussian_integer(a * c - b * d, a * d + b * c)
+        if not b and not d:
+            return _make(a * c, p * r, 0, 1)
         den = p * q * r * s
         return _make(a * c * q * s - b * d * p * r, den, a * d * q * r + b * c * p * s, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
         # w / z = w * conj(z) / |z|^2, with |z|^2 = nn / nd.
@@ -188,7 +200,7 @@ class GaussianRational:
         return o / self
 
     def __eq__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
         return self._rn == o._rn and self._rd == o._rd and self._in == o._in and self._id == o._id

@@ -17,7 +17,7 @@ from molien import (
     from_permutations,
     permutation_from_cycles,
 )
-from molien.groups import _ElementIndex
+from molien.groups import _ElementIndex, _inverse_table
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
 
@@ -75,6 +75,81 @@ class TestClosure:
                 j = group.inverse_of[i]
                 assert group.inverse_of[j] == i
                 assert (group.elements[i] @ group.elements[j]).equals(identity)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            corpus.build_corpus,
+            corpus.s5,
+            corpus.s6,
+            corpus.binary_tetrahedral,
+            corpus.b3,
+            corpus.g423,
+            lambda: corpus.dihedral_float(12),
+            lambda: corpus.dihedral_float(30),
+        ],
+        ids=["corpus", "S5", "S6", "2T", "B3", "G(4,2,3)", "D12-float", "D30-float"],
+    )
+    def test_inverse_table_is_the_conjugate_transpose(self, build):
+        # unitary: the inverse is the conjugate transpose, found by rows
+        # (exact) or by a linear scan for a tolerance-equal element (float)
+        built = build()
+        for group in built.values() if isinstance(built, dict) else [built]:
+            if group.backend.is_exact:
+                position = {g.rows: i for i, g in enumerate(group.elements)}
+                expected = [position[g.conj_transpose().rows] for g in group.elements]
+            else:
+                expected = [
+                    next(j for j, h in enumerate(group.elements) if g.conj_transpose().equals(h))
+                    for g in group.elements
+                ]
+            assert list(group.inverse_of) == expected
+
+    def test_products_are_table_entries_and_inverse_pairs(self, monkeypatch):
+        generators = from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)])
+        group = close_group(generators)
+        identity = group.identity()
+        involutions = sum(1 for g in group.elements if (g @ g) == identity)
+        pairs = (group.order + involutions) // 2
+        products = []
+        matmul = SquareMatrix.__matmul__
+
+        def counting_matmul(self, other):
+            products.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        close_group(generators)
+        # one product per table entry and per inverse pair, and one
+        # unitarity check per generator
+        assert group.order == 24 and pairs == 17
+        assert len(products) == group.order * len(generators) + pairs + len(generators)
+
+    @pytest.mark.parametrize("failing_call", [0, 1, -1])
+    def test_failed_inverse_confirmation_names_the_element(self, monkeypatch, failing_call):
+        generators = from_permutations([(2, 1, 3), (2, 3, 1)])
+        inverse_of = close_group(generators).inverse_of
+        confirmed = [i for i, j in enumerate(inverse_of) if not (j < i and inverse_of[j] == i)]
+        target = range(len(confirmed))[failing_call]
+        calls = []
+        equals = SquareMatrix.equals
+
+        def failing_equals(self, other):
+            # the exact index finds by rows, so every call here is a confirmation
+            calls.append(1)
+            return len(calls) - 1 != target and equals(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "is_unitary", lambda self: True)
+        monkeypatch.setattr(SquareMatrix, "equals", failing_equals)
+        message = f"element {confirmed[target]} has no inverse in the closure"
+        with pytest.raises(ValidationError, match=message):
+            close_group(generators)
+
+    def test_generator_whose_powers_miss_the_identity_has_no_inverse(self):
+        # a table no group has: right-multiplication by the one generator
+        # sends 0 to 1 and 1 to itself, so its powers never return to 0
+        with pytest.raises(ValidationError, match="element 1 has no inverse"):
+            _inverse_table(((1,), (1,)))
 
     def test_every_element_unitary(self, corpus):
         for group in corpus.values():

@@ -22,7 +22,7 @@ from molien import (
     parse_scalar,
     row_reduce,
 )
-from molien.matrices import poly_divmod, poly_gcd
+from molien.matrices import _trusted, poly_divmod, poly_gcd
 
 R = [[0, -1], [1, 0]]  # rotation by pi/2
 I2 = SquareMatrix.identity(2, EXACT)
@@ -144,6 +144,23 @@ class TestZeroAwareProduct:
     def test_backend_constants_are_shared(self):
         assert EXACT.zero is EXACT.zero
         assert EXACT.one is EXACT.one
+
+    @pytest.mark.parametrize("backend", [EXACT, float_backend()], ids=["exact", "float"])
+    def test_reused_right_operand_matches_a_fresh_copy(self, backend):
+        # a validated matrix keeps its nonzero terms; a trusted copy of the
+        # same rows finds them per product
+        rng = random.Random(7)
+        entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+        if backend.is_exact:
+            entries += ["i", "1/2-1/3i"]
+        right = SquareMatrix([[rng.choice(entries) for _ in range(4)] for _ in range(4)], backend)
+        rows = right.rows
+        left = SquareMatrix.identity(4, backend)
+        for _ in range(6):
+            reused = left @ right
+            fresh = left @ _trusted(rows, backend)
+            assert reused.rows == fresh.rows
+            left = SquareMatrix([[rng.choice(entries) for _ in range(4)] for _ in range(4)], backend) @ reused
 
     def test_monomial_products_make_n_multiplications(self, monkeypatch):
         products, multiplications = [], []

@@ -207,6 +207,18 @@ def ref_div(x, y):
     return (a * c + b * d) / norm, (b * c - a * d) / norm
 
 
+def assert_stands_for(value, expected):
+    """value has the reduced parts, equality and hash of the Fraction pair expected."""
+    assert reference(value) == expected
+    assert (value.re, value.im) == expected
+    assert value.re_den > 0 and value.im_den > 0
+    assert math.gcd(value.re_num, value.re_den) == 1
+    assert math.gcd(value.im_num, value.im_den) == 1
+    assert value == G(*expected) and hash(value) == hash(G(*expected))
+    if expected[1] == 0:
+        assert value == expected[0] and hash(value) == hash(expected[0])
+
+
 class TestAgainstFractionPairs:
     """The int-pair arithmetic against a reference built from two Fractions."""
 
@@ -228,14 +240,7 @@ class TestAgainstFractionPairs:
             if b:
                 cases.append((a / b, ref_div(x, y)))
             for value, expected in cases:
-                assert reference(value) == expected
-                assert (value.re, value.im) == expected
-                assert value.re_den > 0 and value.im_den > 0
-                assert math.gcd(value.re_num, value.re_den) == 1
-                assert math.gcd(value.im_num, value.im_den) == 1
-                assert value == G(*expected) and hash(value) == hash(G(*expected))
-                if expected[1] == 0:
-                    assert value == expected[0] and hash(value) == hash(expected[0])
+                assert_stands_for(value, expected)
 
     def test_unreduced_inputs_compare_and_hash_equal(self):
         a = G(Fraction(2, 4), Fraction(-6, 9))
@@ -268,6 +273,78 @@ class TestAgainstFractionPairs:
         assert G(Fraction(1, 2)) == Fraction(1, 2)
         assert Fraction(1, 2) == G(Fraction(1, 2))
         assert G(3) / 6 == Fraction(1, 2)
+
+
+def _gaussian_integer(rng):
+    return Fraction(rng.randint(-6, 6)), Fraction(rng.randint(-6, 6))
+
+
+def _integer(rng):
+    return Fraction(rng.randint(-6, 6)), Fraction(0)
+
+
+def _real(rng):
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 4)), Fraction(0)
+
+
+def _general(rng):
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 4)), Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+
+OPERAND_KINDS = {
+    "gaussian_integer": _gaussian_integer,
+    "integer": _integer,
+    "real": _real,
+    "general": _general,
+}
+
+
+class TestFastPaths:
+    """Operand shapes with shortcuts (all denominators 1, real times real) against Fraction pairs."""
+
+    @pytest.mark.parametrize("left", OPERAND_KINDS)
+    @pytest.mark.parametrize("right", OPERAND_KINDS)
+    def test_arithmetic(self, left, right):
+        rng = random.Random(f"{left}*{right}")
+        for _ in range(150):
+            x, y = OPERAND_KINDS[left](rng), OPERAND_KINDS[right](rng)
+            a, b = G(*x), G(*y)
+            cases = [
+                (a + b, (x[0] + y[0], x[1] + y[1])),
+                (a - b, (x[0] - y[0], x[1] - y[1])),
+                (a * b, ref_mul(x, y)),
+            ]
+            if b:
+                cases.append((a / b, ref_div(x, y)))
+            for value, expected in cases:
+                assert_stands_for(value, expected)
+            assert (a == b) == (x == y)
+            assert (a != b) == (x != y)
+            assert_stands_for(a, x)
+
+    @pytest.mark.parametrize("kind", OPERAND_KINDS)
+    def test_int_and_fraction_operands(self, kind):
+        rng = random.Random(f"plain:{kind}")
+        for _ in range(150):
+            x = OPERAND_KINDS[kind](rng)
+            a = G(*x)
+            c = rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-12, 12), rng.randint(1, 4))])
+            y = (Fraction(c), Fraction(0))
+            cases = [
+                (a + c, (x[0] + c, x[1])),
+                (c + a, (x[0] + c, x[1])),
+                (a - c, (x[0] - c, x[1])),
+                (c - a, (c - x[0], -x[1])),
+                (a * c, ref_mul(x, y)),
+                (c * a, ref_mul(x, y)),
+            ]
+            if c:
+                cases.append((a / c, ref_div(x, y)))
+            if a:
+                cases.append((c / a, ref_div(y, x)))
+            for value, expected in cases:
+                assert_stands_for(value, expected)
+            assert (a == c) == (x == y)
 
 
 class TestBackends:
