@@ -4,9 +4,8 @@ From generators of a finite group of unitary matrices, compute the Molien
 series of the invariant ring, explicit bases of homogeneous invariants
 per degree, and cross-verify every coefficient three independent ways:
 generating-function expansion, Reynolds-operator trace, and a rank. On
-the exact backend the rank is the dimension of the generators' common
-fixed space; on the float backend it is the rank of the averaged
-monomials.
+both backends the rank is the dimension of the generators' common fixed
+space.
 """
 
 from molien.action import induced_matrix

@@ -43,11 +43,16 @@ EXIT_CONSISTENCY = 4
 
 
 def _load_spec(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             spec = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ScalarParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+        except json.JSONDecodeError as exc:
+            raise ScalarParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+        except UnicodeDecodeError as exc:
+            raise ScalarParseError(f"{path} is not UTF-8: {exc.reason}", exc.start) from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer literal past Python's digit limit, or nesting past the recursion limit
+            raise ScalarParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("group spec must be a JSON object")
     return spec

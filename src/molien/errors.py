@@ -9,10 +9,10 @@ class MolienError(Exception):
 
 
 class ScalarParseError(MolienError):
-    """Malformed scalar literal. Carries the byte offset of the failure."""
+    """Malformed scalar literal or spec file; carries the offset of the failure, if known."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.offset = offset
 
 

@@ -18,16 +18,11 @@ from math import factorial, prod, sqrt
 from typing import Iterator
 
 from molien.action import _image_terms, dense_matrix, monomial_images, monomial_ladder
-from molien.errors import ConsistencyError, ShapeError
+from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import check_same_backend
-
-# Accumulated float error over |G| terms needs more headroom than the
-# arithmetic tolerance when deciding whether a trace is an integer.
-INTEGER_ROUNDING_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class ReynoldsMatrix:
@@ -91,7 +86,7 @@ def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
             sums[d] = sums[d] + len(members) * trace
     factor = backend.coerce(Fraction(1, group.order))
     return [
-        as_count(total * factor, backend, f"Reynolds trace at degree {d}")
+        backend.count(total * factor, f"Reynolds trace at degree {d}")
         for d, total in enumerate(sums)
     ]
 
@@ -121,21 +116,19 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
     """Sparse elimination of the rows of W^-1 (rho_d(s) - I) W over the generators s.
 
     Returns (W, pivots). W is None on the exact backend, which needs no
-    scaling; a pivot there is the largest column of its row, so every
-    pivot row holds only smaller columns. On the float backend W is
-    _bombieri_weights, a pivot is the entry of largest magnitude, and a
-    row whose entries are all within the tolerance is dependent.
+    scaling, and _bombieri_weights on the float backend. Each row's pivot
+    is backend.pivot(row): on the exact backend its largest column, so
+    every pivot row holds only smaller columns; on the float backend its
+    entry of largest magnitude, or none if all are within the tolerance.
 
     pivots maps each pivot column to the rest of its row, pivot
     coefficient 1, in the order the pivots were found. No pivot row holds
     an earlier pivot column, so each new row is reduced by the known
     pivots oldest first before its own pivot is chosen.
     """
-    exact, tolerance, one = backend.is_exact, backend.tolerance, backend.one
+    one, pivot = backend.one, backend.pivot
     size = len(basis)
-    weights = None if exact else _bombieri_weights(basis)
-    # the float pivot key reads the row being reduced when max() calls it
-    magnitude = None if exact else (lambda k: abs(row[k]))
+    weights = None if backend.is_exact else _bombieri_weights(basis)
     pivots: dict = {}
     found: list = []  # pivot columns in the order they were found
     age: dict = {}
@@ -173,8 +166,8 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
                         row[k] = -factor * v
                         if k in pivots:
                             heappush(heap, age[k])
-            top = max(row, key=magnitude, default=None)
-            if top is None or not exact and abs(row[top]) <= tolerance:
+            top = pivot(row)
+            if top is None:
                 continue
             scale = one / row.pop(top)
             pivots[top] = {k: v * scale for k, v in row.items()}
@@ -235,32 +228,10 @@ def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial
     ]
 
 
-def as_count(value, backend, what: str) -> int:
-    """The nonnegative integer an exact or float scalar stands for.
-
-    Exact values must be integers; float values must lie within
-    INTEGER_ROUNDING_TOLERANCE of one. Anything else raises
-    ConsistencyError, whose message starts with `what`.
-    """
-    if backend.is_exact:
-        if not value.is_integer():
-            raise ConsistencyError(f"{what} is not an integer: {value!r}")
-        count = value.re_num
-    else:
-        count = round(value.real)
-        if abs(value - count) > INTEGER_ROUNDING_TOLERANCE:
-            raise ConsistencyError(
-                f"{what} is {value!r}, not within {INTEGER_ROUNDING_TOLERANCE} of an integer"
-            )
-    if count < 0:
-        raise ConsistencyError(f"{what} is negative: {count}")
-    return count
-
-
 def invariant_dimension(reynolds: ReynoldsMatrix) -> int:
     """Dimension of the degree-d invariants: the trace of the Reynolds matrix."""
     trace = reynolds.matrix.trace()
-    return as_count(trace, reynolds.matrix.backend, f"Reynolds trace at degree {reynolds.d}")
+    return reynolds.matrix.backend.count(trace, f"Reynolds trace at degree {reynolds.d}")
 
 
 def invariant_basis(

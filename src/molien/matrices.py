@@ -267,10 +267,10 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
 
     Pivots are normalised to exactly 1 and every other entry of a pivot
     column is exactly 0: each nonzero entry is eliminated, on the float
-    backend too, however small. The exact backend takes the first nonzero
-    entry of a column as pivot; the float backend takes the
-    largest-magnitude entry, and a column whose remaining entries are all
-    within the tolerance has no pivot.
+    backend too, however small. The pivot is the first entry of largest
+    backend.magnitude above the tolerance: the first nonzero entry on the
+    exact backend, the largest-magnitude entry on the float backend; a
+    column whose remaining entries are all within the tolerance has none.
     """
     work = [[backend.coerce(x) for x in row] for row in rows]
     if not work:
@@ -279,23 +279,16 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
     if any(len(row) != width for row in work):
         raise ShapeError("rows must all have the same length")
     n_rows = len(work)
+    magnitude = backend.magnitude
     pivot_row = 0
     for col in range(width):
         if pivot_row >= n_rows:
             break
-        pick = None
-        if backend.is_exact:
-            for r in range(pivot_row, n_rows):
-                if not backend.is_zero(work[r][col]):
-                    pick = r
-                    break
-        else:
-            best = backend.tolerance
-            for r in range(pivot_row, n_rows):
-                mag = abs(work[r][col])
-                if mag > best:
-                    best = mag
-                    pick = r
+        pick, best = None, backend.tolerance
+        for r in range(pivot_row, n_rows):
+            mag = magnitude(work[r][col])
+            if mag > best:
+                best, pick = mag, r
         if pick is None:
             continue
         work[pivot_row], work[pick] = work[pick], work[pivot_row]
@@ -309,6 +302,5 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
             work[r] = [x - factor * y for x, y in zip(work[r], top)]
             work[r][col] = backend.zero
         pivot_row += 1
-    rank = pivot_row
-    return rank, work
+    return pivot_row, work
 

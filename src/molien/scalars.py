@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 from math import gcd
 
-from molien.errors import BackendError, ScalarParseError, ValidationError
+from molien.errors import BackendError, ConsistencyError, ScalarParseError, ValidationError
 
 # Kept for run metadata: the exact scalar core is the pure-Python class below.
 ACTIVE_IMPLEMENTATION = "python"
@@ -233,44 +234,84 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 class ScalarBackend:
-    """Field the computation runs over: exact Q(i) or complex binary64.
+    """Field the computation runs over: EXACT, or float_backend(tolerance).
 
-    A backend bundles the tag with the comparison tolerance (float only)
-    and provides coercion and equality for the scalars of that field.
-    Matrices, polynomials and groups all carry one, and operations refuse
-    to mix different backends.
+    Each subclass holds its field's scalar rules: coercion, zero and one,
+    equality, pivot choice and counts. Matrices, polynomials and groups
+    all carry a backend, and operations refuse to mix different ones.
     """
 
-    __slots__ = ("tag", "tolerance")
-
-    def __init__(self, tag: str, tolerance: float = 0.0):
-        if tag not in ("exact", "float"):
-            raise ValueError(f"unknown backend tag {tag!r}")
-        if not math.isfinite(tolerance) or tolerance < 0:
-            raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-        self.tag = tag
-        self.tolerance = float(tolerance)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.tag == "exact"
+    __slots__ = ()
 
     def coerce(self, value):
         """Convert value to a scalar of this backend; reject cross-backend values."""
-        if self.is_exact:
-            if isinstance(value, GaussianRational):
-                return value
-            if isinstance(value, bool):
-                raise BackendError("cannot coerce bool to an exact scalar")
-            if isinstance(value, (int, Fraction)):
-                return GaussianRational(value)
-            if isinstance(value, str):
-                return parse_scalar(value)
-            raise BackendError(f"cannot coerce {type(value).__name__} to an exact scalar")
-        if isinstance(value, complex):
+        if isinstance(value, self.scalar):
             return value
         if isinstance(value, bool):
-            raise BackendError("cannot coerce bool to a float scalar")
+            raise BackendError(f"cannot coerce bool to {self.noun}")
+        return self._convert(value)
+
+    def count(self, value, what: str) -> int:
+        """The nonnegative integer value stands for; else ConsistencyError starting with `what`."""
+        count = self._integer(value, what)
+        if count < 0:
+            raise ConsistencyError(f"{what} is negative: {count}")
+        return count
+
+    def __eq__(self, other):
+        if not isinstance(other, ScalarBackend):
+            return NotImplemented
+        return self.is_exact == other.is_exact and self.tolerance == other.tolerance
+
+    def __hash__(self):
+        return hash((self.is_exact, self.tolerance))
+
+
+class _ExactBackend(ScalarBackend):
+    """Q(i) on GaussianRational, compared exactly."""
+
+    __slots__ = ()
+    is_exact, tolerance = True, 0.0
+    scalar, noun = GaussianRational, "an exact scalar"
+    zero, one = _EXACT_ZERO, _EXACT_ONE
+    eq, is_zero = operator.eq, operator.not_
+    magnitude = bool  # row_reduce pivots on the first nonzero entry
+    # the largest column of a sparse row, None if it is empty: no key, for speed
+    pivot = functools.partial(max, default=None)
+
+    def _convert(self, value):
+        if isinstance(value, (int, Fraction)):
+            return GaussianRational(value)
+        if isinstance(value, str):
+            return parse_scalar(value)
+        raise BackendError(f"cannot coerce {type(value).__name__} to {self.noun}")
+
+    def _integer(self, value, what: str) -> int:
+        if not value.is_integer():
+            raise ConsistencyError(f"{what} is not an integer: {value!r}")
+        return value.re_num
+
+    def __repr__(self):
+        return "ScalarBackend('exact')"
+
+
+class _FloatBackend(ScalarBackend):
+    """Complex binary64, where values within the tolerance of each other are equal."""
+
+    __slots__ = ("tolerance",)
+    is_exact = False
+    scalar, noun = complex, "a float scalar"
+    zero, one = 0j, 1 + 0j
+    magnitude = abs  # row_reduce pivots on the largest entry above the tolerance
+    # float error summed over |G| terms needs more headroom than the tolerance
+    INTEGER_ROUNDING_TOLERANCE = 1e-6
+
+    def __init__(self, tolerance: float):
+        if not math.isfinite(tolerance) or tolerance < 0:
+            raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+        self.tolerance = float(tolerance)
+
+    def _convert(self, value):
         try:
             if isinstance(value, (int, float, Fraction)):
                 return complex(float(value))
@@ -283,47 +324,37 @@ class ScalarBackend:
                     exact = parse_scalar(value)
                     return complex(float(exact.re), float(exact.im))
         except OverflowError:
-            name = type(value).__name__
-            raise BackendError(f"{name} value is too large for a float scalar") from None
-        raise BackendError(f"cannot coerce {type(value).__name__} to a float scalar")
-
-    @property
-    def zero(self):
-        return _EXACT_ZERO if self.is_exact else 0j
-
-    @property
-    def one(self):
-        return _EXACT_ONE if self.is_exact else 1 + 0j
+            raise BackendError(f"{type(value).__name__} value is too large for a float scalar") from None
+        raise BackendError(f"cannot coerce {type(value).__name__} to {self.noun}")
 
     def eq(self, a, b) -> bool:
-        if self.is_exact:
-            return a == b
         return abs(a - b) <= self.tolerance
 
     def is_zero(self, a) -> bool:
-        if self.is_exact:
-            return not a
         return abs(a) <= self.tolerance
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarBackend):
-            return NotImplemented
-        return self.tag == other.tag and self.tolerance == other.tolerance
+    def pivot(self, row: dict):
+        """The first column of largest magnitude in a sparse row, if that exceeds the tolerance."""
+        top = max(row, key=lambda k: abs(row[k]), default=None)
+        return None if top is None or abs(row[top]) <= self.tolerance else top
 
-    def __hash__(self):
-        return hash((self.tag, self.tolerance))
+    def _integer(self, value, what: str) -> int:
+        count = round(value.real)
+        if abs(value - count) > self.INTEGER_ROUNDING_TOLERANCE:
+            raise ConsistencyError(
+                f"{what} is {value!r}, not within {self.INTEGER_ROUNDING_TOLERANCE} of an integer"
+            )
+        return count
 
     def __repr__(self):
-        if self.is_exact:
-            return "ScalarBackend('exact')"
         return f"ScalarBackend('float', tolerance={self.tolerance})"
 
 
-EXACT = ScalarBackend("exact")
+EXACT = _ExactBackend()
 
 
 def float_backend(tolerance: float = DEFAULT_TOLERANCE) -> ScalarBackend:
-    return ScalarBackend("float", tolerance)
+    return _FloatBackend(tolerance)
 
 
 def check_same_backend(a: ScalarBackend, b: ScalarBackend) -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
-from molien.invariants import as_count, fixed_space_dimensions, reynolds_traces
+from molien.invariants import fixed_space_dimensions, reynolds_traces
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
 from molien.scalars import ScalarBackend
 
@@ -129,7 +129,7 @@ def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     """Molien coefficients a_0..a_D from the generating-function formula."""
     series = averaged_reciprocal_series(group, max_degree)
     values = [
-        as_count(coeff, series.backend, f"series coefficient at degree {d}")
+        series.backend.count(coeff, f"series coefficient at degree {d}")
         for d, coeff in enumerate(series.coeffs)
     ]
     if values[0] != 1:

@@ -41,6 +41,15 @@ def test_traced_functions_stay_bound(module, name):
         assert callable(getattr(owner, name))
 
 
+def test_names_the_benchmark_reads():
+    # the run metadata records ACTIVE_IMPLEMENTATION, and the distinct-det
+    # count reads is_exact off each closed group's backend
+    assert molien.ACTIVE_IMPLEMENTATION == "python"
+    group = molien.close_group([molien.SquareMatrix([[-1]], molien.EXACT)])
+    assert group.backend.is_exact is True
+    assert molien.float_backend().is_exact is False
+
+
 def test_one_exact_scalar_core():
     assert molien.GaussianRational.__module__ == "molien.scalars"
     assert molien.ACTIVE_IMPLEMENTATION == "python"

@@ -238,6 +238,20 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:parse:")
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000, b'{"dimension": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unreadable_spec_is_one_parse_error(self, tmp_path, content):
+        path = tmp_path / "group.json"
+        path.write_bytes(content)
+        result = run_cli("series", "--degree", "2", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:parse:")
+        assert result.stderr.count("error:") == result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
     def test_closure_overflow(self, tmp_path, capsys):
         code = main(["series", "--degree", "2", "--max-order", "3", write_spec(tmp_path, C4_SPEC)])
         captured = capsys.readouterr()

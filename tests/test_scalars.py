@@ -12,6 +12,7 @@ from molien import (
     EXACT,
     BackendError,
     GaussianRational,
+    ScalarBackend,
     ScalarParseError,
     ValidationError,
     float_backend,
@@ -387,3 +388,23 @@ class TestBackends:
         assert float_backend(1e-9) == float_backend(1e-9)
         assert float_backend(1e-9) != float_backend(1e-6)
         assert EXACT != float_backend()
+        # the default and an explicit 1e-9 are one backend, so a cache keyed
+        # on the call arguments would not do
+        assert float_backend() == float_backend(1e-9)
+        assert hash(float_backend()) == hash(float_backend(1e-9))
+        assert EXACT.tolerance == 0.0
+        # these reprs appear in "backend mismatch" errors
+        assert repr(EXACT) == "ScalarBackend('exact')"
+        assert repr(float_backend()) == "ScalarBackend('float', tolerance=1e-09)"
+        with pytest.raises(BackendError, match="^cannot coerce bool to an exact scalar$"):
+            EXACT.coerce(True)
+        with pytest.raises(BackendError, match="^cannot coerce bool to a float scalar$"):
+            float_backend().coerce(False)
+
+    def test_exact_backend_takes_no_tolerance(self):
+        # an exact backend with a tolerance used to be accepted and then
+        # crash in close_group
+        with pytest.raises(TypeError):
+            type(EXACT)(0.5)
+        with pytest.raises(TypeError):
+            ScalarBackend("exact", 0.5)
