@@ -24,6 +24,7 @@ from molien.matrices import SquareMatrix, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import check_same_backend
 
+
 @dataclass(frozen=True)
 class ReynoldsMatrix:
     """Group average of the degree-d induced matrices; an idempotent projection."""

@@ -284,11 +284,13 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
     for col in range(width):
         if pivot_row >= n_rows:
             break
-        pick, best = None, backend.tolerance
+        pick = None
+        best = backend.tolerance
         for r in range(pivot_row, n_rows):
             mag = magnitude(work[r][col])
             if mag > best:
-                best, pick = mag, r
+                best = mag
+                pick = r
         if pick is None:
             continue
         work[pivot_row], work[pick] = work[pick], work[pivot_row]
@@ -302,5 +304,6 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
             work[r] = [x - factor * y for x, y in zip(work[r], top)]
             work[r][col] = backend.zero
         pivot_row += 1
-    return pivot_row, work
+    rank = pivot_row
+    return rank, work
 

@@ -243,6 +243,10 @@ class ScalarBackend:
 
     __slots__ = ()
 
+    def __init__(self):
+        if type(self) is ScalarBackend:
+            raise TypeError("use EXACT or float_backend(tolerance), not ScalarBackend()")
+
     def coerce(self, value):
         """Convert value to a scalar of this backend; reject cross-backend values."""
         if isinstance(value, self.scalar):
@@ -271,13 +275,18 @@ class _ExactBackend(ScalarBackend):
     """Q(i) on GaussianRational, compared exactly."""
 
     __slots__ = ()
-    is_exact, tolerance = True, 0.0
-    scalar, noun = GaussianRational, "an exact scalar"
-    zero, one = _EXACT_ZERO, _EXACT_ONE
-    eq, is_zero = operator.eq, operator.not_
+    is_exact = True
+    tolerance = 0.0
+    scalar = GaussianRational
+    noun = "an exact scalar"
+    zero = _EXACT_ZERO
+    one = _EXACT_ONE
+    eq = operator.eq
+    is_zero = operator.not_
     magnitude = bool  # row_reduce pivots on the first nonzero entry
-    # the largest column of a sparse row, None if it is empty: no key, for speed
-    pivot = functools.partial(max, default=None)
+    # the largest column of a sparse row, None if it is empty: no key, for
+    # speed; staticmethod, as partial binds like a method from Python 3.14
+    pivot = staticmethod(functools.partial(max, default=None))
 
     def _convert(self, value):
         if isinstance(value, (int, Fraction)):
@@ -300,8 +309,10 @@ class _FloatBackend(ScalarBackend):
 
     __slots__ = ("tolerance",)
     is_exact = False
-    scalar, noun = complex, "a float scalar"
-    zero, one = 0j, 1 + 0j
+    scalar = complex
+    noun = "a float scalar"
+    zero = 0j
+    one = 1 + 0j
     magnitude = abs  # row_reduce pivots on the largest entry above the tolerance
     # float error summed over |G| terms needs more headroom than the tolerance
     INTEGER_ROUNDING_TOLERANCE = 1e-6
@@ -324,7 +335,8 @@ class _FloatBackend(ScalarBackend):
                     exact = parse_scalar(value)
                     return complex(float(exact.re), float(exact.im))
         except OverflowError:
-            raise BackendError(f"{type(value).__name__} value is too large for a float scalar") from None
+            name = type(value).__name__
+            raise BackendError(f"{name} value is too large for a float scalar") from None
         raise BackendError(f"cannot coerce {type(value).__name__} to {self.noun}")
 
     def eq(self, a, b) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -408,3 +409,13 @@ class TestBackends:
             type(EXACT)(0.5)
         with pytest.raises(TypeError):
             ScalarBackend("exact", 0.5)
+        # the base holds no field's rules, so it cannot be built on its own
+        with pytest.raises(TypeError, match="not ScalarBackend"):
+            ScalarBackend()
+
+    def test_exact_pivot_through_the_instance(self):
+        # no key function and no binding of the backend as an argument
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EXACT.pivot({3: GaussianRational(5), 7: GaussianRational(1)}) == 7
+            assert EXACT.pivot({}) is None
