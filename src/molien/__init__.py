@@ -42,7 +42,6 @@ from molien.polynomials import (
     MonomialBasis,
     SparsePolynomial,
     format_polynomial,
-    monomial_basis,
     parse_polynomial,
     substitute_linear,
 )
@@ -61,7 +60,6 @@ from molien.series import (
     averaged_reciprocal_series,
     cross_check,
     expand_rational,
-    molien_coefficients,
     molien_rational,
     molien_series,
     series_reciprocal,
@@ -101,10 +99,8 @@ __all__ = [
     "induced_matrix",
     "invariant_basis",
     "invariant_dimension",
-    "molien_coefficients",
     "molien_rational",
     "molien_series",
-    "monomial_basis",
     "parse_polynomial",
     "parse_scalar",
     "permutation_from_cycles",

@@ -47,7 +47,8 @@ def _load_spec(path: str) -> dict:
         try:
             spec = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ScalarParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+            offset = len(exc.doc[:exc.pos].encode("utf-8"))
+            raise ScalarParseError(f"invalid JSON in {path}: {exc.msg}", offset) from exc
         except UnicodeDecodeError as exc:
             raise ScalarParseError(f"{path} is not UTF-8: {exc.reason}", exc.start) from exc
         except (ValueError, RecursionError) as exc:

@@ -97,7 +97,7 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
 
     The monomials x^a * sqrt(d!/a!) are orthonormal for the Bombieri inner
     product, in which rho_d(g) is unitary for unitary g; so W^-1 rho_d(g) W
-    is unitary and W^-1 (rho_d(g) - I) W has entries of magnitude at most 2.
+    is unitary and W^-1 (rho_d(g) - I) W has entries of absolute value at most 2.
     """
     top = factorial(basis.d)
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
@@ -120,7 +120,7 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
     scaling, and _bombieri_weights on the float backend. Each row's pivot
     is backend.pivot(row): on the exact backend its largest column, so
     every pivot row holds only smaller columns; on the float backend its
-    entry of largest magnitude, or none if all are within the tolerance.
+    entry of largest absolute value, or none if all are within the tolerance.
 
     pivots maps each pivot column to the rest of its row, pivot
     coefficient 1, in the order the pivots were found. No pivot row holds

@@ -267,10 +267,12 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
 
     Pivots are normalised to exactly 1 and every other entry of a pivot
     column is exactly 0: each nonzero entry is eliminated, on the float
-    backend too, however small. The pivot is the first entry of largest
-    backend.magnitude above the tolerance: the first nonzero entry on the
-    exact backend, the largest-magnitude entry on the float backend; a
-    column whose remaining entries are all within the tolerance has none.
+    backend too, however small. The pivot row is backend.pivot of the
+    column's nonzero entries at or below the pivot row: the last one on
+    the exact backend (the reduced echelon form is unique, so the choice
+    does not change it), the first of largest absolute value on the float
+    backend; a column whose remaining entries are all within the
+    tolerance has none.
     """
     work = [[backend.coerce(x) for x in row] for row in rows]
     if not work:
@@ -279,18 +281,11 @@ def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, l
     if any(len(row) != width for row in work):
         raise ShapeError("rows must all have the same length")
     n_rows = len(work)
-    magnitude = backend.magnitude
     pivot_row = 0
     for col in range(width):
         if pivot_row >= n_rows:
             break
-        pick = None
-        best = backend.tolerance
-        for r in range(pivot_row, n_rows):
-            mag = magnitude(work[r][col])
-            if mag > best:
-                best = mag
-                pick = r
+        pick = backend.pivot({r: work[r][col] for r in range(pivot_row, n_rows) if work[r][col]})
         if pick is None:
             continue
         work[pivot_row], work[pick] = work[pick], work[pivot_row]

@@ -34,7 +34,10 @@ def _exponents(n: int, d: int) -> Iterator[Monomial]:
 
 
 class MonomialBasis:
-    """The monomials of one degree, with positions for coordinate vectors."""
+    """The degree-d monomials in n variables, C(n+d-1, d) of them.
+
+    `index` gives each monomial's position in a coordinate vector.
+    """
 
     __slots__ = ("n", "d", "monomials", "index")
 
@@ -56,11 +59,6 @@ class MonomialBasis:
 
     def __repr__(self):
         return f"MonomialBasis(n={self.n}, d={self.d}, size={len(self)})"
-
-
-def monomial_basis(n: int, d: int) -> MonomialBasis:
-    """Basis of the degree-d component of C[x1..xn]; size C(n+d-1, d)."""
-    return MonomialBasis(n, d)
 
 
 class SparsePolynomial:

@@ -29,116 +29,88 @@ def _hash_inverse(den: int) -> int:
     return pow(den, -1, _HASH_MODULUS)
 
 
-def _ratio_text(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+def _make(a, b, d) -> "GaussianRational":
+    """Build (a + b*i)/d from ints, dividing out gcd(a, b, d).
 
-
-def _make(rn, rd, im_n, im_d) -> "GaussianRational":
-    """Build from raw integer parts, dividing each pair by its gcd.
-
-    Every denominator passed in is positive: a reduced denominator, or a
-    product of them and, in division, a positive norm. So signs need no
-    normalising, and a denominator of 1 needs no gcd.
+    Every d passed in is positive: a product of reduced denominators and,
+    in division, a positive norm. So signs need no normalising, and d = 1
+    needs no gcd.
     """
-    if rd != 1:
-        g = gcd(rn, rd)
+    if d != 1:
+        g = gcd(a, b, d)
         if g != 1:
-            rn //= g
-            rd //= g
-    if im_d != 1:
-        g = gcd(im_n, im_d)
-        if g != 1:
-            im_n //= g
-            im_d //= g
+            a //= g
+            b //= g
+            d //= g
     out = object.__new__(GaussianRational)
-    out._rn, out._rd, out._in, out._id = rn, rd, im_n, im_d
-    return out
-
-
-def _gaussian_integer(rn, im_n) -> "GaussianRational":
-    """Build rn + im_n*i from integer parts, which are already reduced."""
-    out = object.__new__(GaussianRational)
-    out._rn, out._rd, out._in, out._id = rn, 1, im_n, 1
+    out._a, out._b, out._d = a, b, d
     return out
 
 
 def _coerce(value) -> "GaussianRational | None":
     """An int or Fraction operand as a scalar; callers take scalars as they are."""
     if isinstance(value, int):
-        return _make(value, 1, 0, 1)
+        return _make(value, 0, 1)
     if isinstance(value, Fraction):
-        return _make(value.numerator, value.denominator, 0, 1)
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
 class GaussianRational:
     """Complex number with rational real and imaginary parts, a + bi.
 
-    Each part is kept as a reduced integer pair (numerator, positive
-    denominator); Python ints give arbitrary precision. Values are
-    immutable. Arithmetic accepts GaussianRational, int and Fraction
-    operands; division by zero raises ZeroDivisionError. A real value
-    hashes like the equal int or Fraction.
+    Kept as one reduced triple of Python ints (a, b, d) standing for
+    (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1; Python ints give
+    arbitrary precision. Values are immutable. Arithmetic accepts
+    GaussianRational, int and Fraction operands; division by zero raises
+    ZeroDivisionError. A real value hashes like the equal int or Fraction.
     """
 
-    __slots__ = ("_rn", "_rd", "_in", "_id")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, GaussianRational):
             if im != 0:
                 raise TypeError("imaginary part must be 0 when re is already complex")
-            self._rn, self._rd, self._in, self._id = re._rn, re._rd, re._in, re._id
+            self._a, self._b, self._d = re._a, re._b, re._d
             return
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("GaussianRational does not accept floats; use the float backend")
         re, im = Fraction(re), Fraction(im)
-        self._rn, self._rd = re.numerator, re.denominator
-        self._in, self._id = im.numerator, im.denominator
+        # over the lcm of two reduced denominators the triple is reduced
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._rn, self._rd)
+        return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._in, self._id)
-
-    @property
-    def re_num(self) -> int:
-        return self._rn
-
-    @property
-    def re_den(self) -> int:
-        return self._rd
-
-    @property
-    def im_num(self) -> int:
-        return self._in
-
-    @property
-    def im_den(self) -> int:
-        return self._id
+        return Fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self._rn, self._rd, -self._in, self._id)
+        return _make(self._a, -self._b, self._d)
 
     def is_real(self) -> bool:
-        return self._in == 0
+        return self._b == 0
 
     def is_integer(self) -> bool:
-        return self._in == 0 and self._rd == 1
+        return self._b == 0 and self._d == 1
 
     def __bool__(self) -> bool:
-        return self._rn != 0 or self._in != 0
+        return self._a != 0 or self._b != 0
 
     def __add__(self, other):
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        p, q, r, s = self._rd, self._id, o._rd, o._id
-        if p == q == r == s == 1:
-            return _gaussian_integer(self._rn + o._rn, self._in + o._in)
-        return _make(self._rn * r + o._rn * p, p * r, self._in * s + o._in * q, q * s)
+        d, f = self._d, o._d
+        if d == f:
+            return _make(self._a + o._a, self._b + o._b, d)
+        return _make(self._a * f + o._a * d, self._b * f + o._b * d, d * f)
 
     __radd__ = __add__
 
@@ -146,10 +118,10 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return _make(
-            self._rn * o._rd - o._rn * self._rd, self._rd * o._rd,
-            self._in * o._id - o._in * self._id, self._id * o._id,
-        )
+        d, f = self._d, o._d
+        if d == f:
+            return _make(self._a - o._a, self._b - o._b, d)
+        return _make(self._a * f - o._a * d, self._b * f - o._b * d, d * f)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -158,22 +130,15 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        return _make(-self._rn, self._rd, -self._in, self._id)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        # (a + bi)(c + di): re = ac - bd, im = ad + bc, over the common
-        # denominator of a, b, c and d.
-        a, p, b, q = self._rn, self._rd, self._in, self._id
-        c, r, d, s = o._rn, o._rd, o._in, o._id
-        if p == q == r == s == 1:
-            return _gaussian_integer(a * c - b * d, a * d + b * c)
-        if not b and not d:
-            return _make(a * c, p * r, 0, 1)
-        den = p * q * r * s
-        return _make(a * c * q * s - b * d * p * r, den, a * d * q * r + b * c * p * s, den)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o._a, o._b, o._d
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -181,18 +146,13 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        # w / z = w * conj(z) / |z|^2, with |z|^2 = nn / nd.
-        a, p, b, q = self._rn, self._rd, self._in, self._id
-        c, r, d, s = o._rn, o._rd, o._in, o._id
-        nn = c * c * s * s + d * d * r * r
-        if nn == 0:
+        # w / z = w * conj(z) / |z|^2, and 1 / ((c+ei)/f) = f(c-ei) / (c^2+e^2)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o._a, o._b, o._d
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        nd = r * r * s * s
-        den = p * q * r * s * nn
-        return _make(
-            (a * c * q * s + b * d * p * r) * nd, den,
-            (b * c * p * s - a * d * q * r) * nd, den,
-        )
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -204,31 +164,32 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return self._rn == o._rn and self._rd == o._rd and self._in == o._in and self._id == o._id
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self._in:
-            # parts are always reduced, so the raw tuple is a stable identity
-            return hash((self._rn, self._rd, self._in, self._id))
-        if self._rd == 1:
-            return hash(self._rn)
-        # Fraction's hash of rn/rd, without building the Fraction
+        if self._b:
+            # the triple is always reduced, so it is a stable identity
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        # Fraction's hash of a/d (reduced, as b = 0 makes gcd(a, d) = 1),
+        # without building the Fraction
         try:
-            inverse = _hash_inverse(self._rd)
+            inverse = _hash_inverse(self._d)
         except ValueError:
             value = _HASH_INF
         else:
-            value = hash(hash(abs(self._rn)) * inverse)
-        value = value if self._rn >= 0 else -value
+            value = hash(hash(abs(self._a)) * inverse)
+        value = value if self._a >= 0 else -value
         return -2 if value == -1 else value
 
     def __repr__(self):
-        return f"GaussianRational({_ratio_text(self._rn, self._rd)}, {_ratio_text(self._in, self._id)})"
+        return f"GaussianRational({self.re}, {self.im})"
 
 
 # Values are immutable, so every exact zero and one can be the same object.
-_EXACT_ZERO = _make(0, 1, 0, 1)
-_EXACT_ONE = _make(1, 1, 0, 1)
+_EXACT_ZERO = _make(0, 0, 1)
+_EXACT_ONE = _make(1, 0, 1)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -283,22 +244,23 @@ class _ExactBackend(ScalarBackend):
     one = _EXACT_ONE
     eq = operator.eq
     is_zero = operator.not_
-    magnitude = bool  # row_reduce pivots on the first nonzero entry
-    # the largest column of a sparse row, None if it is empty: no key, for
-    # speed; staticmethod, as partial binds like a method from Python 3.14
+    # the largest key of a sparse vector (a row's columns or a column's rows),
+    # None if it is empty: no key function, for speed; staticmethod, as
+    # partial binds like a method from Python 3.14
     pivot = staticmethod(functools.partial(max, default=None))
 
     def _convert(self, value):
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
         if isinstance(value, str):
             return parse_scalar(value)
-        raise BackendError(f"cannot coerce {type(value).__name__} to {self.noun}")
+        out = _coerce(value)
+        if out is None:
+            raise BackendError(f"cannot coerce {type(value).__name__} to {self.noun}")
+        return out
 
     def _integer(self, value, what: str) -> int:
         if not value.is_integer():
             raise ConsistencyError(f"{what} is not an integer: {value!r}")
-        return value.re_num
+        return value.re.numerator
 
     def __repr__(self):
         return "ScalarBackend('exact')"
@@ -313,7 +275,6 @@ class _FloatBackend(ScalarBackend):
     noun = "a float scalar"
     zero = 0j
     one = 1 + 0j
-    magnitude = abs  # row_reduce pivots on the largest entry above the tolerance
     # float error summed over |G| terms needs more headroom than the tolerance
     INTEGER_ROUNDING_TOLERANCE = 1e-6
 
@@ -345,10 +306,10 @@ class _FloatBackend(ScalarBackend):
     def is_zero(self, a) -> bool:
         return abs(a) <= self.tolerance
 
-    def pivot(self, row: dict):
-        """The first column of largest magnitude in a sparse row, if that exceeds the tolerance."""
-        top = max(row, key=lambda k: abs(row[k]), default=None)
-        return None if top is None or abs(row[top]) <= self.tolerance else top
+    def pivot(self, entries: dict):
+        """The first key of largest absolute value, if that exceeds the tolerance."""
+        top = max(entries, key=lambda k: abs(entries[k]), default=None)
+        return None if top is None or abs(entries[top]) <= self.tolerance else top
 
     def _integer(self, value, what: str) -> int:
         count = round(value.real)
@@ -456,14 +417,13 @@ def format_scalar(s) -> str:
     """
     if isinstance(s, complex):
         return format_float_scalar(s)
-    re = _ratio_text(s.re_num, s.re_den)
-    im_num, im_den = s.im_num, s.im_den
-    if im_num == 0:
-        return re
-    unit = "" if abs(im_num) == 1 and im_den == 1 else _ratio_text(abs(im_num), im_den)
-    if s.re_num == 0:
-        return f"{'-' if im_num < 0 else ''}{unit}i"
-    return f"{re}{'-' if im_num < 0 else '+'}{unit}i"
+    re, im = s.re, s.im
+    if not im:
+        return str(re)
+    unit = "" if abs(im) == 1 else str(abs(im))
+    if not re:
+        return f"{'-' if im < 0 else ''}{unit}i"
+    return f"{re}{'-' if im < 0 else '+'}{unit}i"
 
 
 def format_float_scalar(z: complex, digits: int = 12) -> str:

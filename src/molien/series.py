@@ -210,8 +210,3 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
         for d in range(max_degree + 1)
     ]
     return report
-
-
-def molien_coefficients(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
-    """Convenience accessor for the plain coefficient list a_0..a_D."""
-    return molien_series(group, max_degree).coefficients

@@ -23,7 +23,7 @@ def to_sympy(matrix) -> sp.Matrix:
             if isinstance(x, complex):
                 out.append(sp.nsimplify(x.real) + sp.I * sp.nsimplify(x.imag))
             else:
-                out.append(sp.Rational(x.re_num, x.re_den) + sp.I * sp.Rational(x.im_num, x.im_den))
+                out.append(sp.Rational(x.re) + sp.I * sp.Rational(x.im))
         rows.append(out)
     return sp.Matrix(rows)
 

@@ -12,12 +12,12 @@ import sympy as sp
 import corpus
 from molien import (
     EXACT,
+    MonomialBasis,
     ShapeError,
     SquareMatrix,
     det_one_minus_lambda,
     float_backend,
     induced_matrix,
-    monomial_basis,
     series_reciprocal,
 )
 from oracles import sympy_induced, to_sympy
@@ -44,16 +44,16 @@ class TestInducedFirst:
 class TestInducedMatrix:
     def test_minus_identity_squares_away(self):
         minus = SquareMatrix([[-1, 0], [0, -1]], EXACT)
-        assert induced_matrix(minus, monomial_basis(2, 2)) == SquareMatrix.identity(3, EXACT)
+        assert induced_matrix(minus, MonomialBasis(2, 2)) == SquareMatrix.identity(3, EXACT)
 
     def test_swap_permutes_basis(self):
         swap = SquareMatrix([[0, 1], [1, 0]], EXACT)
         expected = SquareMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]], EXACT)
-        assert induced_matrix(swap, monomial_basis(2, 2)) == expected
+        assert induced_matrix(swap, MonomialBasis(2, 2)) == expected
 
     def test_rotation_degree_two(self):
         # hand expansion: x1^2 -> x2^2, x1*x2 -> -x1*x2, x2^2 -> x1^2
-        induced = induced_matrix(ROTATION, monomial_basis(2, 2))
+        induced = induced_matrix(ROTATION, MonomialBasis(2, 2))
         assert induced == SquareMatrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]], EXACT)
         trace = induced.trace()
         # cross-check against [lambda^2] of 1/(1 + lambda^2) = -1
@@ -61,17 +61,17 @@ class TestInducedMatrix:
         assert trace == series.coeffs[2] == EXACT.coerce(-1)
 
     def test_degree_zero_is_one_by_one_identity(self):
-        induced = induced_matrix(DIAG_I, monomial_basis(2, 0))
+        induced = induced_matrix(DIAG_I, MonomialBasis(2, 0))
         assert induced == SquareMatrix.identity(1, EXACT)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            induced_matrix(ROTATION, monomial_basis(3, 2))
+            induced_matrix(ROTATION, MonomialBasis(3, 2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_sympy_expansion(self, d):
         group = corpus.q8()
-        basis = monomial_basis(2, d)
+        basis = MonomialBasis(2, d)
         for element in group.elements:
             ours = to_sympy(induced_matrix(element, basis))
             theirs = sympy_induced(to_sympy(element), list(basis.monomials), 2)
@@ -85,7 +85,7 @@ class TestInducedMatrix:
         rotation = SquareMatrix([[c, -s], [s, c]], float_backend())
         d = 16
         assert s**d < rotation.backend.tolerance
-        ours = induced_matrix(rotation, monomial_basis(2, d))
+        ours = induced_matrix(rotation, MonomialBasis(2, d))
         # with two variables, position k of the degree-d basis is x1^(d-k) x2^k,
         # so a product of linear forms is a convolution of coefficient arrays
         forms = [np.conj([rotation.rows[0][i], rotation.rows[1][i]]) for i in range(2)]
@@ -109,7 +109,7 @@ class TestActionLaws:
             (rng.randrange(group.order), rng.randrange(group.order)) for _ in range(6)
         ]
         for d in (1, 2, 3):
-            basis = monomial_basis(group.n, d)
+            basis = MonomialBasis(group.n, d)
             for i, j in pairs:
                 h, g = group.elements[i], group.elements[j]
                 product_induced = induced_matrix(h @ g, basis)
@@ -119,7 +119,7 @@ class TestActionLaws:
     def test_inverse_law(self, build):
         group = build()
         for d in (1, 2, 3):
-            basis = monomial_basis(group.n, d)
+            basis = MonomialBasis(group.n, d)
             identity = SquareMatrix.identity(len(basis), EXACT)
             for i in range(group.order):
                 forward = induced_matrix(group.elements[i], basis)
@@ -155,5 +155,5 @@ class TestActionLaws:
                 det_one_minus_lambda(element.entrywise_conj()), 6
             )
             for d in range(7):
-                induced = induced_matrix(element, monomial_basis(group.n, d))
+                induced = induced_matrix(element, MonomialBasis(group.n, d))
                 assert induced.trace() == expansion.coeffs[d]

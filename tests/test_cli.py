@@ -238,6 +238,18 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:parse:")
 
+    def test_invalid_json_offset_is_in_bytes(self, tmp_path, capsys):
+        # like every other parse error offset, the JSON one counts bytes,
+        # not the decoded characters before the failure
+        content = '{"name": "\u00e9\u00e9\u00e9\u00e9", "dimension": x}'.encode("utf-8")
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        code = main(["series", "--degree", "2", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse:")
+        assert err.endswith(f"(at offset {content.index(b'x')})\n")
+
     @pytest.mark.parametrize(
         "content",
         [b"\xff\xfe{}", b"[" * 100_000, b'{"dimension": ' + b"1" * 5000 + b"}"],

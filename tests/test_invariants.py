@@ -15,6 +15,7 @@ import corpus
 from molien import (
     EXACT,
     ConsistencyError,
+    MonomialBasis,
     ReynoldsMatrix,
     ShapeError,
     SparsePolynomial,
@@ -25,7 +26,6 @@ from molien import (
     induced_matrix,
     invariant_basis,
     invariant_dimension,
-    monomial_basis,
     reynolds_matrices,
     reynolds_matrix,
     row_reduce,
@@ -78,7 +78,7 @@ def sympy_reynolds_sweep(build, max_degree):
     group = build()
     mats = [to_sympy(g) for g in group.elements]
     return [
-        sympy_reynolds(mats, list(monomial_basis(group.n, d).monomials), group.n)
+        sympy_reynolds(mats, list(MonomialBasis(group.n, d).monomials), group.n)
         for d in range(max_degree + 1)
     ]
 
@@ -93,7 +93,7 @@ class TestReynoldsMatrix:
     def test_c4_degree_two_trace(self):
         # element traces at d=2 are 3, -1, 3, -1, averaging to 1
         group = corpus.c4()
-        basis = monomial_basis(2, 2)
+        basis = MonomialBasis(2, 2)
         traces = [induced_matrix(g, basis).trace() for g in group.elements]
         assert sorted(str(t.re) for t in traces) == ["-1", "-1", "3", "3"]
         assert invariant_dimension(reynolds_matrix(group, 2)) == 1
@@ -103,7 +103,7 @@ class TestReynoldsMatrix:
 
     def test_average_against_sympy(self):
         group = corpus.d4()
-        basis = monomial_basis(2, 2)
+        basis = MonomialBasis(2, 2)
         ours = to_sympy(reynolds_matrix(group, 2).matrix)
         theirs = sum(
             (sympy_induced(to_sympy(g), list(basis.monomials), 2) for g in group.elements),
@@ -121,7 +121,7 @@ class TestReynoldsMatrix:
     def test_absorption(self, build):
         group = build()
         for d in (1, 2, 3):
-            basis = monomial_basis(group.n, d)
+            basis = MonomialBasis(group.n, d)
             reynolds = reynolds_matrix(group, d).matrix
             for element in group.elements:
                 assert induced_matrix(element, basis) @ reynolds == reynolds
@@ -254,7 +254,7 @@ class TestInvariantDimension:
             poly(2, {(3, 1): 1, (1, 3): -1}),  # x^3 y - x y^3
             poly(2, {(4, 0): 1, (0, 4): 1}),  # x^4 + y^4
         ]
-        degree_basis = monomial_basis(2, 4)
+        degree_basis = MonomialBasis(2, 4)
         basis_rows = [f.coefficient_vector(degree_basis) for f in basis]
         for candidate in spanning:
             assert verify_invariant(candidate, group)
@@ -262,20 +262,20 @@ class TestInvariantDimension:
             assert row_reduce(rows, EXACT)[0] == len(basis)
 
     def test_non_integer_trace_raises(self):
-        basis = monomial_basis(1, 1)
+        basis = MonomialBasis(1, 1)
         bogus = ReynoldsMatrix(1, basis, SquareMatrix([["1/2"]], EXACT))
         with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is not an integer"):
             invariant_dimension(bogus)
 
     def test_float_trace_far_from_integer_raises(self):
-        basis = monomial_basis(1, 1)
+        basis = MonomialBasis(1, 1)
         bogus = ReynoldsMatrix(1, basis, SquareMatrix([[0.4 + 0j]], float_backend()))
         with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is .*, not within 1e-06"):
             invariant_dimension(bogus)
 
     @pytest.mark.parametrize("entry, backend", [("-1", EXACT), (-1 + 0j, float_backend())])
     def test_negative_trace_raises(self, entry, backend):
-        basis = monomial_basis(1, 1)
+        basis = MonomialBasis(1, 1)
         bogus = ReynoldsMatrix(1, basis, SquareMatrix([[entry]], backend))
         with pytest.raises(ConsistencyError, match="Reynolds trace at degree 1 is negative: -1"):
             invariant_dimension(bogus)
@@ -284,7 +284,7 @@ class TestInvariantDimension:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_sympy_nullspace(self, build, d):
         group = build()
-        basis = monomial_basis(group.n, d)
+        basis = MonomialBasis(group.n, d)
         expected = sympy_fixed_space_dimension(
             [to_sympy(g) for g in group.generators()], list(basis.monomials), group.n
         )
@@ -321,7 +321,7 @@ class TestInvariantBasis:
                 reynolds = reynolds_matrix(group, d)
                 basis = invariant_basis(group, d, reynolds=reynolds)
                 assert len(basis) == invariant_dimension(reynolds)
-                degree_basis = monomial_basis(group.n, d)
+                degree_basis = MonomialBasis(group.n, d)
                 rows = [f.coefficient_vector(degree_basis) for f in basis]
                 assert row_reduce(rows, EXACT)[0] == len(basis)
                 for f in basis:

@@ -10,12 +10,12 @@ import pytest
 from molien import (
     EXACT,
     GaussianRational,
+    MonomialBasis,
     ShapeError,
     SparsePolynomial,
     SquareMatrix,
     format_polynomial,
     induced_matrix,
-    monomial_basis,
     parse_polynomial,
     substitute_linear,
 )
@@ -44,37 +44,37 @@ def random_matrix(rng, n):
 
 class TestMonomialBasis:
     def test_two_vars_degree_two(self):
-        basis = monomial_basis(2, 2)
+        basis = MonomialBasis(2, 2)
         assert basis.monomials == ((2, 0), (1, 1), (0, 2))
 
     def test_single_variable(self):
-        assert monomial_basis(1, 5).monomials == ((5,),)
+        assert MonomialBasis(1, 5).monomials == ((5,),)
 
     def test_three_vars_degree_two_count(self):
         # comb(4, 2) = 6, confirmed by brute enumeration
-        basis = monomial_basis(3, 2)
+        basis = MonomialBasis(3, 2)
         assert len(basis) == 6
         assert set(basis.monomials) == brute_monomials(3, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", range(9))
     def test_counts_against_brute_force(self, n, d):
-        basis = monomial_basis(n, d)
+        basis = MonomialBasis(n, d)
         assert len(basis) == comb(n + d - 1, d)
         assert set(basis.monomials) == brute_monomials(n, d)
 
     def test_strictly_decreasing_grlex(self):
-        basis = monomial_basis(3, 4)
+        basis = MonomialBasis(3, 4)
         assert list(basis.monomials) == sorted(basis.monomials, reverse=True)
         assert len(set(basis.monomials)) == len(basis)
 
     def test_index_inverts_list(self):
-        basis = monomial_basis(4, 3)
+        basis = MonomialBasis(4, 3)
         for position, mono in enumerate(basis.monomials):
             assert basis.index[mono] == position
 
     def test_degree_zero(self):
-        assert monomial_basis(3, 0).monomials == ((0, 0, 0),)
+        assert MonomialBasis(3, 0).monomials == ((0, 0, 0),)
 
 
 class TestArithmetic:
@@ -171,7 +171,7 @@ class TestSubstitution:
         swap_like = SquareMatrix([[1, 1], [1, -1]], EXACT)
         for _ in range(20):
             d = rng.randint(1, 4)
-            basis = monomial_basis(2, d)
+            basis = MonomialBasis(2, d)
             f = SparsePolynomial(
                 2, {m: rng.randint(-3, 3) for m in basis.monomials}, EXACT
             )
@@ -185,7 +185,7 @@ class TestSubstitution:
         rng = random.Random(131)
         for n in (1, 2, 3):
             for d in range(5):
-                basis = monomial_basis(n, d)
+                basis = MonomialBasis(n, d)
                 for _ in range(3):
                     rows = [[random_gaussian(rng, 2) for _ in range(n)] for _ in range(n)]
                     g = SquareMatrix(rows, EXACT)

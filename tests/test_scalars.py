@@ -104,10 +104,16 @@ class TestPrinting:
             (G(1, -1), "1-i"),
             (G(Fraction(3, 4), Fraction(-2, 5)), "3/4-2/5i"),
             (G(Fraction(-1, 3), Fraction(1, 3)), "-1/3+1/3i"),
+            (G(Fraction(1, 2), Fraction(1, 3)), "1/2+1/3i"),
         ],
     )
     def test_canonical_forms(self, value, text):
         assert format_scalar(value) == text
+
+    def test_repr(self):
+        assert repr(G(Fraction(1, 2), Fraction(1, 3))) == "GaussianRational(1/2, 1/3)"
+        assert repr(G(-3, Fraction(-2, 7))) == "GaussianRational(-3, -2/7)"
+        assert repr(G(0)) == "GaussianRational(0, 0)"
 
     def test_roundtrip_on_random_values(self):
         rng = random.Random(20260810)
@@ -163,9 +169,22 @@ class TestArithmetic:
         for _ in range(200):
             a, b = random_scalar(rng), random_scalar(rng, nonzero=True)
             for value in (a + b, a - b, a * b, a / b):
-                assert value.re_den > 0 and value.im_den > 0
-                assert math.gcd(value.re_num, value.re_den) == 1
-                assert math.gcd(value.im_num, value.im_den) == 1
+                assert_canonical(value)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            # (1+2i)/2 + (1+2i)/2 = (2+4i)/2: no part-wise gcd of 2, 4 and 2 sees it
+            (G(Fraction(1, 2), 1) + G(Fraction(1, 2), 1), G(1, 2)),
+            (G(2, 4) / 2, G(1, 2)),
+            # (3+2i)/6 * 3 = (9+6i)/6 = (3+2i)/2
+            (3 * G(Fraction(1, 2), Fraction(1, 3)), G(Fraction(3, 2), 1)),
+        ],
+    )
+    def test_three_way_gcd_reduces(self, value, expected):
+        assert_canonical(value)
+        assert value == expected and hash(value) == hash(expected)
+        assert (value._a, value._b, value._d) == (expected._a, expected._b, expected._d)
 
     def test_int_and_fraction_operands(self):
         assert G(Fraction(1, 2)) + 1 == G(Fraction(3, 2))
@@ -193,9 +212,15 @@ class TestArithmetic:
         assert G(Fraction(-7, 2**61 - 1)) in {Fraction(-7, 2**61 - 1)}
 
 
+def assert_canonical(value):
+    """value's triple (a, b, d), standing for (a + b*i)/d, has d > 0 and gcd(a, b, d) = 1."""
+    assert value._d > 0
+    assert math.gcd(value._a, value._b, value._d) == 1
+
+
 def reference(value):
-    """The (re, im) pair of Fractions that a scalar stands for."""
-    return Fraction(value.re_num, value.re_den), Fraction(value.im_num, value.im_den)
+    """The (re, im) pair of Fractions that a scalar's triple stands for."""
+    return Fraction(value._a, value._d), Fraction(value._b, value._d)
 
 
 def ref_mul(x, y):
@@ -210,19 +235,17 @@ def ref_div(x, y):
 
 
 def assert_stands_for(value, expected):
-    """value has the reduced parts, equality and hash of the Fraction pair expected."""
+    """value has the canonical triple, equality and hash of the Fraction pair expected."""
     assert reference(value) == expected
     assert (value.re, value.im) == expected
-    assert value.re_den > 0 and value.im_den > 0
-    assert math.gcd(value.re_num, value.re_den) == 1
-    assert math.gcd(value.im_num, value.im_den) == 1
+    assert_canonical(value)
     assert value == G(*expected) and hash(value) == hash(G(*expected))
     if expected[1] == 0:
         assert value == expected[0] and hash(value) == hash(expected[0])
 
 
 class TestAgainstFractionPairs:
-    """The int-pair arithmetic against a reference built from two Fractions."""
+    """The int-triple arithmetic against a reference built from two Fractions."""
 
     def random_pair(self, rng):
         return tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(2))
@@ -302,7 +325,7 @@ OPERAND_KINDS = {
 
 
 class TestFastPaths:
-    """Operand shapes with shortcuts (all denominators 1, real times real) against Fraction pairs."""
+    """Gaussian-integer, integer, real and general operands against Fraction pairs."""
 
     @pytest.mark.parametrize("left", OPERAND_KINDS)
     @pytest.mark.parametrize("right", OPERAND_KINDS)
