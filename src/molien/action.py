@@ -94,10 +94,13 @@ def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
 
     The monomial images are walked only along the ladder ancestors of f's
-    monomials (the first links), so the cost follows the terms of f, not
-    the basis sizes. The terms of f are read off their images degree by
-    degree, in the order of f's terms within a degree. No coefficient is
-    dropped by the float tolerance.
+    monomials (the first links), so the products follow the terms of f.
+    The full monomial_ladder(n, deg f) is built first, though: every
+    monomial of every degree up to deg f, with n links each. Its cost
+    grows with the basis sizes up to deg f and is nearly all of the time
+    for f = sum x_i^d at n = 8, d = 14. The terms of f are read off their
+    images degree by degree, in the order of f's terms within a degree.
+    No coefficient is dropped by the float tolerance.
     """
     top = max(map(sum, f.terms), default=0)
     ladder = monomial_ladder(f.n, top)

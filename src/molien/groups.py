@@ -20,8 +20,8 @@ class FiniteMatrixGroup:
     is part of the contract: float-backend averaging sums over the
     conjugacy classes listed by their first element in this order.
     right[i][s] is the index of elements[i] @ generators()[s], and
-    inverse_of[i] the index of the inverse of elements[i]; close_group
-    reads the inverses off right and confirms each with a product.
+    inverse_of[i] the index of the inverse of elements[i], which is its
+    conjugate transpose.
     """
 
     __slots__ = ("n", "elements", "inverse_of", "generator_indices", "right", "backend", "_classes")
@@ -143,11 +143,11 @@ def close_group(
 
     Generators are applied on the right in input order, which fixes the
     discovery order. Each element times each generator is one product and
-    one lookup, recorded in the right-multiplication table. Inverses are
-    read off that table by integer lookups, and one product per inverse
-    pair confirms them. Raises ValidationError for an empty list,
-    mismatched or non-unitary generators, or an inverse that does not
-    confirm, and ClosureOverflowError when the closure would exceed
+    one lookup, recorded in the right-multiplication table. Each inverse
+    pair {g, g^H} costs one more lookup and no product. Raises
+    ValidationError for an empty list, mismatched or non-unitary
+    generators, or an element whose conjugate transpose is not in the
+    closure, and ClosureOverflowError when the closure would exceed
     max_order elements.
     """
     if not generators:
@@ -164,8 +164,7 @@ def close_group(
             raise ValidationError(f"generator {pos} is not unitary")
 
     index = _ElementIndex(backend, n)
-    identity = SquareMatrix.identity(n, backend)
-    index.add(identity)
+    index.add(SquareMatrix.identity(n, backend))
     # elements are visited in index order, so right[i] is filled at visit i
     right = []
     while len(right) < len(index.elements):
@@ -184,62 +183,19 @@ def close_group(
     elements = index.elements
     # identity @ g is g
     generator_indices = right[0]
-    inverse_of = _inverse_table(right)
-
-    # confirm each inverse pair with one product: AB = I gives BA = I
-    for i, j in enumerate(inverse_of):
-        if j < i and inverse_of[j] == i:
+    # every element is unitary, so its inverse is its conjugate transpose,
+    # and (g^H)^H = g makes one lookup serve the pair
+    inverse_of = [None] * len(elements)
+    for i, element in enumerate(elements):
+        if inverse_of[i] is not None:
             continue
-        if not (elements[i] @ elements[j]).equals(identity):
+        j = index.find(element.conj_transpose())
+        if j is None:
             raise ValidationError(f"element {i} has no inverse in the closure")
+        inverse_of[i] = j
+        inverse_of[j] = i
 
     return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, right, backend)
-
-
-def _discoveries(right):
-    """(p, s, i) for each element i > 0, in discovery order: g_i = g_p s.
-
-    The closure fills right row by row, so the first entry of i in
-    row-major order is where it was found, and p < i.
-    """
-    seen = bytearray(len(right))
-    seen[0] = 1
-    for p, row in enumerate(right):
-        for s, i in enumerate(row):
-            if not seen[i]:
-                seen[i] = 1
-                yield p, s, i
-
-
-def _inverse_table(right) -> list:
-    """Index of each element's inverse, by lookups along the discovery tree.
-
-    Left-multiplication by any h commutes with the right-multiplications
-    that built the tree: with g_i = g_p s, h g_i = (h g_p) s. So the table
-    of left-multiplication by s^-1 is left[i] = right[left[p]][s], started
-    at the index of s^-1, the power of s just before its powers return to
-    the identity; and g_i^-1 = s^-1 g_p^-1 is left[inv[p]] on that table.
-    """
-    order = len(right)
-    lefts = []
-    for s, generator in enumerate(right[0]):
-        # walk 0 -> s -> s^2 -> ... back to 0, at most order steps
-        power = generator
-        for _ in range(order):
-            step = right[power][s]
-            if step == 0:
-                break
-            power = step
-        else:
-            raise ValidationError(f"element {generator} has no inverse in the closure")
-        lefts.append([power] * order)
-    for p, s, i in _discoveries(right):
-        for left in lefts:
-            left[i] = right[left[p]][s]
-    inverse_of = [0] * order
-    for p, s, i in _discoveries(right):
-        inverse_of[i] = lefts[s][inverse_of[p]]
-    return inverse_of
 
 
 def from_permutations(

@@ -9,6 +9,7 @@ reads the monomial images of molien.action.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Sequence
 
 from molien.errors import ScalarParseError, ShapeError
@@ -295,10 +296,16 @@ def _split_terms(text: str):
     return out
 
 
+# x<index> or x<index>^<exponent>, both ASCII digit strings
+_FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+
+
 def _parse_term(chunk: str, n: int):
     chunk = chunk.strip()
     if not chunk:
         raise ScalarParseError("empty term", 0)
+    if chunk.endswith("*"):
+        raise ScalarParseError(f"term {chunk!r} ends in '*'", 0)
     coeff = "1"
     negate = False
     if chunk.startswith("-x"):
@@ -320,15 +327,11 @@ def _parse_term(chunk: str, n: int):
     expo = [0] * n
     if chunk:
         for factor in chunk.split("*"):
-            if not factor.startswith("x"):
+            match = _FACTOR_RE.fullmatch(factor)
+            if match is None:
                 raise ScalarParseError(f"bad factor {factor!r}", 0)
-            if "^" in factor:
-                var, power = factor[1:].split("^", 1)
-                e = int(power)
-            else:
-                var, e = factor[1:], 1
-            idx = int(var) - 1
+            idx = int(match[1]) - 1
             if not 0 <= idx < n:
                 raise ScalarParseError(f"variable index out of range in {factor!r}", 0)
-            expo[idx] += e
+            expo[idx] += int(match[2] or 1)
     return tuple(expo), coeff, negate

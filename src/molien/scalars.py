@@ -92,7 +92,8 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
+        # values are immutable, so a real one is its own conjugate
+        return _make(self._a, -self._b, self._d) if self._b else self
 
     def is_real(self) -> bool:
         return self._b == 0
@@ -279,8 +280,11 @@ class _FloatBackend(ScalarBackend):
     INTEGER_ROUNDING_TOLERANCE = 1e-6
 
     def __init__(self, tolerance: float):
-        if not math.isfinite(tolerance) or tolerance < 0:
-            raise ValidationError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+        # a subnormal tolerance would make the closure's bin pitch underflow
+        if not math.isfinite(tolerance) or (tolerance != 0 and tolerance < sys.float_info.min):
+            raise ValidationError(
+                f"tolerance must be 0 or finite and at least {sys.float_info.min!r}, got {tolerance!r}"
+            )
         self.tolerance = float(tolerance)
 
     def _convert(self, value):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from molien import EXACT, SquareMatrix, close_group, float_backend, from_permutations
 
@@ -80,6 +81,22 @@ def g423():
     return close_group(
         from_permutations([(2, 1, 3), (2, 3, 1)]) + [SquareMatrix(d, EXACT) for d in diagonals]
     )
+
+
+def wf4():
+    """The Weyl group W(F4) of order 1152 on R^4, on the exact backend.
+
+    Reflections in (0,1,-1,0), (0,0,1,-1), (0,0,0,1) and (1,-1,-1,-1)/2:
+    three monomial generators and one dense one with entries +-1/2.
+    """
+    half = Fraction(1, 2)
+    mirrors = []
+    for normal in ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (half, -half, -half, -half)):
+        scale = Fraction(2, sum(x * x for x in normal))
+        mirrors.append(
+            [[int(i == j) - scale * normal[i] * normal[j] for j in range(4)] for i in range(4)]
+        )
+    return close_group([SquareMatrix(m, EXACT) for m in mirrors])
 
 
 def dihedral_float(m: int):

@@ -330,7 +330,7 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:validation:")
 
-    @pytest.mark.parametrize("flag", ["-1", "nan"])
+    @pytest.mark.parametrize("flag", ["-1", "nan", "1e-310"])
     def test_bad_tolerance_flag(self, tmp_path, capsys, flag):
         spec = {"dimension": 1, "backend": "float", "generators": [[[-1.0]]]}
         code = main(["series", "--degree", "2", f"--tolerance={flag}", write_spec(tmp_path, spec)])

@@ -6,20 +6,27 @@ corpus group's generators, or an exact group's `molien_rational` form
 printed with `format_scalar`. A change meant to keep results the same
 leaves every digest as it is. A change meant to alter an output updates
 the digests it names; `python tests/test_golden.py` prints the current
-ones.
+ones, and `python tests/test_golden.py --check` names each case whose
+digest differs and exits 1. Neither needs pytest, so both run on any
+installed interpreter.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import argparse
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
-import pytest
+try:
+    import pytest
+except ImportError:
+    pytest = None
 
 import corpus
 from molien import format_scalar, molien_rational
@@ -273,12 +280,29 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", cases())
-def test_output_is_unchanged(case, tmp_path):
-    assert digest(case, tmp_path) == GOLDEN[case], f"{case}: output differs from the recorded one"
+if pytest is not None:
+
+    @pytest.mark.parametrize("case", cases())
+    def test_output_is_unchanged(case, tmp_path):
+        message = f"{case}: output differs from the recorded one"
+        assert digest(case, tmp_path) == GOLDEN[case], message
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the current digests, or check them.")
+    parser.add_argument(
+        "--check", action="store_true", help="name each case that differs; exit 1 if any"
+    )
+    args = parser.parse_args()
+    differs = 0
     with tempfile.TemporaryDirectory() as scratch:
         for case in cases():
-            print(f'    "{case}": "{digest(case, Path(scratch))}",')
+            value = digest(case, Path(scratch))
+            if not args.check:
+                print(f'    "{case}": "{value}",')
+            elif value != GOLDEN[case]:
+                print(f"{case}: output differs from the recorded one")
+                differs += 1
+    if args.check:
+        print(f"{differs} of {len(GOLDEN)} cases differ")
+    sys.exit(1 if differs else 0)

@@ -11,6 +11,7 @@ from molien import (
     EXACT,
     GaussianRational,
     MonomialBasis,
+    ScalarParseError,
     ShapeError,
     SparsePolynomial,
     SquareMatrix,
@@ -234,6 +235,14 @@ class TestTextForm:
     def test_parse_format_roundtrip(self, text):
         f = parse_polynomial(text, 2, EXACT)
         assert format_polynomial(f) == text
+
+    @pytest.mark.parametrize(
+        "text", ["x1^-1", "x1^a", "xa", "2*x1^2 + ", "x1^", "x1^²", "x1_0", "x0", "2*", "x1**x2"]
+    )
+    def test_malformed_term_is_a_parse_error(self, text):
+        # indices and exponents are ASCII digit strings; nothing leaks ValueError
+        with pytest.raises(ScalarParseError):
+            parse_polynomial(text, 2, EXACT)
 
     def test_format_parse_roundtrip_random(self):
         rng = random.Random(9)

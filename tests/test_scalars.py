@@ -402,9 +402,9 @@ class TestBackends:
         assert not fb.eq(1 + 0j, 1 + 1e-8j)
         assert fb.is_zero(1e-12 + 0j)
 
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf, 1e-310, 5e-324])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^tolerance"):
             float_backend(tolerance)
 
     def test_backend_identity(self):

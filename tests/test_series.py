@@ -219,6 +219,16 @@ class TestMolienRational:
                 counts[d] += counts[d - k]
         assert ints(expand_rational(numerator, denominator, 15)) == counts
 
+    def test_wf4_is_the_chevalley_product(self):
+        # a dense reflection group: degrees 2, 6, 8, 12 (Chevalley-Shephard-Todd)
+        group = corpus.wf4()
+        assert group.order == 1152
+        assert len(group.conjugacy_classes()) == 25
+        product = UnivariatePoly.one(EXACT)
+        for k in (2, 6, 8, 12):
+            product = product * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
+        assert molien_rational(group) == (UnivariatePoly.one(EXACT), product)
+
     def test_q8_matches_sloane(self):
         # Sloane (1977): (1 + lambda^6) / (1 - lambda^4)^2, here in lowest terms
         numerator, denominator = molien_rational(corpus.q8())
