@@ -7,11 +7,13 @@ built degree by degree on raw dicts: image(x^a) = image(x^(a - e_i)) * L_i,
 with x_i the first variable of x^a, so each degree needs only the images
 of the degree below. The Reynolds sweep, the class traces, the fixed
 space, induced_matrix, verify_invariant and substitute_linear all read
-these images.
+these images. The class traces read only diagonals, so their walk skips
+every entry that no descendant on the ladder can carry to a diagonal.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from molien.errors import ShapeError
@@ -38,6 +40,8 @@ class DegreeStep:
 
 def monomial_ladder(n: int, max_degree: int) -> list[DegreeStep]:
     """Bases of degrees 0..max_degree in n variables, with their links."""
+    if max_degree < 0:
+        raise ShapeError("degree must be nonnegative")
     prev = MonomialBasis(n, 0)
     ladder = [DegreeStep(prev, (), ())]
     for d in range(1, max_degree + 1):
@@ -56,13 +60,58 @@ def monomial_ladder(n: int, max_degree: int) -> list[DegreeStep]:
     return ladder
 
 
-def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[dict]]:
+def _reach_tables(ladder: list[DegreeStep]) -> list[tuple]:
+    """Per degree of the ladder, (codes, bounds, guard): which image entries reach a diagonal.
+
+    Monomial c of degree d with first variable x_i has ladder descendants
+    c + e, e only on variables <= i. Its image entry at t can feed a
+    diagonal of degree <= D, the ladder's top, only if t_j <= c_j for all
+    j > i and max(P_i, P_(i+1) - c_i) <= D - d, where P_k = t_0 + ... + t_(k-1).
+    codes[q] packs monomial q's t_j and P_k into bit fields with a guard
+    bit on top of each, bounds[j] packs monomial j's bounds with every
+    guard set, and (bounds[j] - codes[q]) & guard == guard iff none borrowed.
+    """
+    top = len(ladder) - 1
+    n = ladder[0].basis.n
+    width = top.bit_length() + 1
+
+    def field(f, value):
+        # fields 0..n-1 hold t_0..t_(n-1), fields n..2n hold P_0..P_n
+        return value << f * width
+
+    full = (1 << width - 1) - 1  # the largest value a field holds
+    ones = sum(field(f, 1) for f in range(2 * n + 1))
+    guard, unbounded = ones << width - 1, ones * full
+    # x_k raises t_k and every P_j with j > k
+    raise_by = [field(k, 1) + sum(field(n + j, 1) for j in range(k + 1, n + 1)) for k in range(n)]
+    # a source with first variable x_i keeps its own t_j for j > i and its
+    # P_(i+1), which is c_i; the slack D - d bounds P_i and is added to P_(i+1);
+    # the other fields are left at full
+    keep = [sum(field(j, full) for j in range(i + 1, n)) + field(n + i + 1, full) for i in range(n)]
+    rest = [unbounded - keep[i] - field(n + i, full) for i in range(n)]
+    pinned = [field(n + i, 1) + field(n + i + 1, 1) for i in range(n)]
+    tables = []
+    codes = [0]
+    for d, step in enumerate(ladder):
+        if d:
+            codes = [codes[p] + raise_by[i] for p, i in step.first]
+        base = [guard + rest[i] + (top - d) * pinned[i] for i in range(n)]
+        bounds = [(code & keep[i]) + base[i] for code, (_, i) in zip(codes, step.first)]
+        tables.append((codes, bounds, guard))
+    return tables
+
+
+def monomial_images(a: SquareMatrix, ladder: list[DegreeStep], reach=None) -> Iterator[list[dict]]:
     """Images of the basis monomials under a, one degree of the ladder at a time.
 
     Yields, for each degree, a list whose j-th dict maps basis positions
     to the coefficients of the image of basis monomial j. Only exact zeros
     are skipped: no coefficient is dropped by the float tolerance. Only
     the previous degree's images are kept.
+
+    Given reach, the ladder's _reach_tables, only entries that can feed a
+    diagonal on the ladder are built. Each of them gets the same terms in
+    the same order as in the full walk, so float diagonals match bit for bit.
     """
     n = a.n
     forms = [
@@ -71,10 +120,11 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[
     ]
     images = [{0: a.backend.one}]
     yield images
-    for step in ladder[1:]:
-        up = step.up
+    for d in range(1, len(ladder)):
+        up = ladder[d].up
+        codes, bounds, guard = reach[d] if reach else (None, repeat(None), None)
         nxt = []
-        for p, i in step.first:
+        for (p, i), bound in zip(ladder[d].first, bounds):
             form = forms[i]
             out: dict = {}
             for q, c in images[p].items():
@@ -83,7 +133,7 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep]) -> Iterator[list[
                     t = targets[k]
                     if t in out:
                         out[t] = out[t] + c * lk
-                    else:
+                    elif bound is None or (bound - codes[t]) & guard == guard:
                         out[t] = c * lk
             nxt.append({t: v for t, v in out.items() if v})
         images = nxt

@@ -17,7 +17,8 @@ from heapq import heapify, heappop, heappush
 from math import factorial, prod, sqrt
 from typing import Iterator
 
-from molien.action import _image_terms, dense_matrix, monomial_images, monomial_ladder
+from molien.action import _image_terms, _reach_tables, dense_matrix
+from molien.action import monomial_images, monomial_ladder
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
@@ -41,8 +42,6 @@ def reynolds_matrices(group: FiniteMatrixGroup, max_degree: int) -> Iterator[Rey
     sparse columns, in element order; the sums are scaled by 1/|G| once.
     A degree's matrix is made dense only when the iteration reaches it.
     """
-    if max_degree < 0:
-        raise ShapeError("degree must be nonnegative")
     ladder = monomial_ladder(group.n, max_degree)
     sums = [[{} for _ in step.basis.monomials] for step in ladder]
     for element in group.elements:
@@ -72,13 +71,21 @@ def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
 
     Tr rho_d(g) is a class function, so each class adds its size times the
     trace at its first element, read from the diagonals of that element's
-    monomial images; the sums are scaled by 1/|G| once.
+    monomial images; the sums are scaled by 1/|G| once. The images are
+    walked with the ladder's reach tables, so only entries that can feed a
+    diagonal up to max_degree are built, and every diagonal is the full
+    walk's bit for bit.
     """
-    ladder = monomial_ladder(group.n, max_degree)
+    return _class_traces(group, monomial_ladder(group.n, max_degree))
+
+
+def _class_traces(group: FiniteMatrixGroup, ladder: list) -> list[int]:
+    """reynolds_traces on a ladder already built."""
+    reach = _reach_tables(ladder)
     backend = group.backend
-    sums = [backend.zero] * (max_degree + 1)
+    sums = [backend.zero] * len(ladder)
     for members in group.conjugacy_classes():
-        walk = monomial_images(group.elements[members[0]], ladder)
+        walk = monomial_images(group.elements[members[0]], ladder, reach)
         for d, images in enumerate(walk):
             trace = backend.zero
             for j, image in enumerate(images):
@@ -103,11 +110,8 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
 
 
-def _generator_images(group: FiniteMatrixGroup, max_degree: int) -> Iterator[tuple]:
-    """Per degree 0..max_degree: the basis and each generator's monomial images."""
-    if max_degree < 0:
-        raise ShapeError("degree must be nonnegative")
-    ladder = monomial_ladder(group.n, max_degree)
+def _generator_images(group: FiniteMatrixGroup, ladder: list) -> Iterator[tuple]:
+    """Per degree of the ladder: the basis and each generator's monomial images."""
     walks = [monomial_images(s, ladder) for s in group.generators()]
     for step, images in zip(ladder, zip(*walks)):
         yield step.basis, images
@@ -179,10 +183,15 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
 
 def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
     """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
+    return _fixed_space_dimensions(group, monomial_ladder(group.n, max_degree))
+
+
+def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: list) -> list[int]:
+    """fixed_space_dimensions on a ladder already built."""
     backend = group.backend
     return [
         len(basis) - len(_eliminate(images, basis, backend)[1])
-        for basis, images in _generator_images(group, max_degree)
+        for basis, images in _generator_images(group, ladder)
     ]
 
 
@@ -198,7 +207,7 @@ def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial
     backend the vectors are mapped back by W and row-reduced into that
     form.
     """
-    for basis, images in _generator_images(group, d):
+    for basis, images in _generator_images(group, monomial_ladder(group.n, d)):
         pass
     backend = group.backend
     weights, pivots = _eliminate(images, basis, backend)

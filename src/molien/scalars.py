@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -193,6 +194,9 @@ _EXACT_ZERO = _make(0, 0, 1)
 _EXACT_ONE = _make(1, 0, 1)
 
 DEFAULT_TOLERANCE = 1e-9
+# the strings read with float(): ASCII decimal literals only, so no spaces,
+# "_", "+", nan or inf; every other string goes through the exact grammar
+_FLOAT_LITERAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 class ScalarBackend:
@@ -294,11 +298,13 @@ class _FloatBackend(ScalarBackend):
             if isinstance(value, GaussianRational):
                 return complex(float(value.re), float(value.im))
             if isinstance(value, str):
-                try:
-                    return complex(float(value))
-                except ValueError:
-                    exact = parse_scalar(value)
-                    return complex(float(exact.re), float(exact.im))
+                if _FLOAT_LITERAL.fullmatch(value):
+                    x = float(value)
+                    if math.isinf(x):
+                        raise OverflowError
+                    return complex(x)
+                exact = parse_scalar(value)
+                return complex(float(exact.re), float(exact.im))
         except OverflowError:
             name = type(value).__name__
             raise BackendError(f"{name} value is too large for a float scalar") from None

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from molien.action import monomial_ladder
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
-from molien.invariants import fixed_space_dimensions, reynolds_traces
+from molien.invariants import _class_traces, _fixed_space_dimensions
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
 from molien.scalars import ScalarBackend
 
@@ -200,8 +201,9 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     consistency errors (non-integer traces or coefficients) do propagate.
     """
     report = molien_series(group, max_degree)
-    trace_values = reynolds_traces(group, max_degree)
-    rank_values = fixed_space_dimensions(group, max_degree)
+    ladder = monomial_ladder(group.n, max_degree)
+    trace_values = _class_traces(group, ladder)
+    rank_values = _fixed_space_dimensions(group, ladder)
     series_values = report.per_method["series"]
     report.per_method["trace"] = trace_values
     report.per_method["rank"] = rank_values

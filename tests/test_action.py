@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import sympy as sp
 import corpus
 from molien import (
     EXACT,
+    GaussianRational,
     MonomialBasis,
     ShapeError,
     SquareMatrix,
@@ -20,6 +22,7 @@ from molien import (
     induced_matrix,
     series_reciprocal,
 )
+from molien.action import _reach_tables, monomial_images, monomial_ladder
 from oracles import sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
@@ -157,3 +160,101 @@ class TestActionLaws:
             for d in range(7):
                 induced = induced_matrix(element, MonomialBasis(group.n, d))
                 assert induced.trace() == expansion.coeffs[d]
+
+
+def passes(reach, d):
+    """The (source, target) positions of degree d that the reach tables keep."""
+    codes, bounds, guard = reach[d]
+    return {
+        (j, q)
+        for j, bound in enumerate(bounds)
+        for q, code in enumerate(codes)
+        if (bound - code) & guard == guard
+    }
+
+
+def diagonals(walk):
+    return [[image.get(j) for j, image in enumerate(images)] for images in walk]
+
+
+def traces(diagonals, backend):
+    """Per degree, the diagonal sum in basis order, as the class traces add it."""
+    sums = []
+    for row in diagonals:
+        trace = backend.zero
+        for x in row:
+            if x is not None:
+                trace = trace + x
+        sums.append(trace)
+    return sums
+
+
+class TestPrunedWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rule_is_the_backward_closure_of_the_diagonals(self, n):
+        # for a dense matrix, entry (j, q) of degree d feeds the entries
+        # (j', q + e_k) of every child j' of j and every k; the entries that
+        # reach a diagonal of degree <= D are closed backwards from them
+        for top in range(7):
+            ladder = monomial_ladder(n, top)
+            reach = _reach_tables(ladder)
+            closure = {(j, j) for j in range(len(ladder[top].basis))}
+            for d in range(top, 0, -1):
+                assert passes(reach, d) == closure
+                step = ladder[d]
+                closure = {(j, j) for j in range(len(ladder[d - 1].basis))} | {
+                    (step.first[child][0], q)
+                    for child, t in closure
+                    for q, targets in enumerate(step.up)
+                    if t in targets
+                }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, top", [(2, 9), (3, 7), (4, 6)])
+    def test_diagonals_equal_the_full_walk(self, n, top, seed):
+        # dense, not unitary: exact over Q(i), and complex floats whose
+        # sums must agree bit for bit, so == on both backends
+        rng = random.Random(seed)
+        ladder = monomial_ladder(n, top)
+        reach = _reach_tables(ladder)
+        exact = SquareMatrix(
+            [
+                [
+                    GaussianRational(
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ],
+            EXACT,
+        )
+        floats = SquareMatrix(
+            [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)],
+            float_backend(),
+        )
+        for a in (exact, floats):
+            full = diagonals(monomial_images(a, ladder))
+            pruned = diagonals(monomial_images(a, ladder, reach))
+            assert pruned == full
+            assert traces(pruned, a.backend) == traces(full, a.backend)
+
+    def test_dense_wf4_generator_entry_counts(self):
+        # the reflection in (1,-1,-1,-1)/2, at D = 12
+        s = corpus.wf4().generators()[3]
+        assert {(abs(x.re), x.im) for row in s.rows for x in row} == {(Fraction(1, 2), 0)}
+        ladder = monomial_ladder(4, 12)
+        reach = _reach_tables(ladder)
+        kept = sum(len(image) for images in monomial_images(s, ladder, reach) for image in images)
+        assert kept == 14_218
+        # the rule allows 15 528 entries for any dense 4x4 matrix; here the
+        # other 1 310 cancel exactly
+        assert 1 + sum(len(passes(reach, d)) for d in range(1, 13)) == 15_528
+        # the entries are +-1/2, so the float images are dyadic and exact:
+        # the full walk's nonzero entries counted on the quicker backend
+        halves = SquareMatrix([[float(x.re) for x in row] for row in s.rows], float_backend())
+        full = sum(len(image) for images in monomial_images(halves, ladder) for image in images)
+        assert full == 489_012
+        walk = monomial_images(halves, ladder, reach)
+        assert sum(len(image) for images in walk for image in images) == kept

@@ -196,12 +196,13 @@ class TestVerifyCommand:
     def test_mismatch_names_each_disagreeing_degree(self, monkeypatch, capsys, bumped, message):
         import molien.series
 
-        honest = molien.series.fixed_space_dimensions
+        honest = molien.series._fixed_space_dimensions
 
-        def off_by_one(group, max_degree):
-            return [r + (d in bumped) for d, r in enumerate(honest(group, max_degree))]
+        def off_by_one(group, ladder):
+            return [r + (d in bumped) for d, r in enumerate(honest(group, ladder))]
 
-        monkeypatch.setattr(molien.series, "fixed_space_dimensions", off_by_one)
+        # cross_check hands its one ladder to the rank column's private helper
+        monkeypatch.setattr(molien.series, "_fixed_space_dimensions", off_by_one)
         argv = ["verify", "--degree", "3", "--perm", "(1 2)(3)", "--perm", "(1 2 3)"]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -358,6 +359,23 @@ class TestErrorPaths:
         assert err.startswith("error:validation:")
         assert "too large for a float scalar" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["-1_0", " -1 ", "nan", "-inf", "+1", "-\u0661"])
+    def test_float_string_outside_the_literal_grammars(self, tmp_path, capsys, entry):
+        # float() would read each of these; a float spec string must be an
+        # ASCII decimal literal or an exact scalar literal
+        spec = {"dimension": 1, "backend": "float", "generators": [[[entry]]]}
+        code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:parse:")
+        assert err.count("error:") == err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["-1", "-1.0", "-1e0", "-.1E1", "-2/2"])
+    def test_float_string_literals_are_read(self, tmp_path, capsys, entry):
+        spec = {"dimension": 1, "backend": "float", "generators": [[[entry]]]}
+        assert main(["series", "--degree", "2", write_spec(tmp_path, spec)]) == 0
+        assert capsys.readouterr().out == "group_order = 2\na = [1, 0, 1]\n"
 
     @pytest.mark.parametrize("key", ["dimension", "max_group_order"])
     def test_boolean_integers_rejected(self, tmp_path, capsys, key):

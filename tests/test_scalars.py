@@ -384,13 +384,15 @@ class TestBackends:
         fb = float_backend()
         assert fb.coerce(1) == 1 + 0j
         assert fb.coerce("0.25") == 0.25 + 0j
+        assert fb.coerce("-1e-3") == -0.001 + 0j
+        assert fb.coerce(".5") == fb.coerce("5.e-1") == fb.coerce("1/2") == 0.5 + 0j
         assert fb.coerce("1/2-i") == 0.5 - 1j
         assert fb.coerce(G(Fraction(1, 4), -2)) == 0.25 - 2j
 
     @pytest.mark.parametrize(
         "value",
-        [10**400, -(10**400), Fraction(10**400, 3), G(1, Fraction(10**400, 7))],
-        ids=["int", "negative-int", "fraction", "gaussian"],
+        [10**400, -(10**400), Fraction(10**400, 3), G(1, Fraction(10**400, 7)), "-1e400"],
+        ids=["int", "negative-int", "fraction", "gaussian", "decimal-string"],
     )
     def test_float_coercion_overflow_is_a_backend_error(self, value):
         with pytest.raises(BackendError, match="too large for a float scalar"):

@@ -394,6 +394,14 @@ class TestCrossCheck:
             assert report.per_method["trace"] == [1]
             assert report.per_method["rank"] == [1]
 
+    def test_wf4_three_columns_are_the_chevalley_coefficients(self):
+        # a dense reflection group with degrees 2, 6, 8, 12: [lambda^d] of
+        # 1/prod(1 - lambda^k) counts the ways to write d with those parts
+        report = cross_check(corpus.wf4(), 10)
+        expected = [1, 0, 1, 0, 1, 0, 2, 0, 3, 0, 3]
+        assert report.per_method == {"series": expected, "trace": expected, "rank": expected}
+        assert report.all_agree()
+
     def test_agreement_flags_shape(self):
         report = cross_check(corpus.s2(), 3)
         assert len(report.agreement) == 4
