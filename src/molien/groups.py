@@ -7,7 +7,7 @@ import re
 from typing import Sequence
 
 from molien.errors import ClosureOverflowError, ValidationError
-from molien.matrices import SquareMatrix
+from molien.matrices import SquareMatrix, _nonzero_terms, _row_product, _trusted
 from molien.scalars import EXACT, ScalarBackend, check_same_backend
 
 DEFAULT_MAX_ORDER = 10000
@@ -21,7 +21,7 @@ class FiniteMatrixGroup:
     conjugacy classes listed by their first element in this order.
     right[i][s] is the index of elements[i] @ generators()[s], and
     inverse_of[i] the index of the inverse of elements[i], which is its
-    conjugate transpose.
+    conjugate transpose. Elements share one row tuple per (position, row).
     """
 
     __slots__ = ("n", "elements", "inverse_of", "generator_indices", "right", "backend", "_classes")
@@ -85,55 +85,59 @@ class FiniteMatrixGroup:
 
 
 class _ElementIndex:
-    """Identity lookup for discovered elements.
+    """Identity lookup for row points: a row at a row position j < n.
 
-    Tolerance 0 (always so on the exact backend): a dict on the entry
-    tuples. Positive tolerance: elements are binned by the fixed real
-    projection s(M) = sum_k w_k * x_k over the real and imaginary parts
-    x_k of the entries, with weights w_k in (0, 1). Entrywise equality
-    within the tolerance t moves s by at most t * sum(w); the bin pitch
-    is twice that, leaving room for rounding in s, so equal matrices land
-    in the same or adjacent bins, and find checks those three entrywise.
+    Rows at different positions never match, so two rows of one element
+    stay apart however coarse the tolerance. Tolerance 0 (always so on the
+    exact backend): a dict on (position, row). Positive tolerance: rows are
+    binned per position by the real projection s(r) = sum_k w_k * x_k over
+    the real and imaginary parts x_k of the n entries, weights w_k in (0, 1).
+    Entrywise equality within the tolerance t moves s by at most t * sum(w);
+    the bin pitch is twice that, leaving room for rounding in s, so equal
+    rows land in the same or adjacent bins, and find checks those three.
     """
 
     def __init__(self, backend: ScalarBackend, n: int):
-        self.elements: list[SquareMatrix] = []
+        self.points: list[tuple[int, tuple]] = []
         self.table: dict = {}
+        self.backend = backend
         self.binned = backend.tolerance > 0
         if self.binned:
             # fractional parts of multiples of the golden ratio: distinct,
             # with no small integer relations between them
             golden = (math.sqrt(5) - 1) / 2
-            self.weights = [(k * golden) % 1.0 for k in range(1, 2 * n * n + 1)]
-            self.pitch = 2 * backend.tolerance * sum(self.weights)
+            w = [(k * golden) % 1.0 for k in range(1, 2 * n + 1)]
+            self.pitch = 2 * backend.tolerance * sum(w)
+            # Re(x * conj(w + w'i)) = w * x.real + w' * x.imag
+            self.weights = [complex(w[k], -w[k + 1]) for k in range(0, 2 * n, 2)]
 
-    def _bin(self, matrix: SquareMatrix) -> int:
-        parts = (p for row in matrix.rows for x in row for p in (x.real, x.imag))
-        return math.floor(sum(w * p for w, p in zip(self.weights, parts)) / self.pitch)
+    def _bin(self, row: tuple) -> int:
+        return math.floor(sum(map(complex.__mul__, row, self.weights)).real / self.pitch)
 
-    def find(self, matrix: SquareMatrix) -> int | None:
-        """Smallest index of a known element equal to matrix, or None."""
+    def find(self, position: int, row: tuple) -> int | None:
+        """Smallest index of a known point equal to row at position, or None."""
         if not self.binned:
-            return self.table.get(matrix.rows)
-        b = self._bin(matrix)
-        return min(
-            (
-                i
-                for key in (b - 1, b, b + 1)
-                for i in self.table.get(key, ())
-                if matrix.equals(self.elements[i])
-            ),
-            default=None,
-        )
+            return self.table.get((position, row))
+        b, eq = self._bin(row), self.backend.eq
+        near = (p for k in (b - 1, b, b + 1) for p in self.table.get((position, k), ()))
+        return min((p for p in near if all(map(eq, row, self.points[p][1]))), default=None)
 
-    def add(self, matrix: SquareMatrix) -> int:
-        index = len(self.elements)
-        self.elements.append(matrix)
+    def add(self, position: int, row: tuple) -> int:
+        """Index of the point row at position, which find has not found."""
+        point = len(self.points)
+        self.points.append((position, row))
         if self.binned:
-            self.table.setdefault(self._bin(matrix), []).append(index)
+            self.table.setdefault((position, self._bin(row)), []).append(point)
         else:
-            self.table.setdefault(matrix.rows, index)
-        return index
+            self.table[position, row] = point
+        return point
+
+    def step(self, point: int, terms: tuple) -> int:
+        """Index of the point's row times a matrix, given its nonzero terms per row."""
+        position, row = self.points[point]
+        row = _row_product(row, terms, self.backend.zero)
+        found = self.find(position, row)
+        return self.add(position, row) if found is None else found
 
 
 def close_group(
@@ -142,13 +146,14 @@ def close_group(
     """Close a generator list under multiplication, breadth-first from the identity.
 
     Generators are applied on the right in input order, which fixes the
-    discovery order. Each element times each generator is one product and
-    one lookup, recorded in the right-multiplication table. Each inverse
-    pair {g, g^H} costs one more lookup and no product. Raises
-    ValidationError for an empty list, mismatched or non-unitary
-    generators, or an element whose conjugate transpose is not in the
-    closure, and ClosureOverflowError when the closure would exceed
-    max_order elements.
+    discovery order. Row j of g @ s is (row j of g) @ s, so an element is
+    keyed by its n row points (see _ElementIndex), and times generator s
+    maps them through a table of s, filled with one row product per (point,
+    generator) on first use. Each table entry is then one int-tuple lookup,
+    and each inverse pair {g, g^H} n row lookups and one key lookup. Raises
+    ValidationError for an empty list, mismatched or non-unitary generators,
+    or an element whose conjugate transpose is not in the closure, and
+    ClosureOverflowError when the closure would exceed max_order elements.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
@@ -164,38 +169,41 @@ def close_group(
             raise ValidationError(f"generator {pos} is not unitary")
 
     index = _ElementIndex(backend, n)
-    index.add(SquareMatrix.identity(n, backend))
+    keys = [tuple(map(index.add, range(n), SquareMatrix.identity(n, backend).rows))]
+    found_at = {keys[0]: 0}
+    steps = [(g._terms or _nonzero_terms(g.rows), {}) for g in generators]
     # elements are visited in index order, so right[i] is filled at visit i
     right = []
-    while len(right) < len(index.elements):
-        current = index.elements[len(right)]
-        row = []
-        for g in generators:
-            product = current @ g
-            found = index.find(product)
+    while len(right) < len(keys):
+        key = keys[len(right)]
+        products = []
+        for terms, step in steps:
+            image = tuple([step[p] if p in step else step.setdefault(p, index.step(p, terms))
+                           for p in key])
+            found = found_at.get(image)
             if found is None:
-                if len(index.elements) + 1 > max_order:
+                if len(keys) >= max_order:
                     raise ClosureOverflowError(max_order)
-                found = index.add(product)
-            row.append(found)
-        right.append(tuple(row))
+                found = found_at[image] = len(keys)
+                keys.append(image)
+            products.append(found)
+        right.append(tuple(products))
 
-    elements = index.elements
-    # identity @ g is g
-    generator_indices = right[0]
-    # every element is unitary, so its inverse is its conjugate transpose,
-    # and (g^H)^H = g makes one lookup serve the pair
+    elements = [_trusted(tuple([index.points[p][1] for p in key]), backend) for key in keys]
+    # elements are unitary, so g^-1 = g^H, and (g^H)^H = g makes one lookup serve
+    # the pair; a row of g^H that is no known point puts None in the key
     inverse_of = [None] * len(elements)
-    for i, element in enumerate(elements):
-        if inverse_of[i] is not None:
-            continue
-        j = index.find(element.conj_transpose())
-        if j is None:
-            raise ValidationError(f"element {i} has no inverse in the closure")
-        inverse_of[i] = j
-        inverse_of[j] = i
+    conj_rows = [tuple([x.conjugate() for x in row]) for _, row in index.points]
+    for i, key in enumerate(keys):
+        if inverse_of[i] is None:
+            columns = enumerate(zip(*[conj_rows[p] for p in key]))
+            j = found_at.get(tuple(index.find(k, column) for k, column in columns))
+            if j is None:
+                raise ValidationError(f"element {i} has no inverse in the closure")
+            inverse_of[i], inverse_of[j] = j, i
 
-    return FiniteMatrixGroup(n, elements, inverse_of, generator_indices, right, backend)
+    # identity @ g is g, so right[0] holds the generator indices
+    return FiniteMatrixGroup(n, elements, inverse_of, right[0], right, backend)
 
 
 def from_permutations(

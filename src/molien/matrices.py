@@ -45,39 +45,14 @@ class SquareMatrix:
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), backend
         )
 
-    def _check_compatible(self, other: "SquareMatrix") -> None:
+    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
+        """Product that does work only on nonzero entries, one _row_product per row."""
         if self.n != other.n:
             raise ShapeError(f"dimension mismatch: {self.n} vs {other.n}")
         check_same_backend(self.backend, other.backend)
-
-    def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        """Product that does work only on nonzero entries.
-
-        Row i of the result gathers a_ik * b_kj over the nonzero a_ik of
-        row i and the nonzero b_kj of row k, in increasing k, so each
-        entry adds the same nonzero terms in the same order as a dense
-        dot product would. Only exact zeros are skipped, never values
-        under the float tolerance.
-        """
-        self._check_compatible(other)
-        n = self.n
+        terms = other._terms or _nonzero_terms(other.rows)
         zero = self.backend.zero
-        other_rows = other._terms
-        if other_rows is None:
-            other_rows = _nonzero_terms(other.rows)
-        rows = []
-        for row in self.rows:
-            acc = [None] * n
-            for a, terms in zip(row, other_rows):
-                if a:
-                    for j, b in terms:
-                        v = acc[j]
-                        if v is None:
-                            acc[j] = a * b
-                        else:
-                            acc[j] = v + a * b
-            rows.append(tuple([zero if v is None else v for v in acc]))
-        return _trusted(tuple(rows), self.backend)
+        return _trusted(tuple([_row_product(row, terms, zero) for row in self.rows]), self.backend)
 
     def conj_transpose(self) -> "SquareMatrix":
         return _trusted(
@@ -134,6 +109,22 @@ def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
     out.backend = backend
     out._terms = None
     return out
+
+
+def _row_product(row: tuple, terms: tuple, zero) -> tuple:
+    """Row vector times the matrix with nonzero (column, entry) pairs terms per row.
+
+    Entry j adds a_k * b_kj over the nonzero a_k and b_kj in increasing k:
+    the nonzero terms of a dense dot product, in its order. Only exact
+    zeros are skipped, never values under the float tolerance.
+    """
+    acc = [None] * len(terms)
+    for a, row_terms in zip(row, terms):
+        if a:
+            for j, b in row_terms:
+                v = acc[j]
+                acc[j] = a * b if v is None else v + a * b
+    return tuple([zero if v is None else v for v in acc])
 
 
 def _nonzero_terms(rows: tuple) -> tuple:

@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the package's own arithmetic: sympy
 symbolics for series and induced actions, itertools brute force for
-counting. Expected values frozen into tests were produced by these.
+counting. Expected values frozen into tests were produced by these. The
+one exception is reference_closure, a reference for the closure
+algorithm rather than its arithmetic: it multiplies with the package's
+own matrix product.
 """
 
 from __future__ import annotations
@@ -11,7 +14,42 @@ import itertools
 
 import sympy as sp
 
+from molien import SquareMatrix
+
 LAM = sp.symbols("lam")
+
+
+def reference_closure(generators):
+    """Breadth-first closure on whole matrices: (elements, right, inverse_of, generator_indices).
+
+    Each element times each generator, in order, is one full matrix
+    product, looked up among the known elements: by its entry tuple on
+    the exact backend, by a linear scan for the first tolerance-equal
+    element on the float backend. Each inverse is the element found for
+    the conjugate transpose.
+    """
+    backend = generators[0].backend
+    elements = [SquareMatrix.identity(generators[0].n, backend)]
+    position = {elements[0].rows: 0}
+
+    def find(matrix):
+        if backend.is_exact:
+            return position.get(matrix.rows)
+        return next((i for i, e in enumerate(elements) if e.equals(matrix)), None)
+
+    right = []
+    while len(right) < len(elements):
+        row = []
+        for g in generators:
+            product = elements[len(right)] @ g
+            found = find(product)
+            if found is None:
+                found = position[product.rows] = len(elements)
+                elements.append(product)
+            row.append(found)
+        right.append(tuple(row))
+    inverse_of = [find(e.conj_transpose()) for e in elements]
+    return elements, right, inverse_of, right[0]
 
 
 def to_sympy(matrix) -> sp.Matrix:

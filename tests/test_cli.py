@@ -152,6 +152,19 @@ class TestVerifyCommand:
         assert code == 2
         assert out.rstrip().endswith("MISMATCH")
 
+    def test_tolerance_breach_is_one_mismatch_line(self, tmp_path, capsys):
+        # the rotation closes to order 1 at tolerance 1.5 (its rows match
+        # the identity's at their own positions), so the series disagrees
+        spec = {
+            "dimension": 2,
+            "backend": "float",
+            "generators": [[[0.0, -1.0], [1.0, 0.0]]],
+            "tolerance": 1.5,
+        }
+        assert main(["verify", "--degree", "2", write_spec(tmp_path, spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:mismatch:") and err.count("\n") == 1
+
     def test_coarse_tolerance_still_verifies_c4(self, tmp_path, capsys):
         # the rank rows are scaled to be unitary, so a tolerance of 0.6 keeps
         # every true pivot of the C4 rotation

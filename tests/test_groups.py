@@ -17,7 +17,9 @@ from molien import (
     from_permutations,
     permutation_from_cycles,
 )
+from molien import groups as groups_module
 from molien.groups import _ElementIndex
+from oracles import reference_closure
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
 
@@ -113,19 +115,44 @@ class TestClosure:
     def test_products_are_table_entries_and_inverse_pairs(self, monkeypatch):
         generators = from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)])
         group = close_group(generators)
-        products = []
-        matmul = SquareMatrix.__matmul__
+        products, row_products = [], []
+        matmul, row_product = SquareMatrix.__matmul__, groups_module._row_product
 
         def counting_matmul(self, other):
             products.append(1)
             return matmul(self, other)
 
+        def counting_row_product(*args):
+            row_products.append(1)
+            return row_product(*args)
+
         monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(groups_module, "_row_product", counting_row_product)
         close_group(generators)
-        # one product per table entry and one unitarity check per
-        # generator; each inverse pair is one lookup and no product
+        # the only matrix products are the unitarity checks, one per
+        # generator; every (row point, generator) pair is one row product,
+        # made once, and the table entries and inverse pairs are lookups
+        row_points = {(j, row) for g in group.elements for j, row in enumerate(g.rows)}
         assert group.order == 24
-        assert len(products) == group.order * len(generators) + len(generators)
+        assert len(row_points) == 16
+        assert len(products) == len(generators)
+        assert len(row_products) == len(row_points) * len(generators)
+
+    def test_rows_are_shared_between_elements(self):
+        group = corpus.s4()
+        rows = {id(row) for g in group.elements for row in g.rows}
+        assert len(rows) == 16
+
+    def test_symmetric_seven_closes_at_max_order(self):
+        generators = from_permutations([(2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1)])
+        assert close_group(generators, max_order=5040).order == 5040
+        with pytest.raises(ClosureOverflowError):
+            close_group(generators, max_order=5039)
+
+    def test_weyl_f4_order_and_classes(self):
+        group = corpus.wf4()
+        assert group.order == 1152
+        assert len(group.conjugacy_classes()) == 25
 
     def test_element_whose_conjugate_transpose_is_missing_has_no_inverse(self, monkeypatch):
         # g squares to the identity, but g^H = [[0, 1/2], [2, 0]] is not g
@@ -189,6 +216,12 @@ def as_permutation(matrix) -> tuple[int, ...]:
     return tuple(
         next(k for k in range(matrix.n) if matrix.rows[k][i]) for i in range(matrix.n)
     )
+
+
+def g414_generators():
+    """G(4,1,4) of order 6144: S4's transposition and 4-cycle, and diag(i, 1, 1, 1)."""
+    diagonal = [["i", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)]) + [SquareMatrix(diagonal, EXACT)]
 
 
 def table_groups():
@@ -291,23 +324,64 @@ class TestFloatElementIdentity:
         shift = complex(0.7e-9, 0.7e-9) / math.sqrt(2)
         for step in range(200):
             angle = 0.01 * step
-            rows = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-            matrix = SquareMatrix(rows, fb)
-            moved = SquareMatrix([[x + shift for x in row] for row in rows], fb)
-            if index._bin(moved) != index._bin(matrix):
+            row = (complex(math.cos(angle)), complex(-math.sin(angle)))
+            moved = tuple(x + shift for x in row)
+            if index._bin(moved) != index._bin(row):
                 break
         else:
-            pytest.fail("no rotation in the sweep crosses a bin boundary")
-        position = index.add(matrix)
-        assert moved.equals(matrix)
-        assert index.find(moved) == position
-        assert index.find(SquareMatrix([[-x for x in row] for row in rows], fb)) is None
+            pytest.fail("no row in the sweep crosses a bin boundary")
+        point = index.add(0, row)
+        assert all(fb.eq(a, b) for a, b in zip(moved, row))
+        assert index.find(0, moved) == point
+        # the same row at another position is another point
+        assert index.find(1, row) is None
+        assert index.find(0, tuple(-x for x in row)) is None
+
+    def test_coarse_tolerance_keeps_the_rows_of_an_element_apart(self):
+        # at tolerance 1.5, e1 and e2 are equal entrywise, and so are the
+        # rotation and the identity; rows at different positions never
+        # merge, so the identity stays exact and the group has order 1
+        fb = float_backend(1.5)
+        group = close_group([SquareMatrix(corpus.ROTATION, fb)])
+        assert group.order == 1
+        assert group.elements[0] == SquareMatrix.identity(2, fb)
+        assert group.right == ((0,),)
+        assert group.inverse_of == (0,)
 
     def test_separation_above_tolerance_distinguishes(self):
         fb = float_backend(1e-9)
         a = SquareMatrix([[1, 0], [0, 1]], fb)
         b = SquareMatrix([[1, 0], [0, -1]], fb)
         assert close_group([a, b]).order == 2
+
+
+class TestReferenceClosure:
+    """close_group against the whole-matrix closure of oracles.reference_closure."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [group.generators() for group in table_groups()],
+            lambda: [corpus.s6().generators()],
+            lambda: [g414_generators()],
+            lambda: [corpus.wf4().generators()],
+            lambda: [corpus.h3_float().generators()],
+            lambda: [corpus.dihedral_float(60).generators()],
+        ],
+        ids=["table-groups", "S6", "G(4,1,4)", "W(F4)", "H3-float", "D60-float"],
+    )
+    def test_same_elements_order_and_tables(self, build):
+        for generators in build():
+            group = close_group(generators)
+            elements, right, inverse_of, generator_indices = reference_closure(generators)
+            assert group.order == len(elements)
+            if group.backend.is_exact:
+                assert list(group.elements) == elements
+            else:
+                assert all(a.equals(b) for a, b in zip(group.elements, elements))
+            assert group.right == tuple(right)
+            assert group.inverse_of == tuple(inverse_of)
+            assert group.generator_indices == generator_indices
 
 
 class TestPermutations:

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import corpus
 from molien import (
     EXACT,
     BackendError,
@@ -22,6 +23,7 @@ from molien import (
     parse_scalar,
     row_reduce,
 )
+from molien import groups
 from molien.matrices import _trusted, poly_divmod, poly_gcd
 
 R = [[0, -1], [1, 0]]  # rotation by pi/2
@@ -163,23 +165,28 @@ class TestZeroAwareProduct:
             left = SquareMatrix([[rng.choice(entries) for _ in range(4)] for _ in range(4)], backend) @ reused
 
     def test_monomial_products_make_n_multiplications(self, monkeypatch):
-        products, multiplications = [], []
-        matmul, mul = SquareMatrix.__matmul__, GaussianRational.__mul__
+        # closure multiplies rows by generators: against a monomial
+        # generator each row product makes at most n multiplications, dense
+        # rows of W(F4) included
+        monomial_counts, multiplications = [], []
+        row_product, mul = groups._row_product, GaussianRational.__mul__
 
-        def counting_matmul(self, other):
-            products.append(1)
-            return matmul(self, other)
+        def counting_row_product(row, terms, zero):
+            before = len(multiplications)
+            out = row_product(row, terms, zero)
+            if all(len(row_terms) == 1 for row_terms in terms):
+                monomial_counts.append(len(multiplications) - before)
+            return out
 
         def counting_mul(self, other):
             multiplications.append(1)
             return mul(self, other)
 
-        monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        generators = corpus.wf4().generators()
+        monkeypatch.setattr(groups, "_row_product", counting_row_product)
         monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
-        group = close_group(from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)]))
-        assert group.order == 24
-        assert products
-        assert len(multiplications) <= 4 * len(products)
+        assert close_group(generators).order == 1152
+        assert max(monomial_counts) == 4
 
 
 class TestConjTranspose:
