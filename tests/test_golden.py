@@ -3,8 +3,11 @@
 Each case is the stdout of `molien verify --format json` or `molien
 invariants --format json --degree d` on a spec file written from a
 corpus group's generators, or an exact group's `molien_rational` form
-printed with `format_scalar`. A change meant to keep results the same
-leaves every digest as it is. A change meant to alter an output updates
+printed with `format_scalar`. Four float groups also pin raw binary64
+bits as `float.hex`: the complex value the class traces hand to
+`backend.count` at each degree, and the coefficients of
+`fixed_space_basis` at each degree. A change meant to keep results the
+same leaves every digest as it is. A change meant to alter an output updates
 the digests it names; `python tests/test_golden.py` prints the current
 ones, and `python tests/test_golden.py --check` names each case whose
 digest differs and exits 1. Neither needs pytest, so both run on any
@@ -31,6 +34,7 @@ except ImportError:
 import corpus
 from molien import format_scalar, molien_rational
 from molien.cli import main
+from molien.invariants import fixed_space_basis, reynolds_traces
 
 GROUPS = {
     "trivial1": lambda: corpus.trivial(1),
@@ -55,11 +59,17 @@ GROUPS = {
 }
 VERIFY_DEGREE = 8
 MAX_INVARIANT_DEGREE = 6
+# float groups whose raw trace sums and basis coefficients are pinned, to this degree
+RAW_DEGREES = {"h3_float": 8, "dihedral12_float": 16, "dihedral30_float": 16, "dihedral60_float": 16}
+RAW_ONLY = {
+    "dihedral30_float": lambda: corpus.dihedral_float(30),
+    "dihedral60_float": lambda: corpus.dihedral_float(60),
+}
 
 
 @functools.cache
 def group(name: str):
-    return GROUPS[name]()
+    return {**GROUPS, **RAW_ONLY}[name]()
 
 
 def cases() -> list[str]:
@@ -69,7 +79,37 @@ def cases() -> list[str]:
         out.extend(f"invariants-{d}/{name}" for d in range(MAX_INVARIANT_DEGREE + 1))
         if not name.endswith("_float"):
             out.append(f"rational/{name}")
+    out.extend(f"{kind}/{name}" for name in RAW_DEGREES for kind in ("raw-traces", "raw-basis"))
     return out
+
+
+def hex_complex(z: complex) -> str:
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def raw_bits(kind: str, name: str) -> str:
+    """The raw float results of a raw-traces or raw-basis case, one line per value."""
+    g, top = group(name), RAW_DEGREES[name]
+    if kind == "raw-basis":
+        return "\n".join(
+            " ".join(f"{mono}:{hex_complex(c)}" for mono, c in f.terms.items())
+            for d in range(top + 1)
+            for f in fixed_space_basis(g, d)
+        )
+    backend_class = type(g.backend)
+    count = backend_class.count
+    seen = []
+
+    def recording(self, value, what):
+        seen.append(f"{what}: {hex_complex(value)}")
+        return count(self, value, what)
+
+    backend_class.count = recording
+    try:
+        reynolds_traces(g, top)
+    finally:
+        backend_class.count = count
+    return "\n".join(seen)
 
 
 def write_spec(name: str, directory: Path) -> str:
@@ -88,6 +128,8 @@ def write_spec(name: str, directory: Path) -> str:
 
 def output(case: str, directory: Path) -> str:
     kind, name = case.split("/")
+    if kind.startswith("raw-"):
+        return raw_bits(kind, name)
     if kind == "rational":
         numerator, denominator = molien_rational(group(name))
         return "\n".join(
@@ -277,6 +319,14 @@ GOLDEN = {
     "invariants-4/h3_float": "ec1bbe39e6c5e37dd6621c32f2ec6c6927f69e358fb9d37aa6deed284c6fb5d9",
     "invariants-5/h3_float": "384a4a473fd420842ca3eb724a3cac0394bde51c65b9d6c39e36056f271dfc3a",
     "invariants-6/h3_float": "d562c564ce10d3a86922a4e0c69d8dabc894563cff968387b2347a36efda4205",
+    "raw-traces/h3_float": "970cd1ba393694abe305f69e3a709e9fc35e48d6c50b377925489846ce608931",
+    "raw-basis/h3_float": "305b6c0feb2c2ed363aec3642eec8b9c8d3cdff1e1cbb41c259e43440e4aeaad",
+    "raw-traces/dihedral12_float": "98cb61dc05068d8bb6259929ffb70dad7e9aee826f8bb05cabfdd8fda317170b",
+    "raw-basis/dihedral12_float": "1fd89b2d9fb815eef199a3cdfdc4435a9405de8f6c78b1b96875d404b9651dbd",
+    "raw-traces/dihedral30_float": "f3e94d839f63c7bdce6090a35878147dcf1ac775c4a8b5512aa17ca58419a8c4",
+    "raw-basis/dihedral30_float": "515a2a7b729ed8f66b0eb2a6526ed2ad9ae4c5aaae8821dcf8d55a1b13436a4d",
+    "raw-traces/dihedral60_float": "f801093830a976daab7b6369a4f5dba8e90f88113f2e0303dbd9e556b83323c8",
+    "raw-basis/dihedral60_float": "1a15a09ef49db378b62f4d8ee74cbf7788f4a45ce3a797340bc12ea3b6f8529a",
 }
 
 
