@@ -2,18 +2,19 @@
 
 A group element acting on variables by the unitary matrix A sends the
 linear form x_i to L_i = sum_k conj(A[k][i]) x_k, so the first induced
-matrix is the entrywise conjugate of A. Images of the basis monomials are
-built degree by degree on raw dicts: image(x^a) = image(x^(a - e_i)) * L_i,
-with x_i the first variable of x^a, so each degree needs only the images
-of the degree below. The Reynolds sweep, the class traces, the fixed
-space, induced_matrix, verify_invariant and substitute_linear all read
-these images. The class traces read only diagonals, so their walk skips
-every entry that no descendant on the ladder can carry to a diagonal.
+matrix is the entrywise conjugate of A. One walk builds the images of the
+wanted monomials degree by degree on raw dicts keyed by basis positions:
+image(x^a) = image(x^(a - e_i)) * L_i, with x_i the first variable of x^a.
+The Reynolds sweep, the fixed space and induced_matrix want every
+monomial, the class traces only the entries that can reach a diagonal,
+verify_invariant and substitute_linear the ancestors of f's monomials.
+The ladder builds position links only where a walk reads them.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import cached_property
+from math import comb
 from typing import Iterator
 
 from molien.errors import ShapeError
@@ -22,120 +23,138 @@ from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import ScalarBackend
 
 
-class DegreeStep:
-    """The degree-d basis and how it hangs off the degree-(d-1) basis.
+class _Ladder:
+    """The monomials of degrees 0..top in n variables, built where walks go.
 
-    first[j] = (p, i): basis monomial j is x_i times monomial p of degree
-    d-1, where x_i is the first variable of monomial j. up[p][k] is the
-    position of x_k times monomial p of degree d-1. Both are empty at d=0.
+    x^t is its grlex basis position, the sum over k = 1..n-1 of
+    C(S_k + n-k-1, n-k), S_k = t_k + ... + t_(n-1). codes[d][q] packs x^q
+    into guarded bit fields: t_0..t_(n-1), then P_k = t_0 + ... + t_(k-1)
+    for k = 0..n. up[d][q] holds the positions of x_k x^q, k = 0..n-1, for
+    q of degree d-1. Both are None until a walk reaches q.
     """
 
-    __slots__ = ("basis", "first", "up")
+    def __init__(self, n: int, top: int):
+        if top < 0:
+            raise ShapeError("degree must be nonnegative")
+        self.n, self.top = n, top
+        self.width = width = top.bit_length() + 1
+        self.full = (1 << width - 1) - 1  # the largest value a field holds
+        self.units = units = [1 << f * width for f in range(2 * n + 1)]  # a 1 in each field
+        self.guard = sum(units) << width - 1
+        # x_k raises t_k and every P_j with j > k
+        self.raise_by = [units[k] + sum(units[n + k + 1 :]) for k in range(n)]
+        self.codes = [[0]] + [[None] * comb(n + d - 1, d) for d in range(1, top + 1)]
+        self.up = [None] + [[None] * len(codes) for codes in self.codes[:-1]]
 
-    def __init__(self, basis: MonomialBasis, first: tuple, up: tuple):
-        self.basis = basis
-        self.first = first
-        self.up = up
+    def row(self, d: int, q: int) -> tuple:
+        """up[d][q], built from the code of q on first use, with the codes of its targets."""
+        if self.up[d][q] is None:
+            n, code, row = self.n, self.codes[d - 1][q], [q]
+            for k in range(1, n):
+                # x_k x^q sits C(S_k + n-k-1, n-k-1) positions after x_(k-1) x^q,
+                # S_k = d-1 - P_k, and P_k is field n+k of the code of q
+                s = d - 1 - (code >> (n + k) * self.width & self.full)
+                row.append(row[-1] + comb(s + n - k - 1, n - k - 1))
+            for t, rise in zip(row, self.raise_by):
+                self.codes[d][t] = code + rise
+            self.up[d][q] = tuple(row)
+        return self.up[d][q]
+
+    def monomial(self, d: int, q: int) -> tuple:
+        """The exponent tuple of position q of degree d, read off its code."""
+        return tuple(self.codes[d][q] >> k * self.width & self.full for k in range(self.n))
+
+    @cached_property
+    def every(self) -> list:
+        """Per degree 1..top, (j, p, i, None) for each monomial x^j = x_i x^p, x_i its first variable.
+
+        Those with first variable x_i are x_i times the last C(n-i+d-2, d-1) of degree d-1.
+        """
+        n, out = self.n, [None]
+        for d in range(1, self.top + 1):
+            size = comb(n + d - 2, d - 1)
+            firsts = ((p, i) for i in range(n) for p in range(size - comb(n - i + d - 2, d - 1), size))
+            out.append([(j, p, i, None) for j, (p, i) in enumerate(firsts)])
+        return out
+
+    @cached_property
+    def to_diagonals(self) -> list:
+        """every, with each monomial's bound on the entries that can reach a diagonal of degree <= top.
+
+        Monomial c of degree d with first variable x_i has ladder
+        descendants c + e, e only on variables <= i, so its image entry at
+        t can feed a diagonal only if t_j <= c_j for all j > i and
+        max(P_i, P_(i+1) - c_i) <= top - d. The bound packs these limits over
+        the guard bits: (bound - code of t) & guard == guard iff none borrowed.
+        """
+        n, top, full, units = self.n, self.top, self.full, self.units
+        # c keeps its own t_j for j > i and its P_(i+1), which is c_i; the
+        # slack top - d bounds P_i and is added to P_(i+1); the rest stay full
+        keep = [full * (sum(units[i + 1 : n]) + units[n + i + 1]) for i in range(n)]
+        rest = [self.guard + full * (sum(units) - units[n + i]) - keep[i] for i in range(n)]
+        pinned = [units[n + i] + units[n + i + 1] for i in range(n)]
+        out = [None]
+        for d in range(1, top + 1):
+            codes, before = self.codes[d], self.codes[d - 1]
+            base = [rest[i] + (top - d) * pinned[i] for i in range(n)]
+            for j, p, i, _ in self.every[d]:
+                codes[j] = before[p] + self.raise_by[i]
+            out.append([(j, p, i, (codes[j] & keep[i]) + base[i]) for j, p, i, _ in self.every[d]])
+        return out
+
+    def ancestors(self, monomials) -> tuple:
+        """Per degree 1..top, (j, p, i, None) for the monomials and their ancestors; and their positions.
+
+        The ancestors of x^t lie on the way from 1 that raises x_(n-1), ..., x_0
+        in turn, so each is x_i times the one before, x_i its first variable.
+        """
+        found = [{} for _ in range(self.top + 1)]
+        ends = {}
+        for t in monomials:
+            d = q = 0
+            for i in reversed(range(self.n)):
+                for _ in range(t[i]):
+                    d += 1
+                    j = self.row(d, q)[i]
+                    found[d][j], q = (j, q, i, None), j
+            ends[t] = q
+        return [None] + [sorted(level.values()) for level in found[1:]], ends
 
 
-def monomial_ladder(n: int, max_degree: int) -> list[DegreeStep]:
-    """Bases of degrees 0..max_degree in n variables, with their links."""
-    if max_degree < 0:
-        raise ShapeError("degree must be nonnegative")
-    prev = MonomialBasis(n, 0)
-    ladder = [DegreeStep(prev, (), ())]
-    for d in range(1, max_degree + 1):
-        basis = MonomialBasis(n, d)
-        index = basis.index
-        up = tuple(
-            tuple(index[m[:k] + (m[k] + 1,) + m[k + 1 :]] for k in range(n))
-            for m in prev.monomials
-        )
-        first = []
-        for m in basis.monomials:
-            i = next(k for k, e in enumerate(m) if e)
-            first.append((prev.index[m[:i] + (m[i] - 1,) + m[i + 1 :]], i))
-        ladder.append(DegreeStep(basis, tuple(first), up))
-        prev = basis
-    return ladder
+def monomial_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[list]:
+    """Images of the wanted monomials under a, one degree of the ladder at a time.
 
-
-def _reach_tables(ladder: list[DegreeStep]) -> list[tuple]:
-    """Per degree of the ladder, (codes, bounds, guard): which image entries reach a diagonal.
-
-    Monomial c of degree d with first variable x_i has ladder descendants
-    c + e, e only on variables <= i. Its image entry at t can feed a
-    diagonal of degree <= D, the ladder's top, only if t_j <= c_j for all
-    j > i and max(P_i, P_(i+1) - c_i) <= D - d, where P_k = t_0 + ... + t_(k-1).
-    codes[q] packs monomial q's t_j and P_k into bit fields with a guard
-    bit on top of each, bounds[j] packs monomial j's bounds with every
-    guard set, and (bounds[j] - codes[q]) & guard == guard iff none borrowed.
+    wanted lists per degree 1..top, in position order, the (j, p, i, bound)
+    of each wanted x^j = x_i x^p, x^p wanted one degree below: ladder.every
+    (the default), ladder.to_diagonals or ladder.ancestors(monomials)[0].
+    Yields per degree a list holding at j the image of each wanted x^j, a
+    dict from positions to coefficients, and None elsewhere. Only exact
+    zeros are skipped, none by the float tolerance. An entry at t is started
+    only if bound is None or (bound - code of t) keeps every guard bit, and
+    gets the same terms in the same order whatever is wanted.
     """
-    top = len(ladder) - 1
-    n = ladder[0].basis.n
-    width = top.bit_length() + 1
-
-    def field(f, value):
-        # fields 0..n-1 hold t_0..t_(n-1), fields n..2n hold P_0..P_n
-        return value << f * width
-
-    full = (1 << width - 1) - 1  # the largest value a field holds
-    ones = sum(field(f, 1) for f in range(2 * n + 1))
-    guard, unbounded = ones << width - 1, ones * full
-    # x_k raises t_k and every P_j with j > k
-    raise_by = [field(k, 1) + sum(field(n + j, 1) for j in range(k + 1, n + 1)) for k in range(n)]
-    # a source with first variable x_i keeps its own t_j for j > i and its
-    # P_(i+1), which is c_i; the slack D - d bounds P_i and is added to P_(i+1);
-    # the other fields are left at full
-    keep = [sum(field(j, full) for j in range(i + 1, n)) + field(n + i + 1, full) for i in range(n)]
-    rest = [unbounded - keep[i] - field(n + i, full) for i in range(n)]
-    pinned = [field(n + i, 1) + field(n + i + 1, 1) for i in range(n)]
-    tables = []
-    codes = [0]
-    for d, step in enumerate(ladder):
-        if d:
-            codes = [codes[p] + raise_by[i] for p, i in step.first]
-        base = [guard + rest[i] + (top - d) * pinned[i] for i in range(n)]
-        bounds = [(code & keep[i]) + base[i] for code, (_, i) in zip(codes, step.first)]
-        tables.append((codes, bounds, guard))
-    return tables
-
-
-def monomial_images(a: SquareMatrix, ladder: list[DegreeStep], reach=None) -> Iterator[list[dict]]:
-    """Images of the basis monomials under a, one degree of the ladder at a time.
-
-    Yields, for each degree, a list whose j-th dict maps basis positions
-    to the coefficients of the image of basis monomial j. Only exact zeros
-    are skipped: no coefficient is dropped by the float tolerance. Only
-    the previous degree's images are kept.
-
-    Given reach, the ladder's _reach_tables, only entries that can feed a
-    diagonal on the ladder are built. Each of them gets the same terms in
-    the same order as in the full walk, so float diagonals match bit for bit.
-    """
-    n = a.n
     forms = [
         [(k, row[i].conjugate()) for k, row in enumerate(a.rows) if row[i]]
-        for i in range(n)
+        for i in range(a.n)
     ]
+    guard, row = ladder.guard, ladder.row
     images = [{0: a.backend.one}]
     yield images
-    for d in range(1, len(ladder)):
-        up = ladder[d].up
-        codes, bounds, guard = reach[d] if reach else (None, repeat(None), None)
-        nxt = []
-        for (p, i), bound in zip(ladder[d].first, bounds):
+    for d, step in enumerate((ladder.every if wanted is None else wanted)[1:], 1):
+        up, codes = ladder.up[d], ladder.codes[d]
+        nxt = [None] * len(codes)
+        for j, p, i, bound in step:
             form = forms[i]
             out: dict = {}
             for q, c in images[p].items():
-                targets = up[q]
+                targets = up[q] or row(d, q)
                 for k, lk in form:
                     t = targets[k]
                     if t in out:
                         out[t] = out[t] + c * lk
                     elif bound is None or (bound - codes[t]) & guard == guard:
                         out[t] = c * lk
-            nxt.append({t: v for t, v in out.items() if v})
+            nxt[j] = {t: v for t, v in out.items() if v}
         images = nxt
         yield images
 
@@ -143,37 +162,18 @@ def monomial_images(a: SquareMatrix, ladder: list[DegreeStep], reach=None) -> It
 def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
 
-    The monomial images are walked only along the ladder ancestors of f's
-    monomials (the first links), so the products follow the terms of f.
-    The full monomial_ladder(n, deg f) is built first, though: every
-    monomial of every degree up to deg f, with n links each. Its cost
-    grows with the basis sizes up to deg f and is nearly all of the time
-    for f = sum x_i^d at n = 8, d = 14. The terms of f are read off their
-    images degree by degree, in the order of f's terms within a degree.
+    The walk wants only f's monomials and their ancestors. Their images are
+    summed degree by degree, in the order of f's terms within a degree.
     No coefficient is dropped by the float tolerance.
     """
-    top = max(map(sum, f.terms), default=0)
-    ladder = monomial_ladder(f.n, top)
-    wanted = [set() for _ in ladder]
-    for mono in f.terms:
-        wanted[sum(mono)].add(ladder[sum(mono)].basis.index[mono])
-    for d in range(top, 0, -1):
-        wanted[d - 1].update(ladder[d].first[j][0] for j in wanted[d])
-    chosen = [sorted(keep) for keep in wanted]
-    # the same ladder with each step's first links cut down to the chosen
-    # monomials, pointing into the chosen monomials of the degree below
-    pruned = [ladder[0]]
-    for d in range(1, top + 1):
-        slot = {j: k for k, j in enumerate(chosen[d - 1])}
-        links = tuple((slot[p], i) for p, i in (ladder[d].first[j] for j in chosen[d]))
-        pruned.append(DegreeStep(ladder[d].basis, links, ladder[d].up))
-    images = [dict(zip(keep, walk)) for keep, walk in zip(chosen, monomial_images(a, pruned))]
+    ladder = _Ladder(f.n, max(map(sum, f.terms), default=0))
+    wanted, positions = ladder.ancestors(f.terms)
+    images = list(monomial_images(a, ladder, wanted))
     out: dict = {}
     for mono, c in sorted(f.terms.items(), key=lambda term: sum(term[0])):
         d = sum(mono)
-        monomials = ladder[d].basis.monomials
-        for q, v in images[d][ladder[d].basis.index[mono]].items():
-            t = monomials[q]
+        for q, v in images[d][positions[mono]].items():
+            t = ladder.monomial(d, q)
             out[t] = out[t] + c * v if t in out else c * v
     return out
 
@@ -200,6 +200,6 @@ def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:
     """
     if a.n != basis.n:
         raise ShapeError(f"matrix dimension {a.n} does not match basis over {basis.n} variables")
-    for images in monomial_images(a, monomial_ladder(basis.n, basis.d)):
+    for images in monomial_images(a, _Ladder(basis.n, basis.d)):
         pass
     return dense_matrix(images, a.backend)

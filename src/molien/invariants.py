@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import factorial, prod, sqrt
+from math import comb, factorial, prod, sqrt
 from typing import Iterator
 
-from molien.action import _image_terms, _reach_tables, dense_matrix
-from molien.action import monomial_images, monomial_ladder
+from molien.action import _image_terms, _Ladder, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
@@ -42,8 +41,8 @@ def reynolds_matrices(group: FiniteMatrixGroup, max_degree: int) -> Iterator[Rey
     sparse columns, in element order; the sums are scaled by 1/|G| once.
     A degree's matrix is made dense only when the iteration reaches it.
     """
-    ladder = monomial_ladder(group.n, max_degree)
-    sums = [[{} for _ in step.basis.monomials] for step in ladder]
+    ladder = _Ladder(group.n, max_degree)
+    sums = [[{} for _ in range(comb(group.n + d - 1, d))] for d in range(max_degree + 1)]
     for element in group.elements:
         for columns, images in zip(sums, monomial_images(element, ladder)):
             for column, image in zip(columns, images):
@@ -54,9 +53,9 @@ def reynolds_matrices(group: FiniteMatrixGroup, max_degree: int) -> Iterator[Rey
                         column[q] = c
     backend = group.backend
     factor = backend.coerce(Fraction(1, group.order))
-    for step, columns in zip(ladder, sums):
+    for d, columns in enumerate(sums):
         scaled = [{q: factor * c for q, c in column.items()} for column in columns]
-        yield ReynoldsMatrix(step.basis.d, step.basis, dense_matrix(scaled, backend))
+        yield ReynoldsMatrix(d, MonomialBasis(group.n, d), dense_matrix(scaled, backend))
 
 
 def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
@@ -71,21 +70,19 @@ def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
 
     Tr rho_d(g) is a class function, so each class adds its size times the
     trace at its first element, read from the diagonals of that element's
-    monomial images; the sums are scaled by 1/|G| once. The images are
-    walked with the ladder's reach tables, so only entries that can feed a
-    diagonal up to max_degree are built, and every diagonal is the full
-    walk's bit for bit.
+    monomial images; the sums are scaled by 1/|G| once. The walk wants
+    only the entries that can feed a diagonal up to max_degree, and every
+    diagonal is the full walk's bit for bit.
     """
-    return _class_traces(group, monomial_ladder(group.n, max_degree))
+    return _class_traces(group, _Ladder(group.n, max_degree))
 
 
-def _class_traces(group: FiniteMatrixGroup, ladder: list) -> list[int]:
+def _class_traces(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """reynolds_traces on a ladder already built."""
-    reach = _reach_tables(ladder)
     backend = group.backend
-    sums = [backend.zero] * len(ladder)
+    sums = [backend.zero] * (ladder.top + 1)
     for members in group.conjugacy_classes():
-        walk = monomial_images(group.elements[members[0]], ladder, reach)
+        walk = monomial_images(group.elements[members[0]], ladder, ladder.to_diagonals)
         for d, images in enumerate(walk):
             trace = backend.zero
             for j, image in enumerate(images):
@@ -110,14 +107,7 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
 
 
-def _generator_images(group: FiniteMatrixGroup, ladder: list) -> Iterator[tuple]:
-    """Per degree of the ladder: the basis and each generator's monomial images."""
-    walks = [monomial_images(s, ladder) for s in group.generators()]
-    for step, images in zip(ladder, zip(*walks)):
-        yield step.basis, images
-
-
-def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
+def _eliminate(per_generator, n: int, d: int, backend) -> tuple:
     """Sparse elimination of the rows of W^-1 (rho_d(s) - I) W over the generators s.
 
     Returns (W, pivots). W is None on the exact backend, which needs no
@@ -132,8 +122,8 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
     pivots oldest first before its own pivot is chosen.
     """
     one, pivot = backend.one, backend.pivot
-    size = len(basis)
-    weights = None if backend.is_exact else _bombieri_weights(basis)
+    size = comb(n + d - 1, d)
+    weights = None if backend.is_exact else _bombieri_weights(MonomialBasis(n, d))
     pivots: dict = {}
     found: list = []  # pivot columns in the order they were found
     age: dict = {}
@@ -183,15 +173,16 @@ def _eliminate(per_generator, basis: MonomialBasis, backend) -> tuple:
 
 def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
     """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
-    return _fixed_space_dimensions(group, monomial_ladder(group.n, max_degree))
+    return _fixed_space_dimensions(group, _Ladder(group.n, max_degree))
 
 
-def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: list) -> list[int]:
+def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """fixed_space_dimensions on a ladder already built."""
-    backend = group.backend
+    n, backend = group.n, group.backend
+    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
     return [
-        len(basis) - len(_eliminate(images, basis, backend)[1])
-        for basis, images in _generator_images(group, ladder)
+        comb(n + d - 1, d) - len(_eliminate(images, n, d, backend)[1])
+        for d, images in enumerate(walks)
     ]
 
 
@@ -207,10 +198,12 @@ def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial
     backend the vectors are mapped back by W and row-reduced into that
     form.
     """
-    for basis, images in _generator_images(group, monomial_ladder(group.n, d)):
+    ladder = _Ladder(group.n, d)
+    for images in zip(*(monomial_images(s, ladder) for s in group.generators())):
         pass
     backend = group.backend
-    weights, pivots = _eliminate(images, basis, backend)
+    weights, pivots = _eliminate(images, group.n, d, backend)
+    basis = MonomialBasis(group.n, d)
     zero, one = backend.zero, backend.one
     vectors = {f: {f: one} for f in range(len(basis)) if f not in pivots}
     solved: dict = {}  # pivot column -> {free column: its coefficient}

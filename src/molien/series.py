@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from molien.action import monomial_ladder
+from molien.action import _Ladder
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import _class_traces, _fixed_space_dimensions
@@ -201,7 +201,7 @@ def cross_check(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
     consistency errors (non-integer traces or coefficients) do propagate.
     """
     report = molien_series(group, max_degree)
-    ladder = monomial_ladder(group.n, max_degree)
+    ladder = _Ladder(group.n, max_degree)
     trace_values = _class_traces(group, ladder)
     rank_values = _fixed_space_dimensions(group, ladder)
     series_values = report.per_method["series"]

@@ -83,6 +83,20 @@ def g423():
     )
 
 
+def g8_type():
+    """The exact reflection group of order 96 generated by (1+i)/2 [[1, 1], [1, -1]] and diag(1, i).
+
+    Neither real nor monomial. Its Molien series is 1/((1 - l^8)(1 - l^12)),
+    as for Shephard-Todd G_8. It is not in build_corpus().
+    """
+    return close_group(
+        [
+            SquareMatrix([["1/2+1/2i", "1/2+1/2i"], ["1/2+1/2i", "-1/2-1/2i"]], EXACT),
+            SquareMatrix([[1, 0], [0, "i"]], EXACT),
+        ]
+    )
+
+
 def wf4():
     """The Weyl group W(F4) of order 1152 on R^4, on the exact backend.
 

@@ -16,13 +16,18 @@ from molien import (
     GaussianRational,
     MonomialBasis,
     ShapeError,
+    SparsePolynomial,
     SquareMatrix,
+    close_group,
     det_one_minus_lambda,
     float_backend,
+    from_permutations,
     induced_matrix,
     series_reciprocal,
+    substitute_linear,
+    verify_invariant,
 )
-from molien.action import _reach_tables, monomial_images, monomial_ladder
+from molien.action import _Ladder, monomial_images
 from oracles import sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
@@ -162,12 +167,12 @@ class TestActionLaws:
                 assert induced.trace() == expansion.coeffs[d]
 
 
-def passes(reach, d):
-    """The (source, target) positions of degree d that the reach tables keep."""
-    codes, bounds, guard = reach[d]
+def passes(ladder, d):
+    """The (source, target) positions of degree d that the diagonal bounds keep."""
+    codes, guard = ladder.codes[d], ladder.guard
     return {
         (j, q)
-        for j, bound in enumerate(bounds)
+        for j, _, _, bound in ladder.to_diagonals[d]
         for q, code in enumerate(codes)
         if (bound - code) & guard == guard
     }
@@ -189,6 +194,52 @@ def traces(diagonals, backend):
     return sums
 
 
+def entries(walk):
+    return sum(len(image) for images in walk for image in images)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_positions_and_links_follow_the_basis(self, n):
+        # the closed form of a position, the parent links of every monomial
+        # and the lazily built rows all agree with the enumerated bases
+        ladder = _Ladder(n, 8)
+        for d in range(9):
+            basis = MonomialBasis(n, d)
+            wanted, positions = ladder.ancestors(basis.monomials)
+            assert [positions[m] for m in basis.monomials] == list(range(len(basis)))
+            if not d:
+                continue
+            assert wanted[d] == ladder.every[d]
+            below = MonomialBasis(n, d - 1)
+            for (j, p, i, bound), m in zip(ladder.every[d], basis.monomials, strict=True):
+                assert basis.monomials[j] == m and bound is None
+                assert m[:i] == (0,) * i and m[i] > 0
+                assert below.monomials[p] == m[:i] + (m[i] - 1,) + m[i + 1 :]
+            for q, m in enumerate(below.monomials):
+                row = [basis.index[m[:k] + (m[k] + 1,) + m[k + 1 :]] for k in range(n)]
+                assert ladder.row(d, q) == tuple(row)
+            assert None not in ladder.codes[d]
+            assert [ladder.monomial(d, q) for q in range(len(basis))] == list(basis.monomials)
+
+    def test_ancestors_of_a_few_monomials(self):
+        ladder = _Ladder(3, 4)
+        wanted, positions = ladder.ancestors([(0, 1, 3), (2, 0, 0)])
+        named = [
+            [(MonomialBasis(3, d).monomials[j], MonomialBasis(3, d - 1).monomials[p], i) for j, p, i, _ in step]
+            for d, step in enumerate(wanted)
+            if d
+        ]
+        # x2 x3^3 <- x3^3 <- x3^2 <- x3, and x1^2 <- x1, in position order
+        assert named == [
+            [((1, 0, 0), (0, 0, 0), 0), ((0, 0, 1), (0, 0, 0), 2)],
+            [((2, 0, 0), (1, 0, 0), 0), ((0, 0, 2), (0, 0, 1), 2)],
+            [((0, 0, 3), (0, 0, 2), 2)],
+            [((0, 1, 3), (0, 0, 3), 1)],
+        ]
+        assert positions == {(0, 1, 3): 13, (2, 0, 0): 0}
+
+
 class TestPrunedWalk:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rule_is_the_backward_closure_of_the_diagonals(self, n):
@@ -196,17 +247,16 @@ class TestPrunedWalk:
         # (j', q + e_k) of every child j' of j and every k; the entries that
         # reach a diagonal of degree <= D are closed backwards from them
         for top in range(7):
-            ladder = monomial_ladder(n, top)
-            reach = _reach_tables(ladder)
-            closure = {(j, j) for j in range(len(ladder[top].basis))}
+            ladder = _Ladder(n, top)
+            closure = {(j, j) for j in range(math.comb(n + top - 1, top))}
             for d in range(top, 0, -1):
-                assert passes(reach, d) == closure
-                step = ladder[d]
-                closure = {(j, j) for j in range(len(ladder[d - 1].basis))} | {
-                    (step.first[child][0], q)
+                assert passes(ladder, d) == closure
+                size = math.comb(n + d - 2, d - 1)
+                closure = {(j, j) for j in range(size)} | {
+                    (ladder.every[d][child][1], q)
                     for child, t in closure
-                    for q, targets in enumerate(step.up)
-                    if t in targets
+                    for q in range(size)
+                    if t in ladder.row(d, q)
                 }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -215,8 +265,6 @@ class TestPrunedWalk:
         # dense, not unitary: exact over Q(i), and complex floats whose
         # sums must agree bit for bit, so == on both backends
         rng = random.Random(seed)
-        ladder = monomial_ladder(n, top)
-        reach = _reach_tables(ladder)
         exact = SquareMatrix(
             [
                 [
@@ -235,8 +283,10 @@ class TestPrunedWalk:
             float_backend(),
         )
         for a in (exact, floats):
+            # the pruned walk first, on a fresh ladder, so it builds its own links
+            ladder = _Ladder(n, top)
+            pruned = diagonals(monomial_images(a, ladder, ladder.to_diagonals))
             full = diagonals(monomial_images(a, ladder))
-            pruned = diagonals(monomial_images(a, ladder, reach))
             assert pruned == full
             assert traces(pruned, a.backend) == traces(full, a.backend)
 
@@ -244,17 +294,50 @@ class TestPrunedWalk:
         # the reflection in (1,-1,-1,-1)/2, at D = 12
         s = corpus.wf4().generators()[3]
         assert {(abs(x.re), x.im) for row in s.rows for x in row} == {(Fraction(1, 2), 0)}
-        ladder = monomial_ladder(4, 12)
-        reach = _reach_tables(ladder)
-        kept = sum(len(image) for images in monomial_images(s, ladder, reach) for image in images)
+        ladder = _Ladder(4, 12)
+        kept = entries(monomial_images(s, ladder, ladder.to_diagonals))
         assert kept == 14_218
         # the rule allows 15 528 entries for any dense 4x4 matrix; here the
         # other 1 310 cancel exactly
-        assert 1 + sum(len(passes(reach, d)) for d in range(1, 13)) == 15_528
+        assert 1 + sum(len(passes(ladder, d)) for d in range(1, 13)) == 15_528
         # the entries are +-1/2, so the float images are dyadic and exact:
         # the full walk's nonzero entries counted on the quicker backend
         halves = SquareMatrix([[float(x.re) for x in row] for row in s.rows], float_backend())
-        full = sum(len(image) for images in monomial_images(halves, ladder) for image in images)
-        assert full == 489_012
-        walk = monomial_images(halves, ladder, reach)
-        assert sum(len(image) for images in walk for image in images) == kept
+        assert entries(monomial_images(halves, ladder)) == 489_012
+        assert entries(monomial_images(halves, ladder, ladder.to_diagonals)) == kept
+
+
+class TestAncestorWalk:
+    def test_power_sum_builds_only_its_ancestors(self, monkeypatch):
+        # f = x1^14 + ... + x8^14 under the 8-cycle: the full ladder to degree
+        # 14 has 319 770 monomials with 8 links each
+        import molien.action
+
+        ladders, built = [], []
+        make, walk = molien.action._Ladder, molien.action.monomial_images
+
+        def recording(*args):
+            ladders.append(make(*args))
+            return ladders[-1]
+
+        def counting(*args):
+            for images in walk(*args):
+                built.append(sum(image is not None for image in images))
+                yield images
+
+        monkeypatch.setattr(molien.action, "_Ladder", recording)
+        monkeypatch.setattr(molien.action, "monomial_images", counting)
+        n = 8
+        f = SparsePolynomial(n, {tuple(14 * (k == i) for k in range(n)): 1 for i in range(n)}, EXACT)
+        cycle = from_permutations([tuple(range(2, n + 1)) + (1,)])[0]
+        group = close_group([cycle])
+        assert substitute_linear(f, cycle) == f
+        assert verify_invariant(f, group)
+        assert len(ladders) == 2
+        for ladder in ladders:
+            # rows from 1 + 8 * 13 sources x_k^e, e < 14; their targets are
+            # x_k^e x_l: 8, 36, then 64 per degree
+            assert sum(row is not None for up in ladder.up[1:] for row in up) == 1 + 8 * 13
+            assert sum(code is not None for codes in ladder.codes for code in codes) == 1 + 8 + 36 + 64 * 12
+        # the images of x_k^e, e = 1..14, and of the constant
+        assert built == ([1] + [8] * 14) * 2

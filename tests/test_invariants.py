@@ -32,7 +32,7 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.action import monomial_images, monomial_ladder
+from molien.action import _Ladder, monomial_images
 from molien.invariants import (
     _bombieri_weights,
     fixed_space_basis,
@@ -431,15 +431,16 @@ class TestFixedSpace:
     @pytest.mark.parametrize("name, m, max_degree", FLOAT_CASES)
     def test_bombieri_scaled_generators_are_unitary(self, name, m, max_degree, conjugated):
         group = float_case(name, m, conjugated)
-        ladder = monomial_ladder(group.n, max_degree)
+        ladder = _Ladder(group.n, max_degree)
         for s in group.generators():
-            for step, images in zip(ladder, monomial_images(s, ladder)):
-                size = len(step.basis)
+            for d, images in enumerate(monomial_images(s, ladder)):
+                basis = MonomialBasis(group.n, d)
+                size = len(basis)
                 rho = np.zeros((size, size), dtype=complex)
                 for j, image in enumerate(images):
                     for q, c in image.items():
                         rho[q, j] = c
-                w = np.array(_bombieri_weights(step.basis))
+                w = np.array(_bombieri_weights(basis))
                 scaled = rho * w[np.newaxis, :] / w[:, np.newaxis]
                 assert np.abs(scaled.conj().T @ scaled - np.eye(size)).max() <= 1e-12
 

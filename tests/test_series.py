@@ -23,7 +23,9 @@ from molien import (
     molien_rational,
     molien_series,
     series_reciprocal,
+    verify_invariant,
 )
+from molien.invariants import fixed_space_basis
 from oracles import partitions_with_parts_at_most, sympy_molien, to_sympy
 
 
@@ -229,6 +231,15 @@ class TestMolienRational:
             product = product * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
         assert molien_rational(group) == (UnivariatePoly.one(EXACT), product)
 
+    def test_g8_type_is_the_chevalley_product(self):
+        # a non-real, non-monomial exact reflection group: degrees 8 and 12
+        group = corpus.g8_type()
+        assert group.order == 96
+        product = UnivariatePoly([1] + [0] * 7 + [-1], EXACT) * UnivariatePoly(
+            [1] + [0] * 11 + [-1], EXACT
+        )
+        assert molien_rational(group) == (UnivariatePoly.one(EXACT), product)
+
     def test_q8_matches_sloane(self):
         # Sloane (1977): (1 + lambda^6) / (1 - lambda^4)^2, here in lowest terms
         numerator, denominator = molien_rational(corpus.q8())
@@ -401,6 +412,18 @@ class TestCrossCheck:
         expected = [1, 0, 1, 0, 1, 0, 2, 0, 3, 0, 3]
         assert report.per_method == {"series": expected, "trace": expected, "rank": expected}
         assert report.all_agree()
+
+    def test_g8_type_three_columns_and_invariants(self):
+        # degrees 8 and 12: [lambda^d] counts the ways to write d with those parts
+        group = corpus.g8_type()
+        report = cross_check(group, 24)
+        expected = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2]
+        assert report.per_method == {"series": expected, "trace": expected, "rank": expected}
+        assert report.all_agree()
+        for d in (8, 12, 24):
+            basis = fixed_space_basis(group, d)
+            assert len(basis) == expected[d]
+            assert all(verify_invariant(f, group) for f in basis)
 
     def test_agreement_flags_shape(self):
         report = cross_check(corpus.s2(), 3)
