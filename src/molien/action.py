@@ -116,7 +116,8 @@ class _Ladder:
                 for _ in range(t[i]):
                     d += 1
                     j = self.row(d, q)[i]
-                    found[d][j], q = (j, q, i, None), j
+                    found[d][j] = (j, q, i, None)
+                    q = j
             ends[t] = q
         return [None] + [sorted(level.values()) for level in found[1:]], ends
 
