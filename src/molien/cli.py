@@ -10,6 +10,7 @@ overflow, 4 internal consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -205,7 +206,9 @@ def cmd_verify(args) -> int:
     return _fail("mismatch", disagreeing, EXIT_MISMATCH)
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="molien",
         description="Molien series and invariant bases of finite unitary matrix groups.",

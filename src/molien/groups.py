@@ -89,7 +89,10 @@ class _ElementIndex:
 
     Rows at different positions never match, so two rows of one element
     stay apart however coarse the tolerance. Tolerance 0 (always so on the
-    exact backend): a dict on (position, row). Positive tolerance: rows are
+    exact backend): a dict on (position, entry ids), where each distinct
+    entry gets an int id when first seen and conj[id] is the id of its
+    conjugate, so the conjugate of a known row is looked up on ints alone.
+    Positive tolerance: rows are
     binned per position by the real projection s(r) = sum_k w_k * x_k over
     the real and imaginary parts x_k of the n entries, weights w_k in (0, 1).
     Entrywise equality within the tolerance t moves s by at most t * sum(w);
@@ -110,12 +113,44 @@ class _ElementIndex:
             self.pitch = 2 * backend.tolerance * sum(w)
             # Re(x * conj(w + w'i)) = w * x.real + w' * x.imag
             self.weights = [complex(w[k], -w[k + 1]) for k in range(0, 2 * n, 2)]
+        else:
+            self.ids: dict = {}
+            self.conj: list[int] = []
+            self.point_ids: list[tuple] = []  # the entry ids of each point's row
 
     def _bin(self, row: tuple) -> int:
         return math.floor(sum(map(complex.__mul__, row, self.weights)).real / self.pitch)
 
+    def _ids(self, row: tuple) -> tuple:
+        """The entry ids of row, numbering unseen entries and their conjugates."""
+        ids = self.ids
+        try:
+            return tuple([ids[x] for x in row])
+        except KeyError:
+            for x in row:
+                if x not in ids:
+                    # an entry is numbered with its conjugate, so neither is known
+                    y, first = x.conjugate(), len(self.conj)
+                    ids[x] = first
+                    if y == x:
+                        self.conj.append(first)
+                    else:
+                        ids[y] = first + 1
+                        self.conj += [first + 1, first]
+            return tuple([ids[x] for x in row])
+
+    def conjugates(self) -> list:
+        """Per point, its row conjugated, in the form find takes."""
+        if self.binned:
+            return [tuple([x.conjugate() for x in row]) for _, row in self.points]
+        conj = self.conj
+        return [tuple([conj[k] for k in ids]) for ids in self.point_ids]
+
     def find(self, position: int, row: tuple) -> int | None:
-        """Smallest index of a known point equal to row at position, or None."""
+        """Smallest index of a known point equal to row at position, or None.
+
+        The row is given by its entry ids when not binned.
+        """
         if not self.binned:
             return self.table.get((position, row))
         b, eq = self._bin(row), self.backend.eq
@@ -123,21 +158,26 @@ class _ElementIndex:
         return min((p for p in near if all(map(eq, row, self.points[p][1]))), default=None)
 
     def add(self, position: int, row: tuple) -> int:
-        """Index of the point row at position, which find has not found."""
+        """Index of the point row at position, added if not known yet."""
         point = len(self.points)
-        self.points.append((position, row))
         if self.binned:
+            found = self.find(position, row)
+            if found is not None:
+                return found
             self.table.setdefault((position, self._bin(row)), []).append(point)
         else:
-            self.table[position, row] = point
+            ids = self._ids(row)
+            found = self.table.setdefault((position, ids), point)
+            if found != point:
+                return found
+            self.point_ids.append(ids)
+        self.points.append((position, row))
         return point
 
     def step(self, point: int, terms: tuple) -> int:
         """Index of the point's row times a matrix, given its nonzero terms per row."""
         position, row = self.points[point]
-        row = _row_product(row, terms, self.backend.zero)
-        found = self.find(position, row)
-        return self.add(position, row) if found is None else found
+        return self.add(position, _row_product(row, terms, self.backend.zero))
 
 
 def close_group(
@@ -150,7 +190,8 @@ def close_group(
     keyed by its n row points (see _ElementIndex), and times generator s
     maps them through a table of s, filled with one row product per (point,
     generator) on first use. Each table entry is then one int-tuple lookup,
-    and each inverse pair {g, g^H} n row lookups and one key lookup. Raises
+    and each inverse pair {g, g^H} n row lookups (on entry ids, when exact)
+    and one key lookup. Raises
     ValidationError for an empty list, mismatched or non-unitary generators,
     or an element whose conjugate transpose is not in the closure, and
     ClosureOverflowError when the closure would exceed max_order elements.
@@ -193,7 +234,7 @@ def close_group(
     # elements are unitary, so g^-1 = g^H, and (g^H)^H = g makes one lookup serve
     # the pair; a row of g^H that is no known point puts None in the key
     inverse_of = [None] * len(elements)
-    conj_rows = [tuple([x.conjugate() for x in row]) for _, row in index.points]
+    conj_rows = index.conjugates()
     for i, key in enumerate(keys):
         if inverse_of[i] is None:
             columns = enumerate(zip(*[conj_rows[p] for p in key]))

@@ -203,11 +203,15 @@ class ScalarBackend:
     """Field the computation runs over: EXACT, or float_backend(tolerance).
 
     Each subclass holds its field's scalar rules: coercion, zero and one,
-    equality, pivot choice and counts. Matrices, polynomials and groups
-    all carry a backend, and operations refuse to mix different ones.
+    equality, pivot choice, counts and Gaussian-integer lifts. Matrices,
+    polynomials and groups all carry a backend, and operations refuse to
+    mix different ones.
     """
 
     __slots__ = ()
+    # value as a Gaussian integer pair (a, b), where the field has them;
+    # None on floats, whose series sums stay in complex arithmetic
+    gaussian_integer = None
 
     def __init__(self):
         if type(self) is ScalarBackend:
@@ -266,6 +270,12 @@ class _ExactBackend(ScalarBackend):
         if not value.is_integer():
             raise ConsistencyError(f"{what} is not an integer: {value!r}")
         return value.re.numerator
+
+    def gaussian_integer(self, value, what: str) -> tuple[int, int]:
+        """(a, b) with value = a + b*i; else ConsistencyError starting with `what`."""
+        if value._d != 1:
+            raise ConsistencyError(f"{what} is not a Gaussian integer: {value!r}")
+        return value._a, value._b
 
     def __repr__(self):
         return "ScalarBackend('exact')"

@@ -13,6 +13,15 @@ rational form reads the same sum over the lcm of those dets. Traces are
 taken once per conjugacy class too, and the rank is the dimension of the
 generators' common fixed space, so rank shares nothing with the other
 two and no method sweeps the group.
+
+On the exact backend the series sum runs in the Gaussian integers Z[i].
+T_g has finite order, so det(id - lambda*T_g) is the product of
+(1 - zeta*lambda) over its eigenvalues zeta, roots of unity, and each
+coefficient is +- an elementary symmetric function of them: an algebraic
+integer, and in Q(i), so in Z[i]. With constant term 1, each reciprocal's
+recurrence and the class-weighted sum stay in Z[i]; the one division is
+by |G|, as each coefficient is built. A det coefficient outside Z[i] is a
+ConsistencyError, never rounded.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import _class_traces, _fixed_space_dimensions
 from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
-from molien.scalars import ScalarBackend
+from molien.scalars import ScalarBackend, _make
 
 
 @dataclass(frozen=True)
@@ -99,11 +108,33 @@ def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> Truncate
 def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> TruncatedSeries:
     """Molien's average from the distinct dets and their multiplicities.
 
-    One reciprocal per distinct det, weighted by its multiplicity and
-    summed in the order of _distinct_dets, so float rounding is
-    reproducible.
+    Where the backend lifts scalars to Gaussian integers (the exact one),
+    the recurrences and the weighted sum run on int pairs, and each
+    coefficient is built once, as (re + im*i)/|G|. Otherwise one reciprocal
+    per distinct det is weighted by its multiplicity and summed in the
+    order of _distinct_dets, so float rounding is reproducible.
     """
     backend = group.backend
+    lift = backend.gaussian_integer
+    if lift is not None:
+        re, im = [0] * (order + 1), [0] * (order + 1)
+        for p, multiplicity in terms:
+            # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j)
+            tail = [lift(c, "det(id - lambda*T_g) coefficient") for c in p.coeffs[1:]]
+            qr, qi = [1], [0]
+            for k in range(1, order + 1):
+                sr = si = 0
+                for j, (a, b) in enumerate(tail[:k], 1):
+                    c, d = qr[k - j], qi[k - j]
+                    sr += a * c - b * d
+                    si += a * d + b * c
+                qr.append(-sr)
+                qi.append(-si)
+            re = [x + multiplicity * y for x, y in zip(re, qr)]
+            im = [x + multiplicity * y for x, y in zip(im, qi)]
+        return TruncatedSeries(
+            order, tuple(map(_make, re, im, [group.order] * (order + 1))), backend
+        )
     acc = [backend.zero] * (order + 1)
     for p, multiplicity in terms:
         expansion = series_reciprocal(p, order)

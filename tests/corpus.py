@@ -146,6 +146,31 @@ def signed_permutation_conjugate(group, seed: int):
     return close_group([p @ s @ p.conj_transpose() for s in group.generators()])
 
 
+def gaussian_unitary_conjugate(group, seed: int):
+    """The group generated by U s U^-1 over the generators s, for a seeded unitary U over Q(i).
+
+    U is a product of monomial matrices with phases such as (3+4i)/5 and,
+    for n >= 2, (1+i)/2 [[1, 1], [1, -1]] on two seeded coordinates, so
+    the conjugate's entries have denominators.
+    """
+    rng = random.Random(seed)
+    n = group.n
+    phases = ["1", "-1", "i", "-i", "3/5+4/5i", "3/5-4/5i", "-4/5+3/5i", "4/5+3/5i"]
+    u = SquareMatrix.identity(n, group.backend)
+    for _ in range(3):
+        image = list(range(n))
+        rng.shuffle(image)
+        rows = [[rng.choice(phases) if image[i] == j else 0 for j in range(n)] for i in range(n)]
+        u = u @ SquareMatrix(rows, group.backend)
+        if n >= 2:
+            j, k = rng.sample(range(n), 2)
+            rows = [[int(a == b) for b in range(n)] for a in range(n)]
+            rows[j][j] = rows[j][k] = rows[k][j] = "1/2+1/2i"
+            rows[k][k] = "-1/2-1/2i"
+            u = u @ SquareMatrix(rows, group.backend)
+    return close_group([u @ s @ u.conj_transpose() for s in group.generators()])
+
+
 def build_corpus() -> dict:
     return {
         "trivial1": trivial(1),

@@ -3,18 +3,20 @@
 Everything here deliberately avoids the package's own arithmetic: sympy
 symbolics for series and induced actions, itertools brute force for
 counting. Expected values frozen into tests were produced by these. The
-one exception is reference_closure, a reference for the closure
-algorithm rather than its arithmetic: it multiplies with the package's
-own matrix product.
+two exceptions are references for an algorithm rather than its
+arithmetic: reference_closure multiplies with the package's own matrix
+product, and reference_class_average sums the package's own reciprocals.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy as sp
 
-from molien import SquareMatrix
+from molien import SquareMatrix, series_reciprocal
+from molien.series import _distinct_dets
 
 LAM = sp.symbols("lam")
 
@@ -50,6 +52,22 @@ def reference_closure(generators):
         right.append(tuple(row))
     inverse_of = [find(e.conj_transpose()) for e in elements]
     return elements, right, inverse_of, right[0]
+
+
+def reference_class_average(group, order: int) -> tuple:
+    """Molien's average on backend scalars: sum of multiplicity * 1/det, times 1/|G|.
+
+    One series_reciprocal per distinct det, summed in the order of
+    _distinct_dets, then scaled once: on the exact backend every step is
+    GaussianRational arithmetic, with no lift to Gaussian integers.
+    """
+    backend = group.backend
+    acc = [backend.zero] * (order + 1)
+    for p, multiplicity in _distinct_dets(group):
+        expansion = series_reciprocal(p, order)
+        acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
+    factor = backend.coerce(Fraction(1, group.order))
+    return tuple(c * factor for c in acc)
 
 
 def to_sympy(matrix) -> sp.Matrix:

@@ -433,3 +433,43 @@ class TestDeterminism:
         result = run_cli("series", "--degree", "6", "--format", "json", path)
         payload = json.loads(result.stdout)
         assert [e["series"] for e in payload["degrees"]] == [1, 0, 1, 0, 3, 0, 3]
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; calls must not see each other."""
+
+    def test_repeated_calls_print_identical_stdout(self, tmp_path, capsys):
+        path = write_spec(tmp_path, C4_SPEC)
+        argvs = [
+            ["verify", "--degree", "4", path],
+            ["series", "--degree", "5", "--format", "json", "--perm", "(1 2 3)"],
+            ["invariants", "--degree", "2", "--perm", "(1 2)"],
+        ]
+        first = []
+        for argv in argvs:
+            assert main(argv) == 0
+            first.append(capsys.readouterr().out)
+        for argv, out in zip(reversed(argvs), reversed(first)):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+        assert first == [run_cli(*argv).stdout for argv in argvs]
+
+    def test_perm_lists_do_not_carry_over(self, capsys):
+        assert main(["series", "--degree", "3", "--perm", "(1 2)", "--perm", "(2 3)"]) == 0
+        assert capsys.readouterr().out.startswith("group_order = 6\n")
+        # the 3-cycle alone generates C3; an appended (1 2) or (2 3) would give S3
+        assert main(["series", "--degree", "3", "--perm", "(1 2 3)"]) == 0
+        assert capsys.readouterr().out.startswith("group_order = 3\n")
+        # no --perm at all: the spec file is required again
+        assert main(["series", "--degree", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error:validation: a group spec file")
+
+    def test_usage_error_after_a_success_is_one_error_line(self, capsys):
+        assert main(["series", "--degree", "2", "--perm", "(1 2)"]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(["series", "--perm", "(1 2)"]) == 1
+            errors = [
+                line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")
+            ]
+            assert errors == ["error:usage: invalid command line"]

@@ -355,6 +355,23 @@ class TestFloatElementIdentity:
         assert close_group([a, b]).order == 2
 
 
+class TestExactElementIdentity:
+    def test_conjugate_rows_are_found_by_entry_ids(self):
+        index = _ElementIndex(EXACT, 2)
+        half = EXACT.coerce("1/2+1/2i")
+        rows = [(half, EXACT.coerce("i")), (half.conjugate(), EXACT.coerce("-i")), (EXACT.one, half)]
+        points = [index.add(0, row) for row in rows]
+        assert points == [0, 1, 2]
+        assert index.add(0, (EXACT.coerce("1/2+1/2i"), EXACT.coerce("i"))) == 0
+        conjugates = index.conjugates()
+        # rows 0 and 1 are each other's conjugates; row 2's conjugate is unknown
+        assert index.find(0, conjugates[0]) == 1
+        assert index.find(0, conjugates[1]) == 0
+        assert index.find(0, conjugates[2]) is None
+        assert index.find(1, conjugates[0]) is None
+        assert index.ids[EXACT.one] == index.conj[index.ids[EXACT.one]]
+
+
 class TestReferenceClosure:
     """close_group against the whole-matrix closure of oracles.reference_closure."""
 
@@ -365,10 +382,11 @@ class TestReferenceClosure:
             lambda: [corpus.s6().generators()],
             lambda: [g414_generators()],
             lambda: [corpus.wf4().generators()],
+            lambda: [corpus.g8_type().generators()],
             lambda: [corpus.h3_float().generators()],
             lambda: [corpus.dihedral_float(60).generators()],
         ],
-        ids=["table-groups", "S6", "G(4,1,4)", "W(F4)", "H3-float", "D60-float"],
+        ids=["table-groups", "S6", "G(4,1,4)", "W(F4)", "G8-type", "H3-float", "D60-float"],
     )
     def test_same_elements_order_and_tables(self, build):
         for generators in build():

@@ -12,6 +12,8 @@ import corpus
 from molien import (
     EXACT,
     BackendError,
+    ConsistencyError,
+    GaussianRational,
     SquareMatrix,
     UnivariatePoly,
     ValidationError,
@@ -26,7 +28,13 @@ from molien import (
     verify_invariant,
 )
 from molien.invariants import fixed_space_basis
-from oracles import partitions_with_parts_at_most, sympy_molien, to_sympy
+from molien.series import _class_average
+from oracles import (
+    partitions_with_parts_at_most,
+    reference_class_average,
+    sympy_molien,
+    to_sympy,
+)
 
 
 def ints(series):
@@ -120,6 +128,56 @@ class TestMolienSeries:
         float_report = molien_series(close_group([rotation]), 8)
         exact_report = molien_series(corpus.c4(), 8)
         assert float_report.coefficients == exact_report.coefficients
+
+
+class TestGaussianIntegerAverage:
+    """The exact class average runs on Gaussian-integer pairs; the float one on complex floats."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            corpus.s5,
+            corpus.g423,
+            corpus.wf4,
+            corpus.g8_type,
+            lambda: corpus.dihedral_float(30),
+            corpus.h3_float,
+        ],
+        ids=["s5", "g423", "wf4", "g8_type", "d30-float", "h3-float"],
+    )
+    def test_equals_the_scalar_route(self, build):
+        group = build()
+        series = averaged_reciprocal_series(group, 40)
+        assert series.coeffs == reference_class_average(group, 40)
+        assert all(type(c) is group.backend.scalar for c in series.coeffs)
+
+    def test_equals_the_scalar_route_on_the_corpus(self, corpus):
+        for group in corpus.values():
+            series = averaged_reciprocal_series(group, 40)
+            assert series.coeffs == reference_class_average(group, 40)
+            assert all(type(c) is GaussianRational for c in series.coeffs)
+
+    def test_non_integral_det_coefficient_raises(self):
+        det = UnivariatePoly([1, Fraction(1, 2)], EXACT)
+        with pytest.raises(ConsistencyError, match="not a Gaussian integer"):
+            _class_average(corpus.s2(), [(det, 2)], 5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_conjugating_by_a_gaussian_rational_unitary_keeps_the_series(self, seed):
+        # the conjugates' entries have denominators, but their dets are the
+        # originals', so every det coefficient is still a Gaussian integer
+        with_denominators = 0
+        groups = [*corpus.build_corpus().values(), corpus.b3(), corpus.binary_tetrahedral()]
+        for group in groups:
+            conjugate = corpus.gaussian_unitary_conjugate(group, seed)
+            with_denominators += any(
+                x.re.denominator > 1 or x.im.denominator > 1
+                for g in conjugate.generators() for row in g.rows for x in row
+            )
+            assert conjugate.order == group.order
+            assert molien_series(conjugate, 12).coefficients == molien_series(group, 12).coefficients
+            assert molien_rational(conjugate) == molien_rational(group)
+        assert with_denominators >= len(groups) - 4
 
 
 class TestDetsPerClass:
