@@ -28,7 +28,6 @@ from molien.invariants import (
     ReynoldsMatrix,
     invariant_basis,
     invariant_dimension,
-    reynolds_matrices,
     reynolds_matrix,
     verify_invariant,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "parse_polynomial",
     "parse_scalar",
     "permutation_from_cycles",
-    "reynolds_matrices",
     "reynolds_matrix",
     "row_reduce",
     "series_reciprocal",

@@ -5,7 +5,7 @@ linear form x_i to L_i = sum_k conj(A[k][i]) x_k, so the first induced
 matrix is the entrywise conjugate of A. One walk builds the images of the
 wanted monomials degree by degree on raw dicts keyed by basis positions:
 image(x^a) = image(x^(a - e_i)) * L_i, with x_i the first variable of x^a.
-The Reynolds sweep, the fixed space and induced_matrix want every
+reynolds_matrix, the fixed space and induced_matrix want every
 monomial, the class traces only the entries that can reach a diagonal,
 verify_invariant and substitute_linear the ancestors of f's monomials.
 The ladder builds position links only where a walk reads them.

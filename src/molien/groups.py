@@ -192,7 +192,7 @@ def close_group(
     index = _ElementIndex(backend, n)
     keys = [tuple(map(index.add, range(n), SquareMatrix.identity(n, backend).rows))]
     found_at = {keys[0]: 0}
-    steps = [(g._terms or _nonzero_terms(g.rows), {}) for g in generators]
+    steps = [(_nonzero_terms(g.rows), {}) for g in generators]
     # elements are visited in index order, so right[i] is filled at visit i
     right = []
     while len(right) < len(keys):

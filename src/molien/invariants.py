@@ -1,12 +1,13 @@
 """Reynolds operators, invariant dimensions, and explicit invariant bases.
 
-The paper's method averages over every group element: the Reynolds
-matrix, its trace and its row-reduced columns. Both backends also have
-two routes that never sweep the group: traces taken once per conjugacy
-class and weighted by class size, and the common fixed space of the
-generators (a polynomial is invariant iff every generator fixes it),
-eliminated on sparse rows; on the float backend the rows are scaled to
-the Bombieri orthonormal basis, in which the action is unitary.
+The paper's method averages over every group element; reynolds_matrix
+is that average at one degree, and invariant_dimension its trace. The
+traces and bases computed here never sweep the group: traces are taken
+once per conjugacy class and weighted by class size, and the basis is
+the common fixed space of the generators (a polynomial is invariant iff
+every generator fixes it), eliminated on sparse rows; on the float
+backend the rows are scaled to the Bombieri orthonormal basis, in which
+the action is unitary.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, prod, sqrt
-from typing import Iterator
 
 from molien.action import _image_terms, _Ladder, dense_matrix, monomial_images
 from molien.errors import ShapeError
@@ -34,35 +34,27 @@ class ReynoldsMatrix:
     matrix: SquareMatrix
 
 
-def reynolds_matrices(group: FiniteMatrixGroup, max_degree: int) -> Iterator[ReynoldsMatrix]:
-    """The Reynolds matrices of degrees 0..max_degree, from one sweep over the group.
+def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
+    """The degree-d Reynolds matrix: the group average of the induced matrices.
 
-    Each element's basis-monomial images of every degree are added into
-    sparse columns, in element order; the sums are scaled by 1/|G| once.
-    A degree's matrix is made dense only when the iteration reaches it.
+    Each element's degree-d monomial images are added into sparse columns,
+    in element order; the sums are scaled by 1/|G| once.
     """
-    ladder = _Ladder(group.n, max_degree)
-    sums = [[{} for _ in range(comb(group.n + d - 1, d))] for d in range(max_degree + 1)]
+    ladder = _Ladder(group.n, d)
+    columns = [{} for _ in range(comb(group.n + d - 1, d))]
     for element in group.elements:
-        for columns, images in zip(sums, monomial_images(element, ladder)):
-            for column, image in zip(columns, images):
-                for q, c in image.items():
-                    if q in column:
-                        column[q] = column[q] + c
-                    else:
-                        column[q] = c
+        for images in monomial_images(element, ladder):
+            pass
+        for column, image in zip(columns, images):
+            for q, c in image.items():
+                if q in column:
+                    column[q] = column[q] + c
+                else:
+                    column[q] = c
     backend = group.backend
     factor = backend.coerce(Fraction(1, group.order))
-    for d, columns in enumerate(sums):
-        scaled = [{q: factor * c for q, c in column.items()} for column in columns]
-        yield ReynoldsMatrix(d, MonomialBasis(group.n, d), dense_matrix(scaled, backend))
-
-
-def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
-    """The degree-d Reynolds matrix: the last item of reynolds_matrices(group, d)."""
-    for reynolds in reynolds_matrices(group, d):
-        pass
-    return reynolds
+    scaled = [{q: factor * c for q, c in column.items()} for column in columns]
+    return ReynoldsMatrix(d, MonomialBasis(group.n, d), dense_matrix(scaled, backend))
 
 
 def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
@@ -186,17 +178,17 @@ def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[i
     ]
 
 
-def fixed_space_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
-    """The degree-d invariants as the reduced echelon basis of the common fixed space.
+def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
+    """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
 
+    Polynomials come back with leading (grlex-first) coefficient 1.
     Back-substitution, newest pivot first, writes every pivot variable in
     terms of the free columns; the kernel vector of free column f is 1 at
     f and 0 at the other free columns. On the exact backend every pivot
     is the largest column of its row, so f is the first nonzero entry of
-    its vector: that is the unique reduced echelon form, and the basis
-    equals the one row-reduced from the Reynolds images. On the float
-    backend the vectors are mapped back by W and row-reduced into that
-    form.
+    its vector: that is the unique reduced echelon form, the basis the
+    paper's averaged monomials row-reduce to. On the float backend the
+    vectors are mapped back by W and row-reduced into that form.
     """
     ladder = _Ladder(group.n, d)
     for images in zip(*(monomial_images(s, ladder) for s in group.generators())):
@@ -235,38 +227,6 @@ def invariant_dimension(reynolds: ReynoldsMatrix) -> int:
     """Dimension of the degree-d invariants: the trace of the Reynolds matrix."""
     trace = reynolds.matrix.trace()
     return reynolds.matrix.backend.count(trace, f"Reynolds trace at degree {reynolds.d}")
-
-
-def invariant_basis(
-    group: FiniteMatrixGroup, d: int, reynolds: ReynoldsMatrix | None = None
-) -> list[SparsePolynomial]:
-    """Basis of the degree-d invariants in reduced echelon form.
-
-    Polynomials come back with leading (grlex-first) coefficient 1. With
-    no Reynolds matrix given, this is fixed_space_basis, on either
-    backend. Given one, it is the paper's method: the Reynolds matrix is
-    applied to every basis monomial and the nonzero images, each distinct
-    one once, are row-reduced.
-    """
-    if reynolds is None:
-        return fixed_space_basis(group, d)
-    matrix = reynolds.matrix
-    backend = matrix.backend
-    image_rows = []
-    seen = set()
-    for column in zip(*matrix.rows):
-        if column in seen:
-            continue
-        seen.add(column)
-        if any(not backend.is_zero(x) for x in column):
-            image_rows.append(list(column))
-    if not image_rows:
-        return []
-    rank, reduced = row_reduce(image_rows, backend)
-    return [
-        SparsePolynomial.from_coefficient_vector(row, reynolds.basis, backend)
-        for row in reduced[:rank]
-    ]
 
 
 def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:

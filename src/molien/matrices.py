@@ -17,14 +17,9 @@ from molien.scalars import ScalarBackend, check_same_backend
 
 
 class SquareMatrix:
-    """Immutable n-by-n matrix; entry (k, i) is row k, column i.
+    """Immutable n-by-n matrix; entry (k, i) is row k, column i."""
 
-    A matrix built by the validating constructor, such as a group
-    generator, also keeps the nonzero (column, entry) pairs of each row,
-    which products with it on the right read instead of rescanning.
-    """
-
-    __slots__ = ("n", "rows", "backend", "_terms")
+    __slots__ = ("n", "rows", "backend")
 
     def __init__(self, rows: Sequence[Sequence], backend: ScalarBackend):
         coerced = tuple(tuple(backend.coerce(x) for x in row) for row in rows)
@@ -36,7 +31,6 @@ class SquareMatrix:
         self.n = n
         self.rows = coerced
         self.backend = backend
-        self._terms = _nonzero_terms(coerced)
 
     @classmethod
     def identity(cls, n: int, backend: ScalarBackend) -> "SquareMatrix":
@@ -50,7 +44,7 @@ class SquareMatrix:
         if self.n != other.n:
             raise ShapeError(f"dimension mismatch: {self.n} vs {other.n}")
         check_same_backend(self.backend, other.backend)
-        terms = other._terms or _nonzero_terms(other.rows)
+        terms = _nonzero_terms(other.rows)
         zero = self.backend.zero
         return _trusted(tuple([_row_product(row, terms, zero) for row in self.rows]), self.backend)
 
@@ -99,15 +93,12 @@ def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
     """Matrix on a square tuple of row tuples that already hold scalars of backend.
 
     For results built inside the package; SquareMatrix(rows, backend)
-    validates everything that comes from outside. Products with the result
-    on the right find its nonzero terms per call: keeping them on every
-    element of a closure would grow with |G|.
+    validates everything that comes from outside.
     """
     out = object.__new__(SquareMatrix)
     out.n = len(rows)
     out.rows = rows
     out.backend = backend
-    out._terms = None
     return out
 
 

@@ -33,7 +33,7 @@ def _hash_inverse(den: int) -> int:
 def _make(a, b, d) -> "GaussianRational":
     """Build (a + b*i)/d from ints, dividing out gcd(a, b, d).
 
-    Every d passed in is positive: a product of reduced denominators and,
+    Every d passed in is positive: a product of positive denominators and,
     in division, a positive norm. So signs need no normalising, and d = 1
     needs no gcd.
     """
@@ -376,16 +376,16 @@ def _scan_uint(text: str, pos: int) -> tuple[int, int]:
     return int(text[start:pos]), pos
 
 
-def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
-    """uint ["/" posint], returned as a Fraction."""
+def _scan_rational(text: str, pos: int) -> tuple[int, int, int]:
+    """uint ["/" posint], returned as (numerator, denominator, pos)."""
     num, pos = _scan_uint(text, pos)
     if pos < len(text) and text[pos] == "/":
         den_at = pos + 1
         den, pos = _scan_uint(text, den_at)
         if den == 0:
             raise ScalarParseError("zero denominator", _byte_offset(text, den_at))
-        return Fraction(num, den), pos
-    return Fraction(num), pos
+        return num, den, pos
+    return num, 1, pos
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -402,31 +402,32 @@ def parse_scalar(text: str) -> GaussianRational:
         pos += 1
         if pos != len(text):
             raise ScalarParseError("trailing characters", _byte_offset(text, pos))
-        return GaussianRational(0, sign)
-    first, pos = _scan_rational(text, pos)
+        return _make(0, sign, 1)
+    a, b, pos = _scan_rational(text, pos)
     if pos == len(text):
-        return GaussianRational(sign * first)
+        return _make(sign * a, 0, b)
     ch = text[pos]
     if ch == "i":
         pos += 1
         if pos != len(text):
             raise ScalarParseError("trailing characters", _byte_offset(text, pos))
-        return GaussianRational(0, sign * first)
+        return _make(0, sign * a, b)
     if ch not in "+-":
         raise ScalarParseError(f"unexpected character {ch!r}", _byte_offset(text, pos))
     im_sign = 1 if ch == "+" else -1
     pos += 1
     if pos < len(text) and text[pos] == "i":
-        im = Fraction(1)
+        c, e = 1, 1
         pos += 1
     else:
-        im, pos = _scan_rational(text, pos)
+        c, e, pos = _scan_rational(text, pos)
         if pos >= len(text) or text[pos] != "i":
             raise ScalarParseError("expected 'i'", _byte_offset(text, pos))
         pos += 1
     if pos != len(text):
         raise ScalarParseError("trailing characters", _byte_offset(text, pos))
-    return GaussianRational(sign * first, im_sign * im)
+    # sign*a/b + im_sign*c/e i over the common denominator b*e; _make reduces
+    return _make(sign * a * e, im_sign * c * b, b * e)
 
 
 def format_scalar(s) -> str:

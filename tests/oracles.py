@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own arithmetic: sympy
 symbolics for series and induced actions, itertools brute force for
 counting. Expected values frozen into tests were produced by these. The
-two exceptions are references for an algorithm rather than its
+three exceptions are references for an algorithm rather than its
 arithmetic: reference_closure multiplies with the package's own matrix
-product, and reference_class_average sums the package's own reciprocals.
+product, reference_class_average sums the package's own reciprocals, and
+averaged_monomial_basis row-reduces with the package's own row_reduce.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from molien import SquareMatrix, series_reciprocal
+from molien import SparsePolynomial, SquareMatrix, row_reduce, series_reciprocal
 from molien.series import _distinct_dets
 
 LAM = sp.symbols("lam")
@@ -68,6 +69,31 @@ def reference_class_average(group, order: int) -> tuple:
         acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
     factor = backend.coerce(Fraction(1, group.order))
     return tuple(c * factor for c in acc)
+
+
+def averaged_monomial_basis(reynolds) -> list:
+    """The paper's invariant basis: the Reynolds images of the basis monomials, row-reduced.
+
+    Column j of the Reynolds matrix is the group average of the j-th basis
+    monomial. The nonzero columns, each distinct one once, are brought to
+    reduced echelon form, so each polynomial has leading coefficient 1.
+    """
+    backend = reynolds.matrix.backend
+    image_rows = []
+    seen = set()
+    for column in zip(*reynolds.matrix.rows):
+        if column in seen:
+            continue
+        seen.add(column)
+        if any(not backend.is_zero(x) for x in column):
+            image_rows.append(list(column))
+    if not image_rows:
+        return []
+    rank, reduced = row_reduce(image_rows, backend)
+    return [
+        SparsePolynomial.from_coefficient_vector(row, reynolds.basis, backend)
+        for row in reduced[:rank]
+    ]
 
 
 def to_sympy(matrix) -> sp.Matrix:

@@ -6,7 +6,7 @@ corpus group's generators, or an exact group's `molien_rational` form
 printed with `format_scalar`. Four float groups also pin raw binary64
 bits as `float.hex`: the complex value the class traces hand to
 `backend.count` at each degree, and the coefficients of
-`fixed_space_basis` at each degree. A change meant to keep results the
+`invariant_basis` at each degree. A change meant to keep results the
 same leaves every digest as it is. A change meant to alter an output updates
 the digests it names; `python tests/test_golden.py` prints the current
 ones, and `python tests/test_golden.py --check` names each case whose
@@ -34,7 +34,7 @@ except ImportError:
 import corpus
 from molien import format_scalar, molien_rational
 from molien.cli import main
-from molien.invariants import fixed_space_basis, reynolds_traces
+from molien.invariants import invariant_basis, reynolds_traces
 
 GROUPS = {
     "trivial1": lambda: corpus.trivial(1),
@@ -94,7 +94,7 @@ def raw_bits(kind: str, name: str) -> str:
         return "\n".join(
             " ".join(f"{mono}:{hex_complex(c)}" for mono, c in f.terms.items())
             for d in range(top + 1)
-            for f in fixed_space_basis(g, d)
+            for f in invariant_basis(g, d)
         )
     backend_class = type(g.backend)
     count = backend_class.count

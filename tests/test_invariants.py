@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -26,20 +27,20 @@ from molien import (
     induced_matrix,
     invariant_basis,
     invariant_dimension,
-    reynolds_matrices,
     reynolds_matrix,
     row_reduce,
     substitute_linear,
     verify_invariant,
 )
 from molien.action import _Ladder, monomial_images
-from molien.invariants import (
-    _bombieri_weights,
-    fixed_space_basis,
-    fixed_space_dimensions,
-    reynolds_traces,
+from molien.invariants import _bombieri_weights, fixed_space_dimensions, reynolds_traces
+from oracles import (
+    averaged_monomial_basis,
+    sympy_fixed_space_dimension,
+    sympy_induced,
+    sympy_reynolds,
+    to_sympy,
 )
-from oracles import sympy_fixed_space_dimension, sympy_induced, sympy_reynolds, to_sympy
 
 # Pinned exact bases: the reduced echelon form of a row space is unique, so
 # no change in how the Reynolds matrices are built may alter them.
@@ -81,6 +82,18 @@ def sympy_reynolds_sweep(build, max_degree):
         sympy_reynolds(mats, list(MonomialBasis(group.n, d).monomials), group.n)
         for d in range(max_degree + 1)
     ]
+
+
+def induced_average(group, d):
+    """(1/|G|) times the sum of the degree-d induced matrices, added in element order."""
+    basis = MonomialBasis(group.n, d)
+    backend = group.backend
+    total = [[backend.zero] * len(basis) for _ in range(len(basis))]
+    for g in group.elements:
+        for row, induced in zip(total, induced_matrix(g, basis).rows):
+            row[:] = [a + b for a, b in zip(row, induced)]
+    factor = backend.coerce(Fraction(1, group.order))
+    return SquareMatrix([[factor * x for x in row] for row in total], backend)
 
 
 class TestReynoldsMatrix:
@@ -155,17 +168,16 @@ class TestReynoldsSweep:
     )
     def test_each_degree_matches_reynolds_matrix(self, build, max_degree):
         group = build()
-        swept = list(reynolds_matrices(group, max_degree))
-        assert [r.d for r in swept] == list(range(max_degree + 1))
-        for d, reynolds in enumerate(swept):
-            single = reynolds_matrix(group, d)
-            assert reynolds.basis.monomials == single.basis.monomials
-            assert reynolds.matrix == single.matrix
+        for d in range(max_degree + 1):
+            reynolds = reynolds_matrix(group, d)
+            assert reynolds.d == d
+            assert reynolds.basis.monomials == MonomialBasis(group.n, d).monomials
+            assert reynolds.matrix == induced_average(group, d)
 
     def test_float_degrees_match_within_tolerance(self):
         group = corpus.dihedral_float(12)
-        for d, reynolds in enumerate(reynolds_matrices(group, 12)):
-            assert reynolds.matrix.equals(reynolds_matrix(group, d).matrix)
+        for d in range(13):
+            assert reynolds_matrix(group, d).matrix.equals(induced_average(group, d))
 
     @pytest.mark.parametrize(
         "build, max_degree", [(corpus.s4, 5), (corpus.binary_tetrahedral, 8)]
@@ -173,8 +185,8 @@ class TestReynoldsSweep:
     def test_exact_average_against_sympy(self, build, max_degree):
         group = build()
         theirs = sympy_reynolds_sweep(build, max_degree)
-        for reynolds in reynolds_matrices(group, max_degree):
-            assert to_sympy(reynolds.matrix) == theirs[reynolds.d]
+        for d in range(max_degree + 1):
+            assert to_sympy(reynolds_matrix(group, d).matrix) == theirs[d]
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ShapeError):
@@ -185,26 +197,6 @@ class TestReynoldsSweep:
         assert s4 == S4_DEGREE_6_BASIS
         tetrahedral = invariant_basis(corpus.binary_tetrahedral(), 12)
         assert [format_polynomial(f) for f in tetrahedral] == BINARY_TETRAHEDRAL_DEGREE_12_BASIS
-
-    def test_duplicate_columns_reach_row_reduce_once(self, monkeypatch):
-        import molien.invariants
-
-        seen = []
-        original = molien.invariants.row_reduce
-
-        def recording(rows, backend):
-            seen.append([tuple(row) for row in rows])
-            return original(rows, backend)
-
-        monkeypatch.setattr(molien.invariants, "row_reduce", recording)
-        group = corpus.s3()
-        reynolds = reynolds_matrix(group, 3)
-        columns = set(zip(*reynolds.matrix.rows))
-        nonzero = {c for c in columns if any(c)}
-        basis = invariant_basis(group, 3, reynolds=reynolds)
-        (rows,) = seen
-        assert len(rows) == len(set(rows)) == len(nonzero) < len(reynolds.basis)
-        assert len(basis) == 3
 
     def test_entries_are_not_coerced_again(self, monkeypatch):
         from molien.scalars import ScalarBackend
@@ -318,9 +310,8 @@ class TestInvariantBasis:
         for build in (corpus.s3, corpus.d4, corpus.q8):
             group = build()
             for d in (1, 2, 3, 4):
-                reynolds = reynolds_matrix(group, d)
-                basis = invariant_basis(group, d, reynolds=reynolds)
-                assert len(basis) == invariant_dimension(reynolds)
+                basis = invariant_basis(group, d)
+                assert len(basis) == invariant_dimension(reynolds_matrix(group, d))
                 degree_basis = MonomialBasis(group.n, d)
                 rows = [f.coefficient_vector(degree_basis) for f in basis]
                 assert row_reduce(rows, EXACT)[0] == len(basis)
@@ -331,7 +322,7 @@ class TestInvariantBasis:
 
 
 # (corpus builder, its argument, top degree): the float groups whose
-# fixed-space bases are pinned to the Reynolds route
+# fixed-space bases are pinned to the averaged monomials
 FLOAT_CASES = [("h3_float", None, 8)] + [("dihedral_float", m, 16) for m in (5, 12, 30, 60)]
 
 
@@ -348,17 +339,15 @@ def max_term_distance(f, g):
 
 
 def refuse_sweep(monkeypatch):
-    """Make every molien binding of the Reynolds sweep raise."""
+    """Make every molien binding of reynolds_matrix raise."""
     import sys
 
     def refuse(*args, **kwargs):
         raise AssertionError("the group was swept")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("molien"):
-            for attr in ("reynolds_matrices", "reynolds_matrix"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+        if name.startswith("molien") and hasattr(module, "reynolds_matrix"):
+            monkeypatch.setattr(module, "reynolds_matrix", refuse)
 
 
 class TestFixedSpace:
@@ -375,10 +364,9 @@ class TestFixedSpace:
             groups = [getattr(corpus, name)()]
         for group in groups:
             sizes = []
-            for reynolds in reynolds_matrices(group, max_degree):
-                ours = fixed_space_basis(group, reynolds.d)
-                assert ours == invariant_basis(group, reynolds.d, reynolds=reynolds)
-                assert invariant_basis(group, reynolds.d) == ours
+            for d in range(max_degree + 1):
+                ours = invariant_basis(group, d)
+                assert ours == averaged_monomial_basis(reynolds_matrix(group, d))
                 sizes.append(len(ours))
             assert fixed_space_dimensions(group, max_degree) == sizes
 
@@ -418,9 +406,10 @@ class TestFixedSpace:
     def test_float_basis_equals_reynolds_route(self, name, m, max_degree, conjugated):
         group = float_case(name, m, conjugated)
         sizes = []
-        for reynolds in reynolds_matrices(group, max_degree):
-            ours = invariant_basis(group, reynolds.d)
-            theirs = invariant_basis(group, reynolds.d, reynolds=reynolds)
+        for d in range(max_degree + 1):
+            reynolds = reynolds_matrix(group, d)
+            ours = invariant_basis(group, d)
+            theirs = averaged_monomial_basis(reynolds)
             assert len(ours) == len(theirs) == invariant_dimension(reynolds)
             for f, g in zip(ours, theirs):
                 assert max_term_distance(f, g) <= 1e-9

@@ -83,6 +83,46 @@ class TestParse:
             parse_scalar(text)
         assert err.value.offset == offset
 
+    def test_seeded_literals_match_fraction_pairs(self):
+        # the parser builds the reduced triple directly; the reference goes
+        # through GaussianRational(Fraction, Fraction)
+        def rational(rng):
+            num = rng.choice([0, 1, rng.randint(0, 60)])
+            if rng.random() < 0.5:
+                return str(num), Fraction(num)
+            den = rng.randint(1, 24)
+            return f"{num}/{den}", Fraction(num, den)
+
+        rng = random.Random(18)
+        cases = [
+            ("4/6+2/6i", Fraction(2, 3), Fraction(1, 3)),
+            ("i", 0, 1),
+            ("-i", 0, -1),
+            ("3+i", 3, 1),
+            ("-5/10-i", Fraction(-1, 2), -1),
+            ("0/7", 0, 0),
+            ("-0", 0, 0),
+            ("-0/4-0/9i", 0, 0),
+        ]
+        for _ in range(2000):
+            sign = rng.choice([1, -1])
+            re_text, re = rational(rng)
+            form = rng.choice(["real", "imag", "unit", "both"])
+            if form == "real":
+                text, value = re_text, (sign * re, 0)
+            elif form == "imag":
+                text, value = re_text + "i", (0, sign * re)
+            else:
+                im_sign = rng.choice([1, -1])
+                im_text, im = ("", Fraction(1)) if form == "unit" else rational(rng)
+                text = f"{re_text}{'+' if im_sign == 1 else '-'}{im_text}i"
+                value = (sign * re, im_sign * im)
+            cases.append((("-" if sign == -1 else "") + text, *value))
+        for text, re, im in cases:
+            ours = parse_scalar(text)
+            reference = GaussianRational(Fraction(re), Fraction(im))
+            assert (ours._a, ours._b, ours._d) == (reference._a, reference._b, reference._d), text
+
     def test_offset_is_in_bytes(self):
         with pytest.raises(ScalarParseError) as err:
             parse_scalar("1½")

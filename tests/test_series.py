@@ -22,12 +22,12 @@ from molien import (
     cross_check,
     expand_rational,
     format_scalar,
+    invariant_basis,
     molien_rational,
     molien_series,
     series_reciprocal,
     verify_invariant,
 )
-from molien.invariants import fixed_space_basis
 from molien.series import _class_average
 from oracles import (
     partitions_with_parts_at_most,
@@ -479,7 +479,7 @@ class TestCrossCheck:
         assert report.per_method == {"series": expected, "trace": expected, "rank": expected}
         assert report.all_agree()
         for d in (8, 12, 24):
-            basis = fixed_space_basis(group, d)
+            basis = invariant_basis(group, d)
             assert len(basis) == expected[d]
             assert all(verify_invariant(f, group) for f in basis)
 
