@@ -53,6 +53,11 @@ GROUPS = {
     "b3": corpus.b3,
     "b3_conjugate": lambda: corpus.signed_permutation_conjugate(corpus.b3(), 3),
     "g423": corpus.g423,
+    "g8_type": corpus.g8_type,
+    "wf4": corpus.wf4,
+    # conjugates whose generators have entry denominators that differ between generators
+    "b3_gaussian0": lambda: corpus.gaussian_unitary_conjugate(corpus.b3(), 0),
+    "2t_gaussian0": lambda: corpus.gaussian_unitary_conjugate(corpus.binary_tetrahedral(), 0),
     "dihedral5_float": lambda: corpus.dihedral_float(5),
     "dihedral12_float": lambda: corpus.dihedral_float(12),
     "h3_float": corpus.h3_float,
@@ -295,6 +300,42 @@ GOLDEN = {
     "invariants-5/g423": "6e7ad0017d29cdd642dfae16ea6806428269a78a8103943e2f5e2701e7c5242c",
     "invariants-6/g423": "da352bd1d8e18d7acd04173a981fbc6f6bce90094c07c5584fb64cf23b1498d9",
     "rational/g423": "859b22684f2a2cc651b368df0519db8c1d3f957293ff4be368f428620c431d81",
+    "verify/g8_type": "639ff7d87dab0fdcef1ef7870dad13d0b6397bf1b2747d5486792a8d70a71311",
+    "invariants-0/g8_type": "0b529aa0d757d6275338e0e6d71166a124e41fe48ed6c376e97d685a82be28c5",
+    "invariants-1/g8_type": "709bdf328bac9fc2e58bb1c91b1d3c9cd5e1fcdeba5936e87862665e8ad65896",
+    "invariants-2/g8_type": "f7d634e73bdefd0055ac742adffc67f017e56cbb0310ecea39e1c8394e9634d4",
+    "invariants-3/g8_type": "2e033b46097cddf9f2266e6f6639c7eed96899a250533dc906a6c09a6c5337ca",
+    "invariants-4/g8_type": "410875dd803291e0807453d0743bfcf72448bfc7b1c1afa4cd8f1b46b097a2e7",
+    "invariants-5/g8_type": "bdac253e7f9fee59e999773e4c79a2537f0ffd92ccf62ddad98dcbafea8ffc14",
+    "invariants-6/g8_type": "ede95d436337342a617f5e1789dcaf57f4c57cbb8a441fda2dcbc39cee33210d",
+    "rational/g8_type": "910891bd4e255a421c6bbd0a382c0c0932a450af9d314fec7239891666612580",
+    "verify/wf4": "319fdaee380cee40355acd078e539011dbc1aaba5a863be57be116e30b4330c6",
+    "invariants-0/wf4": "161357d19aa52f32a6bdd025a07e40e6b8b92c165f2ca2804f3d2c5dccda4807",
+    "invariants-1/wf4": "5a57073876f90fa17abec42461f39675c69cc331723d1e379c2becaec17aaa13",
+    "invariants-2/wf4": "90bd3127aabf29ae6a4cb659a64544ecb1727ead5edeacd8852c899ffdde0278",
+    "invariants-3/wf4": "3ceef717bd94e41e9183fe7f850512a0e73336941d2751beddeb4851336b08ac",
+    "invariants-4/wf4": "62a65c34ea76226c4d66b39fe274d976d1df08651b14dd563889664deb321773",
+    "invariants-5/wf4": "415be4c69216142833e70cf6a7bc12a8e3beac958c33003c5fc453fb04b579cd",
+    "invariants-6/wf4": "bcb0d92231c1dbce6bbb208466f84c75e546c1fe71f658a9e5f734de2cdfb928",
+    "rational/wf4": "c720e184033f4807cb035b3d0d7148dffce934e607c37b40b156a3c136376376",
+    "verify/b3_gaussian0": "41ac45e5cbdd958a37206ec748b2b95a18e15997d0ca0c1c73633589c94587b9",
+    "invariants-0/b3_gaussian0": "93dab7f40d0f78f5e378a93b220c3c0522d0f23fa8086d4374153fe11b367348",
+    "invariants-1/b3_gaussian0": "4ebd52f1842ee630338e69fb3ae8cca9c9827cf335f0633bab05fe3c1dcb479f",
+    "invariants-2/b3_gaussian0": "de0c0b6c34eda5e5981a9cd06bf7cd001bb5366cbc399ee52245388263096a6f",
+    "invariants-3/b3_gaussian0": "cf45dded786c41e1c3395e425d3702fec43018567245c5e2154241b1802db10c",
+    "invariants-4/b3_gaussian0": "b6172f900186d9e1eeb6342c82dfb9dc9333131c1fe1a9619902a720eb6a185d",
+    "invariants-5/b3_gaussian0": "f22aa95e99ecf2fc93fbae03375f79ac9ce801b05c91509b554977ed4bc0a4e5",
+    "invariants-6/b3_gaussian0": "7de31c0eb38f82c62adfe21a4e5dd58524a06d52740e1d55ad8f9b02afd6f843",
+    "rational/b3_gaussian0": "27142a4bf92f28b9e6bebabda618b57a779ba7189f240288b888a6dffacc159e",
+    "verify/2t_gaussian0": "9a86dd8b921bc58252a28c707d8202c7303d73f1c3e49273139d9548304e6090",
+    "invariants-0/2t_gaussian0": "3411eb8ad810d939d06a847811293baf575f82fbdf90c51661b03ca4da0d721e",
+    "invariants-1/2t_gaussian0": "f3730794365f227669cf4e29ac6ab755389ccaba22801c7c85199e0edcf5dea4",
+    "invariants-2/2t_gaussian0": "e0e1b6ccb4620f4a5cbd3f6388ad54b1e9dd67b6556e7679b1c6ac8422ad7fd9",
+    "invariants-3/2t_gaussian0": "027f9950e6ff311265a79c427603eebefc5902d7346552bcadb1d4f370cbb714",
+    "invariants-4/2t_gaussian0": "2134609efec419fb9b7ea09bd5a0ce4da10d0112955ba9bdcc648473ca0a3564",
+    "invariants-5/2t_gaussian0": "282c93b5f3be017e55bf58eb80f3f1c3fee501b0a9aaf26b9e7ce00f1b43d9fe",
+    "invariants-6/2t_gaussian0": "4598f0067030a8e92e113adfcfda5f2b8ac8fba33256ca286cc7cb75471df8f5",
+    "rational/2t_gaussian0": "dbfe24ae820653b9e7e630ac166b911d1c24a9eb02baa9f4e71ee864abc13941",
     "verify/dihedral5_float": "3ac805f8a65ccbb9967c1f24924f0869eba858e3dbc0ac50bb49f22ae1a060c2",
     "invariants-0/dihedral5_float": "ddf2fa1ecd51476d9912d9801bb2aea139792747eb189174790656fed4dca530",
     "invariants-1/dihedral5_float": "a5a10cfd22529b316f9f6d3f3fdb2020254d58943dd8b53c64d54e0cac0fcae6",
