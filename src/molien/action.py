@@ -2,13 +2,15 @@
 
 A group element acting on variables by the unitary matrix A sends the
 linear form x_i to L_i = sum_k conj(A[k][i]) x_k, so the first induced
-matrix is the entrywise conjugate of A. One walk builds the images of the
+matrix is the entrywise conjugate of A. The walk builds the images of the
 wanted monomials degree by degree on raw dicts keyed by basis positions:
-image(x^a) = image(x^(a - e_i)) * L_i, with x_i the first variable of x^a.
-reynolds_matrix, the fixed space and induced_matrix want every
-monomial, the class traces only the entries that can reach a diagonal,
-verify_invariant and substitute_linear the ancestors of f's monomials.
-The ladder builds position links only where a walk reads them.
+image(x^a) = image(x^(a - e_i)) * L_i, with x_i the first variable of x^a,
+in complex floats or, exact, in Gaussian-integer (re, im) int pairs of
+m*A, m the lcm of its entries' denominators. reynolds_matrix, the fixed
+space and induced_matrix want every monomial, the class traces only the
+entries that can reach a diagonal, verify_invariant and substitute_linear
+the ancestors of f's monomials. The ladder builds position links only
+where a walk reads them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterator
 from molien.errors import ShapeError
 from molien.matrices import SquareMatrix, _trusted
 from molien.polynomials import MonomialBasis, SparsePolynomial
-from molien.scalars import ScalarBackend
+from molien.scalars import GaussianRational, ScalarBackend, _make
 
 
 class _Ladder:
@@ -132,8 +134,13 @@ def monomial_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[l
     dict from positions to coefficients, and None elsewhere. Only exact
     zeros are skipped, none by the float tolerance. An entry at t is started
     only if bound is None or (bound - code of t) keeps every guard bit, and
-    gets the same terms in the same order whatever is wanted.
+    gets the same terms in the same order whatever is wanted. The backend
+    picks the body; the exact one's coefficients are the pairs of m*a.
     """
+    return _WALKS[a.backend.scalar](a, ladder, wanted)
+
+
+def _complex_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
     forms = [
         [(k, row[i].conjugate()) for k, row in enumerate(a.rows) if row[i]]
         for i in range(a.n)
@@ -160,6 +167,49 @@ def monomial_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[l
         yield images
 
 
+def _pair_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
+    # column i of m*a, conjugated: the form m*L_i
+    columns = zip(*a.backend.lift(a.rows)[1])
+    forms = [[(k, re, -im) for k, (re, im) in enumerate(c) if re or im] for c in columns]
+    guard, row = ladder.guard, ladder.row
+    images = [{0: (1, 0)}]
+    yield images
+    for d, step in enumerate((ladder.every if wanted is None else wanted)[1:], 1):
+        up, codes = ladder.up[d], ladder.codes[d]
+        nxt = [None] * len(codes)
+        for j, p, i, bound in step:
+            form = forms[i]
+            out: dict = {}
+            for q, (cr, ci) in images[p].items():
+                targets = up[q] or row(d, q)
+                for k, lr, li in form:
+                    t = targets[k]
+                    if t in out:
+                        x, y = out[t]
+                        out[t] = (x + cr * lr - ci * li, y + cr * li + ci * lr)
+                    elif bound is None or (bound - codes[t]) & guard == guard:
+                        out[t] = (cr * lr - ci * li, cr * li + ci * lr)
+            nxt[j] = {t: v for t, v in out.items() if v[0] or v[1]}
+        images = nxt
+        yield images
+
+
+def _lowered_pairs(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
+    m = a.backend.lift(a.rows)[0]
+    for d, images in enumerate(monomial_images(a, ladder, wanted)):
+        scale = m**d
+        yield [image and {q: _make(*v, scale) for q, v in image.items()} for image in images]
+
+
+_WALKS = {complex: _complex_images, GaussianRational: _pair_images}
+_SCALAR_WALKS = {complex: _complex_images, GaussianRational: _lowered_pairs}
+
+
+def scalar_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[list]:
+    """monomial_images with every coefficient a scalar of a's backend, each built once."""
+    return _SCALAR_WALKS[a.backend.scalar](a, ladder, wanted)
+
+
 def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
 
@@ -169,7 +219,7 @@ def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """
     ladder = _Ladder(f.n, max(map(sum, f.terms), default=0))
     wanted, positions = ladder.ancestors(f.terms)
-    images = list(monomial_images(a, ladder, wanted))
+    images = list(scalar_images(a, ladder, wanted))
     out: dict = {}
     for mono, c in sorted(f.terms.items(), key=lambda term: sum(term[0])):
         d = sum(mono)
@@ -201,6 +251,6 @@ def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:
     """
     if a.n != basis.n:
         raise ShapeError(f"matrix dimension {a.n} does not match basis over {basis.n} variables")
-    for images in monomial_images(a, _Ladder(basis.n, basis.d)):
+    for images in scalar_images(a, _Ladder(basis.n, basis.d)):
         pass
     return dense_matrix(images, a.backend)

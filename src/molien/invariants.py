@@ -4,10 +4,11 @@ The paper's method averages over every group element; reynolds_matrix
 is that average at one degree, and invariant_dimension its trace. The
 traces and bases computed here never sweep the group: traces are taken
 once per conjugacy class and weighted by class size, and the basis is
-the common fixed space of the generators (a polynomial is invariant iff
-every generator fixes it), eliminated on sparse rows; on the float
-backend the rows are scaled to the Bombieri orthonormal basis, in which
-the action is unitary.
+the common fixed space of the generators, eliminated on sparse rows.
+Each backend has its own bodies. On floats the rows are scaled to the
+Bombieri orthonormal basis. On the exact backend both run on the walk's
+Gaussian-integer pairs: a trace is one division per class and degree,
+and the elimination is fraction-free, with the pivots of Q(i).
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, gcd, prod, sqrt
 
-from molien.action import _image_terms, _Ladder, dense_matrix, monomial_images
+from molien.action import _image_terms, _Ladder, dense_matrix, monomial_images, scalar_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
-from molien.scalars import check_same_backend
+from molien.scalars import GaussianRational, _make, check_same_backend
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,11 @@ def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
     ladder = _Ladder(group.n, d)
     columns = [{} for _ in range(comb(group.n + d - 1, d))]
     for element in group.elements:
-        for images in monomial_images(element, ladder):
+        for images in scalar_images(element, ladder):
             pass
         for column, image in zip(columns, images):
             for q, c in image.items():
-                if q in column:
-                    column[q] = column[q] + c
-                else:
-                    column[q] = c
+                column[q] = column[q] + c if q in column else c
     backend = group.backend
     factor = backend.coerce(Fraction(1, group.order))
     scaled = [{q: factor * c for q, c in column.items()} for column in columns]
@@ -72,20 +70,34 @@ def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
 def _class_traces(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """reynolds_traces on a ladder already built."""
     backend = group.backend
+    traces = _TRACES[backend.scalar]
     sums = [backend.zero] * (ladder.top + 1)
     for members in group.conjugacy_classes():
-        walk = monomial_images(group.elements[members[0]], ladder, ladder.to_diagonals)
-        for d, images in enumerate(walk):
-            trace = backend.zero
-            for j, image in enumerate(images):
-                if j in image:
-                    trace = trace + image[j]
+        for d, trace in enumerate(traces(group.elements[members[0]], ladder)):
             sums[d] = sums[d] + len(members) * trace
     factor = backend.coerce(Fraction(1, group.order))
     return [
         backend.count(total * factor, f"Reynolds trace at degree {d}")
         for d, total in enumerate(sums)
     ]
+
+
+def _complex_traces(a: SquareMatrix, ladder: _Ladder):
+    """Tr rho_d(a) for d = 0..top: the diagonal entries summed in position order."""
+    for images in monomial_images(a, ladder, ladder.to_diagonals):
+        trace = 0j
+        for j, image in enumerate(images):
+            if j in image:
+                trace = trace + image[j]
+        yield trace
+
+
+def _pair_traces(a: SquareMatrix, ladder: _Ladder):
+    """Tr rho_d(a) for d = 0..top: the diagonal pairs of m*a summed, then divided once by m^d."""
+    m = a.backend.lift(a.rows)[0]
+    for d, images in enumerate(monomial_images(a, ladder, ladder.to_diagonals)):
+        diagonal = [image[j] for j, image in enumerate(images) if j in image]
+        yield _make(sum(x for x, _ in diagonal), sum(y for _, y in diagonal), m**d)
 
 
 def _bombieri_weights(basis: MonomialBasis) -> list[float]:
@@ -99,29 +111,27 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
 
 
-def _eliminate(per_generator, n: int, d: int, backend) -> tuple:
-    """Sparse elimination of the rows of W^-1 (rho_d(s) - I) W over the generators s.
+def _eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
+    """(W, pivots) of the rows of rho_d(s) - I over the generators s, by the backend's body.
 
-    Returns (W, pivots). W is None on the exact backend, which needs no
-    scaling, and _bombieri_weights on the float backend. Each row's pivot
-    is backend.pivot(row): on the exact backend its largest column, so
-    every pivot row holds only smaller columns; on the float backend its
-    entry of largest absolute value, or none if all are within the tolerance.
-
-    pivots maps each pivot column to the rest of its row, pivot
-    coefficient 1, in the order the pivots were found. No pivot row holds
-    an earlier pivot column, so each new row is reduced by the known
-    pivots oldest first before its own pivot is chosen.
+    pivots maps each pivot column to its row, in the order found. No pivot
+    row holds an earlier pivot column, so each new row is reduced by the
+    known pivots oldest first before its own pivot is chosen.
     """
-    one, pivot = backend.one, backend.pivot
-    size = comb(n + d - 1, d)
-    weights = None if backend.is_exact else _bombieri_weights(MonomialBasis(n, d))
-    pivots: dict = {}
-    found: list = []  # pivot columns in the order they were found
-    age: dict = {}
+    return _ELIMINATIONS[group.backend.scalar](group, per_generator, d)
+
+
+def _complex_eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
+    """The float body, on the rows of W^-1 (rho_d(s) - I) W.
+
+    A row's pivot is its entry of largest absolute value above the
+    tolerance; pivots map to the rest of the row divided by it.
+    """
+    one, pivot = group.backend.one, group.backend.pivot
+    weights = _bombieri_weights(MonomialBasis(group.n, d))
+    pivots, found, age = {}, [], {}
     for images in per_generator:
-        # row q holds coordinate q of every monomial image, minus 1 at q
-        rows = [{} for _ in range(size)]
+        rows = [{} for _ in weights]
         for j, image in enumerate(images):
             for q, c in image.items():
                 rows[q][j] = c
@@ -132,9 +142,8 @@ def _eliminate(per_generator, n: int, d: int, backend) -> tuple:
                 row[q] = c
             else:
                 del row[q]
-            if weights:
-                wq = weights[q]
-                row = {k: v * (weights[k] / wq) for k, v in row.items()}
+            wq = weights[q]
+            row = {k: v * (weights[k] / wq) for k, v in row.items()}
             heap = [age[k] for k in row if k in pivots]
             heapify(heap)
             while heap:
@@ -163,6 +172,63 @@ def _eliminate(per_generator, n: int, d: int, backend) -> tuple:
     return weights, pivots
 
 
+def _pair_eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
+    """The exact body, fraction-free on the (re, im) rows of rho_d(m s) - m^d I = m^d (rho_d(s) - I).
+
+    Pivot row v, pivot P, reduces a row to (P*row - f*v)/g, f its entry at
+    the pivot column and g = gcd(P, f): a nonzero multiple of the row reduced
+    over Q(i), so its pivot, the largest column, is the same. A new pivot
+    row is multiplied by its pivot's conjugate and divided by the gcd of its
+    parts, so P is a positive int. W is None; pivots map to (P, row).
+    """
+    pivots, found, age = {}, [], {}
+    for s, images in zip(group.generators(), per_generator):
+        unit = s.backend.lift(s.rows)[0] ** d
+        rows = [{} for _ in range(comb(group.n + d - 1, d))]
+        for j, image in enumerate(images):
+            for q, c in image.items():
+                rows[q][j] = c
+        for q, row in enumerate(rows):
+            re, im = row.get(q, (0, 0))
+            row[q] = (re - unit, im)
+            if row[q] == (0, 0):
+                del row[q]
+            heap = [age[k] for k in row if k in pivots]
+            heapify(heap)
+            while heap:
+                p = found[heappop(heap)]
+                if p not in row:
+                    continue
+                fr, fi = row.pop(p)
+                scale, pivot_row = pivots[p]
+                g = gcd(scale, fr, fi)
+                scale, fr, fi = scale // g, fr // g, fi // g
+                if scale != 1:
+                    row = {k: (scale * x, scale * y) for k, (x, y) in row.items()}
+                for k, (x, y) in pivot_row.items():
+                    if k in pivots and k not in row:
+                        heappush(heap, age[k])
+                    a, b = row.pop(k, (0, 0))
+                    a, b = a - fr * x + fi * y, b - fr * y - fi * x
+                    if a or b:
+                        row[k] = (a, b)
+            if row:
+                top = max(row)
+                pr, pi = row.pop(top)
+                norm = pr * pr + pi * pi
+                row = {k: (x * pr + y * pi, y * pr - x * pi) for k, (x, y) in row.items()}
+                g = gcd(norm, *(part for pair in row.values() for part in pair))
+                pivots[top] = (norm // g, {k: (x // g, y // g) for k, (x, y) in row.items()})
+                age[top] = len(found)
+                found.append(top)
+    return None, pivots
+
+
+# each backend's bodies, by its scalar type
+_TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
+_ELIMINATIONS = {complex: _complex_eliminate, GaussianRational: _pair_eliminate}
+
+
 def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
     """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
     return _fixed_space_dimensions(group, _Ladder(group.n, max_degree))
@@ -170,10 +236,9 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 
 def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """fixed_space_dimensions on a ladder already built."""
-    n, backend = group.n, group.backend
     walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
     return [
-        comb(n + d - 1, d) - len(_eliminate(images, n, d, backend)[1])
+        comb(group.n + d - 1, d) - len(_eliminate(group, images, d)[1])
         for d, images in enumerate(walks)
     ]
 
@@ -181,8 +246,9 @@ def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[i
 def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
 
-    Polynomials come back with leading (grlex-first) coefficient 1.
-    Back-substitution, newest pivot first, writes every pivot variable in
+    Polynomials come back with leading (grlex-first) coefficient 1. Exact
+    pivot rows are divided by their pivot P here, once per entry; then
+    back-substitution, newest pivot first, writes every pivot variable in
     terms of the free columns; the kernel vector of free column f is 1 at
     f and 0 at the other free columns. On the exact backend every pivot
     is the largest column of its row, so f is the first nonzero entry of
@@ -194,7 +260,9 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     for images in zip(*(monomial_images(s, ladder) for s in group.generators())):
         pass
     backend = group.backend
-    weights, pivots = _eliminate(images, group.n, d, backend)
+    weights, pivots = _eliminate(group, images, d)
+    if weights is None:
+        pivots = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
     basis = MonomialBasis(group.n, d)
     zero, one = backend.zero, backend.one
     vectors = {f: {f: one} for f in range(len(basis)) if f not in pivots}

@@ -209,9 +209,9 @@ class ScalarBackend:
     """
 
     __slots__ = ()
-    # value as a Gaussian integer pair (a, b), where the field has them;
-    # None on floats, whose series sums stay in complex arithmetic
-    gaussian_integer = None
+    # rows of values as Gaussian integer pairs over a common denominator,
+    # where the field has them; None on floats, which stay complex
+    lift = None
 
     def __init__(self):
         if type(self) is ScalarBackend:
@@ -271,11 +271,10 @@ class _ExactBackend(ScalarBackend):
             raise ConsistencyError(f"{what} is not an integer: {value!r}")
         return value.re.numerator
 
-    def gaussian_integer(self, value, what: str) -> tuple[int, int]:
-        """(a, b) with value = a + b*i; else ConsistencyError starting with `what`."""
-        if value._d != 1:
-            raise ConsistencyError(f"{what} is not a Gaussian integer: {value!r}")
-        return value._a, value._b
+    def lift(self, rows) -> tuple[int, list]:
+        """(m, rows of pairs): m the lcm of the values' denominators, m*value as (a, b) for each."""
+        m = math.lcm(*(x._d for row in rows for x in row))
+        return m, [[(x._a * (m // x._d), x._b * (m // x._d)) for x in row] for row in rows]
 
     def __repr__(self):
         return "ScalarBackend('exact')"

@@ -113,12 +113,13 @@ def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> Truncat
     and summed in the order of _distinct_dets, so rounding is reproducible.
     """
     backend = group.backend
-    lift = backend.gaussian_integer
-    if lift is not None:
+    if backend.lift is not None:
         re, im = [0] * (order + 1), [0] * (order + 1)
         for p, multiplicity in terms:
             # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j)
-            tail = [lift(c, "det(id - lambda*T_g) coefficient") for c in p.coeffs[1:]]
+            m, (tail,) = backend.lift([p.coeffs[1:]])
+            if m != 1:
+                raise ConsistencyError(f"a coefficient of {p!r} is not a Gaussian integer")
             qr, qi = [1], [0]
             for k in range(1, order + 1):
                 sr = si = 0

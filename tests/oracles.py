@@ -3,20 +3,26 @@
 Everything here deliberately avoids the package's own arithmetic: sympy
 symbolics for series and induced actions, itertools brute force for
 counting. Expected values frozen into tests were produced by these. The
-three exceptions are references for an algorithm rather than its
-arithmetic: reference_closure multiplies with the package's own matrix
-product, reference_class_average sums the package's own reciprocals, and
-averaged_monomial_basis row-reduces with the package's own row_reduce.
+exceptions are references for an algorithm rather than its arithmetic:
+reference_closure multiplies with the package's own matrix product,
+reference_class_average sums the package's own reciprocals,
+averaged_monomial_basis row-reduces with the package's own row_reduce,
+and reference_images and reference_pivots walk and eliminate with the
+package's own scalars, GaussianRational on the exact backend, where the
+package runs both on Gaussian-integer pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import comb
 
 import sympy as sp
 
 from molien import SparsePolynomial, SquareMatrix, row_reduce, series_reciprocal
+from molien.action import _Ladder
 from molien.series import _distinct_dets
 
 LAM = sp.symbols("lam")
@@ -94,6 +100,96 @@ def averaged_monomial_basis(reynolds) -> list:
         SparsePolynomial.from_coefficient_vector(row, reynolds.basis, backend)
         for row in reduced[:rank]
     ]
+
+
+def reference_images(a, ladder, wanted=None):
+    """The monomial-image walk on backend scalars, images as in molien.action.monomial_images.
+
+    Every coefficient is a scalar of a's backend, built by its own
+    multiplication and addition, in the same order of terms as the
+    package's walk, so the exact images are exactly the package's lowered
+    ones, keys and order included.
+    """
+    forms = [
+        [(k, row[i].conjugate()) for k, row in enumerate(a.rows) if row[i]]
+        for i in range(a.n)
+    ]
+    guard, row = ladder.guard, ladder.row
+    images = [{0: a.backend.one}]
+    yield images
+    for d, step in enumerate((ladder.every if wanted is None else wanted)[1:], 1):
+        up, codes = ladder.up[d], ladder.codes[d]
+        nxt = [None] * len(codes)
+        for j, p, i, bound in step:
+            form = forms[i]
+            out: dict = {}
+            for q, c in images[p].items():
+                targets = up[q] or row(d, q)
+                for k, lk in form:
+                    t = targets[k]
+                    if t in out:
+                        out[t] = out[t] + c * lk
+                    elif bound is None or (bound - codes[t]) & guard == guard:
+                        out[t] = c * lk
+            nxt[j] = {t: v for t, v in out.items() if v}
+        images = nxt
+        yield images
+
+
+def reference_pivots(group, d: int) -> dict:
+    """The exact fixed-space elimination on GaussianRational rows, as pivot column -> normalized row.
+
+    The rows of rho_d(s) - I over the generators s in order, each reduced
+    by the known pivots oldest first (a heap of pivot ages), its pivot its
+    largest column, stored without the pivot and divided by it; the dict
+    holds the pivots in the order they were found.
+    """
+    backend = group.backend
+    one = backend.one
+    ladder = _Ladder(group.n, d)
+    for per_generator in zip(*(reference_images(s, ladder) for s in group.generators())):
+        pass
+    pivots: dict = {}
+    found: list = []
+    age: dict = {}
+    for images in per_generator:
+        rows = [{} for _ in range(comb(group.n + d - 1, d))]
+        for j, image in enumerate(images):
+            for q, c in image.items():
+                rows[q][j] = c
+        for q, row in enumerate(rows):
+            c = row.get(q)
+            c = -one if c is None else c - one
+            if c:
+                row[q] = c
+            else:
+                del row[q]
+            heap = [age[k] for k in row if k in pivots]
+            heapify(heap)
+            while heap:
+                p = found[heappop(heap)]
+                factor = row.pop(p, None)
+                if factor is None:
+                    continue
+                for k, v in pivots[p].items():
+                    if k in row:
+                        w = row[k] - factor * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+                    else:
+                        row[k] = -factor * v
+                        if k in pivots:
+                            heappush(heap, age[k])
+            if not row:
+                continue
+            top = max(row)
+            scale = one / row.pop(top)
+            pivots[top] = {k: v * scale for k, v in row.items()}
+            age[top] = len(found)
+            found.append(top)
+    return pivots
 
 
 def to_sympy(matrix) -> sp.Matrix:

@@ -27,7 +27,7 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.action import _Ladder, monomial_images
+from molien.action import _Ladder, monomial_images, scalar_images
 from oracles import sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
@@ -285,8 +285,8 @@ class TestPrunedWalk:
         for a in (exact, floats):
             # the pruned walk first, on a fresh ladder, so it builds its own links
             ladder = _Ladder(n, top)
-            pruned = diagonals(monomial_images(a, ladder, ladder.to_diagonals))
-            full = diagonals(monomial_images(a, ladder))
+            pruned = diagonals(scalar_images(a, ladder, ladder.to_diagonals))
+            full = diagonals(scalar_images(a, ladder))
             assert pruned == full
             assert traces(pruned, a.backend) == traces(full, a.backend)
 

@@ -179,6 +179,24 @@ class TestGaussianIntegerAverage:
             assert molien_rational(conjugate) == molien_rational(group)
         assert with_denominators >= len(groups) - 4
 
+    @pytest.mark.parametrize(
+        "build, seed",
+        [(build, seed) for build in (corpus.q8, corpus.binary_tetrahedral, corpus.g8_type) for seed in (0, 1, 2)]
+        + [(corpus.b3, 0)],
+    )
+    def test_conjugating_by_a_gaussian_rational_unitary_keeps_all_three_columns(self, build, seed):
+        # the generators' entry denominators differ from one another, so
+        # each walks its own m*s; the trace and rank columns must still agree
+        group = build()
+        conjugate = corpus.gaussian_unitary_conjugate(group, seed)
+        report = cross_check(conjugate, 8)
+        assert report.all_agree(), report.per_method
+        assert report.per_method["series"] == molien_series(group, 8).coefficients
+        for d in range(7):
+            basis = invariant_basis(conjugate, d)
+            assert len(basis) == report.coefficients[d] == len(invariant_basis(group, d))
+            assert all(verify_invariant(f, conjugate) for f in basis)
+
 
 class TestDetsPerClass:
     @pytest.mark.parametrize("build", [corpus.s5, corpus.binary_tetrahedral, corpus.b3])
