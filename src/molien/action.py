@@ -10,7 +10,7 @@ m*A, m the lcm of its entries' denominators. reynolds_matrix, the fixed
 space and induced_matrix want every monomial, the class traces only the
 entries that can reach a diagonal, verify_invariant and substitute_linear
 the ancestors of f's monomials. The ladder builds position links only
-where a walk reads them.
+where a walk reads them. Exact pairs are lowered only where read.
 """
 
 from __future__ import annotations
@@ -194,38 +194,35 @@ def _pair_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
         yield images
 
 
-def _lowered_pairs(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
-    m = a.backend.lift(a.rows)[0]
-    for d, images in enumerate(monomial_images(a, ladder, wanted)):
-        scale = m**d
-        yield [image and {q: _make(*v, scale) for q, v in image.items()} for image in images]
-
-
 _WALKS = {complex: _complex_images, GaussianRational: _pair_images}
-_SCALAR_WALKS = {complex: _complex_images, GaussianRational: _lowered_pairs}
 
 
-def scalar_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[list]:
-    """monomial_images with every coefficient a scalar of a's backend, each built once."""
-    return _SCALAR_WALKS[a.backend.scalar](a, ladder, wanted)
+def _lowered(a: SquareMatrix, d: int, images: list) -> list:
+    """Degree-d images of a's walk with backend scalars: exact pairs of m*a divided by m^d."""
+    lift = a.backend.lift
+    if lift is None:
+        return images
+    scale = lift(a.rows)[0] ** d
+    return [image and {q: _make(*v, scale) for q, v in image.items()} for image in images]
 
 
 def _image_terms(f: SparsePolynomial, a: SquareMatrix) -> dict:
     """The terms of f with every x_i sent to L_i, as {monomial: coefficient}.
 
-    The walk wants only f's monomials and their ancestors. Their images are
-    summed degree by degree, in the order of f's terms within a degree.
-    No coefficient is dropped by the float tolerance.
+    The walk wants only f's monomials and their ancestors. Only f's own
+    images are lowered, and summed degree by degree, in the order of f's
+    terms within a degree. No coefficient is dropped by the float tolerance.
     """
     ladder = _Ladder(f.n, max(map(sum, f.terms), default=0))
     wanted, positions = ladder.ancestors(f.terms)
-    images = list(scalar_images(a, ladder, wanted))
     out: dict = {}
-    for mono, c in sorted(f.terms.items(), key=lambda term: sum(term[0])):
-        d = sum(mono)
-        for q, v in images[d][positions[mono]].items():
-            t = ladder.monomial(d, q)
-            out[t] = out[t] + c * v if t in out else c * v
+    for d, images in enumerate(monomial_images(a, ladder, wanted)):
+        terms = [(mono, c) for mono, c in f.terms.items() if sum(mono) == d]
+        lowered = _lowered(a, d, [images[positions[mono]] for mono, _ in terms])
+        for (_, c), image in zip(terms, lowered):
+            for q, v in image.items():
+                t = ladder.monomial(d, q)
+                out[t] = out[t] + c * v if t in out else c * v
     return out
 
 
@@ -251,6 +248,6 @@ def induced_matrix(a: SquareMatrix, basis: MonomialBasis) -> SquareMatrix:
     """
     if a.n != basis.n:
         raise ShapeError(f"matrix dimension {a.n} does not match basis over {basis.n} variables")
-    for images in scalar_images(a, _Ladder(basis.n, basis.d)):
+    for images in monomial_images(a, _Ladder(basis.n, basis.d)):
         pass
-    return dense_matrix(images, a.backend)
+    return dense_matrix(_lowered(a, basis.d, images), a.backend)

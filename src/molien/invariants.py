@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, prod, sqrt
 
-from molien.action import _image_terms, _Ladder, dense_matrix, monomial_images, scalar_images
+from molien.action import _image_terms, _Ladder, _lowered, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
@@ -44,9 +44,9 @@ def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
     ladder = _Ladder(group.n, d)
     columns = [{} for _ in range(comb(group.n + d - 1, d))]
     for element in group.elements:
-        for images in scalar_images(element, ladder):
+        for images in monomial_images(element, ladder):
             pass
-        for column, image in zip(columns, images):
+        for column, image in zip(columns, _lowered(element, d, images)):
             for q, c in image.items():
                 column[q] = column[q] + c if q in column else c
     backend = group.backend

@@ -15,21 +15,6 @@ from molien.errors import BackendError, ConsistencyError, ScalarParseError, Vali
 # Kept for run metadata: the exact scalar core is the pure-Python class below.
 ACTIVE_IMPLEMENTATION = "python"
 
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-@functools.lru_cache(maxsize=1024)
-def _hash_inverse(den: int) -> int:
-    """den^-1 modulo the hash modulus, as Fraction's hash uses it.
-
-    Cached because pow() with a negative exponent is slow next to the rest
-    of a hash, and real values such as Reynolds entries share a few
-    denominators.
-    """
-    return pow(den, -1, _HASH_MODULUS)
-
-
 def _make(a, b, d) -> "GaussianRational":
     """Build (a + b*i)/d from ints, dividing out gcd(a, b, d).
 
@@ -174,16 +159,7 @@ class GaussianRational:
             return hash((self._a, self._b, self._d))
         if self._d == 1:
             return hash(self._a)
-        # Fraction's hash of a/d (reduced, as b = 0 makes gcd(a, d) = 1),
-        # without building the Fraction
-        try:
-            inverse = _hash_inverse(self._d)
-        except ValueError:
-            value = _HASH_INF
-        else:
-            value = hash(hash(abs(self._a)) * inverse)
-        value = value if self._a >= 0 else -value
-        return -2 if value == -1 else value
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
@@ -446,11 +422,11 @@ def format_scalar(s) -> str:
     return f"{re}{'-' if im < 0 else '+'}{unit}i"
 
 
-def format_float_scalar(z: complex, digits: int = 12) -> str:
-    re = f"{z.real:.{digits}g}"
+def format_float_scalar(z: complex) -> str:
+    re = f"{z.real:.12g}"
     if z.imag == 0:
         return re
-    im = f"{abs(z.imag):.{digits}g}"
+    im = f"{abs(z.imag):.12g}"
     sign = "-" if z.imag < 0 else "+"
     if z.real == 0:
         return f"{'-' if z.imag < 0 else ''}{im}i"

@@ -133,6 +133,48 @@ def h3_float():
     return close_group([SquareMatrix(m, fb) for m in mirrors])
 
 
+def gleason():
+    """Gleason's float group of order 192 generated by (1/sqrt 2) [[1, 1], [1, -1]] and diag(1, i).
+
+    Its Molien series is 1/((1 - l^8)(1 - l^24)) (Gleason 1970; Sloane
+    1977): the weight enumerators of doubly even self-dual codes. It is
+    not in build_corpus().
+    """
+    h = 1 / math.sqrt(2)
+    fb = float_backend()
+    return close_group([SquareMatrix([[h, h], [h, -h]], fb), SquareMatrix([[1, 0], [0, 1j]], fb)])
+
+
+PAULI = {
+    "I": [[1, 0], [0, 1]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, "-i"], ["i", 0]],
+    "Z": [[1, 0], [0, -1]],
+}
+
+
+def kron(a: list, b: list) -> list:
+    """The Kronecker product of two square lists of entries, exact scalars or literals."""
+    a = SquareMatrix(a, EXACT).rows
+    b = SquareMatrix(b, EXACT).rows
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def pauli(qubits: int):
+    """The Pauli group on C^(2^qubits): X, Y and Z on each qubit, order 16 or 64 for 1 or 2 qubits.
+
+    It is not in build_corpus().
+    """
+    generators = []
+    for k in range(qubits):
+        for name in "XYZ":
+            m = [[1]]
+            for j in range(qubits):
+                m = kron(m, PAULI[name if j == k else "I"])
+            generators.append(SquareMatrix(m, EXACT))
+    return close_group(generators)
+
+
 def signed_permutation_conjugate(group, seed: int):
     """The group generated by P s P^-1 over the generators s, for a seeded signed permutation P."""
     rng = random.Random(seed)

@@ -215,6 +215,29 @@ def sympy_molien(mats: list[sp.Matrix], max_degree: int) -> list[int]:
     return [int(sp.nsimplify(expansion.coeff(LAM, d))) for d in range(max_degree + 1)]
 
 
+def sympy_molien_function(mats: list[sp.Matrix]) -> sp.Expr:
+    """Molien's average (1/|G|) sum 1/det(1 - lam*g) over the given elements, cancelled."""
+    n = mats[0].shape[0]
+    return sp.cancel(sum(1 / (sp.eye(n) - LAM * m).det() for m in mats) / len(mats))
+
+
+def pauli_elements(qubits: int) -> list[sp.Matrix]:
+    """The Pauli group listed without closure.
+
+    Each phase in {1, -1, i, -i} times each tensor product of I, X, Y and Z.
+    """
+    paulis = [
+        sp.eye(2),
+        sp.Matrix([[0, 1], [1, 0]]),
+        sp.Matrix([[0, -sp.I], [sp.I, 0]]),
+        sp.Matrix([[1, 0], [0, -1]]),
+    ]
+    products = [sp.eye(1)]
+    for _ in range(qubits):
+        products = [sp.kronecker_product(a, p) for a in products for p in paulis]
+    return [phase * m for phase in (1, -1, sp.I, -sp.I) for m in products]
+
+
 def sympy_induced(mat: sp.Matrix, monomials: list[tuple], n: int) -> sp.Matrix:
     """Induced matrix on a degree basis via sympy's own expansion.
 

@@ -27,7 +27,7 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.action import _Ladder, monomial_images, scalar_images
+from molien.action import _Ladder, _lowered, monomial_images
 from oracles import sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
@@ -178,6 +178,11 @@ def passes(ladder, d):
     }
 
 
+def lowered(a, ladder, wanted=None):
+    """Every degree of a's walk with backend scalars as coefficients."""
+    return [_lowered(a, d, images) for d, images in enumerate(monomial_images(a, ladder, wanted))]
+
+
 def diagonals(walk):
     return [[image.get(j) for j, image in enumerate(images)] for images in walk]
 
@@ -285,8 +290,8 @@ class TestPrunedWalk:
         for a in (exact, floats):
             # the pruned walk first, on a fresh ladder, so it builds its own links
             ladder = _Ladder(n, top)
-            pruned = diagonals(scalar_images(a, ladder, ladder.to_diagonals))
-            full = diagonals(scalar_images(a, ladder))
+            pruned = diagonals(lowered(a, ladder, ladder.to_diagonals))
+            full = diagonals(lowered(a, ladder))
             assert pruned == full
             assert traces(pruned, a.backend) == traces(full, a.backend)
 

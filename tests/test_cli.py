@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molien import EXACT, parse_polynomial
 from molien.cli import main
@@ -473,3 +479,78 @@ class TestRepeatedMain:
                 line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")
             ]
             assert errors == ["error:usage: invalid command line"]
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 0.5, -1.0, 1e-12, 1e300, float("inf"), float("nan")]),
+    st.sampled_from(["0", "1", "-1", "i", "-i", "1/2", "1/2+1/2i", "0.5", "1e400", "x", "", " 1"]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def generator_values(draw, n):
+    """An n x n monomial matrix with entries among 1, -1, i and -i, often with one entry replaced."""
+    image = draw(st.permutations(range(n)))
+    phases = st.sampled_from([1, -1, "i", "-i"])
+    rows = [[draw(phases) if image[i] == j else 0 for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(JSON_LEAVES)
+    return rows
+
+
+@st.composite
+def spec_values(draw):
+    """A valid spec whose keys are each kept, replaced by random JSON or dropped: every check is reached."""
+    n = draw(st.integers(1, 3))
+    spec = {
+        "dimension": n,
+        "backend": draw(st.sampled_from(["exact", "float"])),
+        "generators": draw(st.lists(generator_values(n), min_size=1, max_size=3)),
+        "max_group_order": draw(st.integers(1, 400)),
+    }
+    if draw(st.booleans()):
+        tolerances = st.one_of(st.floats(allow_nan=True), st.sampled_from([1e-9, "1e-6", 1.5]))
+        spec["tolerance"] = draw(tolerances)
+    for key in list(spec):
+        action = draw(st.sampled_from(["keep"] * 6 + ["random", "drop"]))
+        if action == "random":
+            spec[key] = draw(JSON_VALUES)
+        elif action == "drop":
+            del spec[key]
+    return spec
+
+
+class TestFuzzedSpecs:
+    """Any spec file gives a result or ends in one `error:` line on stderr, never a traceback."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(spec=spec_values())
+    def test_every_command_fails_with_one_error_line(self, spec):
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "group.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(spec, handle)
+            for command in ("series", "invariants", "verify"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--degree", "2", path])
+                err = err.getvalue()
+                assert "Traceback" not in err
+                if code == 0:
+                    assert err == ""
+                    continue
+                lines = err.splitlines()
+                assert len(lines) == 1 and err.endswith("\n"), err
+                assert lines[0].startswith("error:"), err
+                # only a verify mismatch (exit 2) prints its table before the error line
+                mismatch = code == 2 and lines[0].startswith("error:mismatch:")
+                assert out.getvalue() == "" or mismatch

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+import sympy as sp
 
 import corpus
 from molien import (
@@ -28,11 +29,15 @@ from molien import (
     series_reciprocal,
     verify_invariant,
 )
+from molien.invariants import fixed_space_dimensions, reynolds_traces
 from molien.series import _class_average
 from oracles import (
+    LAM,
     partitions_with_parts_at_most,
+    pauli_elements,
     reference_class_average,
     sympy_molien,
+    sympy_molien_function,
     to_sympy,
 )
 
@@ -505,3 +510,76 @@ class TestCrossCheck:
         report = cross_check(corpus.s2(), 3)
         assert len(report.agreement) == 4
         assert report.max_degree == 3
+
+
+class TestGleasonGroup:
+    """Gleason's float group of order 192: 1/((1 - l^8)(1 - l^24)) (Gleason 1970; Sloane 1977)."""
+
+    # [l^d]: the ways to write d as 8a + 24b
+    EXPECTED = [sum((d - 24 * b) % 8 == 0 for b in range(d // 24 + 1)) for d in range(49)]
+
+    def test_series_and_traces_are_gleasons(self):
+        group = corpus.gleason()
+        assert group.order == 192
+        assert molien_series(group, 48).coefficients == self.EXPECTED
+        assert reynolds_traces(group, 48) == self.EXPECTED
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: stream-order float elimination keeps false pivots",
+    )
+    def test_rank_is_gleasons(self):
+        dimensions = fixed_space_dimensions(corpus.gleason(), 48)
+        assert [dimensions[d] for d in (24, 32, 40, 48)] == [2, 2, 2, 3]
+
+
+class TestPauliGroups:
+    """The 1- and 2-qubit Pauli groups: exact, neither permutation nor reflection groups."""
+
+    # numerator and denominator coefficients of the reduced rational form, from l^0 up
+    FORMS = {
+        1: ([1], [1, 0, 0, 0, -2, 0, 0, 0, 1]),
+        2: (
+            [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+            [1, 0, 0, 0, -4, 0, 0, 0, 6, 0, 0, 0, -4, 0, 0, 0, 1],
+        ),
+    }
+    ORACLES = {
+        1: 1 / (1 - LAM**4) ** 2,
+        2: (1 + LAM**4) * (1 + LAM**8) / (1 - LAM**4) ** 4,
+    }
+    SERIES = {
+        1: [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4],
+        2: [1, 0, 0, 0, 5, 0, 0, 0, 15],
+    }
+
+    @pytest.mark.parametrize("qubits, order", [(1, 16), (2, 64)])
+    def test_closure_is_the_listed_group(self, qubits, order):
+        group = corpus.pauli(qubits)
+        assert group.order == order
+        listed = {tuple(m) for m in pauli_elements(qubits)}
+        assert {tuple(to_sympy(g)) for g in group.elements} == listed
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_listed_average_is_the_closed_form(self, qubits):
+        average = sympy_molien_function(pauli_elements(qubits))
+        assert sp.simplify(average - self.ORACLES[qubits]) == 0
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_rational_form_is_pinned(self, qubits):
+        numerator, denominator = molien_rational(corpus.pauli(qubits))
+        assert (ints(numerator), ints(denominator)) == self.FORMS[qubits]
+        ours = sp.Poly(ints(numerator)[::-1], LAM) / sp.Poly(ints(denominator)[::-1], LAM)
+        assert sp.simplify(ours.as_expr() - self.ORACLES[qubits]) == 0
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_three_columns_and_invariant_bases(self, qubits):
+        group = corpus.pauli(qubits)
+        expected = self.SERIES[qubits]
+        report = cross_check(group, len(expected) - 1)
+        assert report.per_method == {"series": expected, "trace": expected, "rank": expected}
+        assert report.all_agree()
+        for d, size in enumerate(expected):
+            basis = invariant_basis(group, d)
+            assert len(basis) == size
+            assert all(verify_invariant(f, group) for f in basis)
