@@ -174,7 +174,8 @@ def close_group(
     and one key lookup. Raises ValidationError for an empty list,
     mismatched or non-unitary generators, or an element whose conjugate
     transpose is not in the closure, and ClosureOverflowError when the
-    closure would exceed max_order elements.
+    closure would exceed max_order elements: at once for an exact generator
+    whose trace is not a Gaussian integer, which has infinite order.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
@@ -188,6 +189,9 @@ def close_group(
         check_same_backend(g.backend, backend)
         if not g.is_unitary():
             raise ValidationError(f"generator {pos} is not unitary")
+        # a trace of finite order is a sum of roots of unity: in Q(i), a Gaussian integer
+        if backend.lift and backend.lift([[g.trace()]])[0] != 1:
+            raise ClosureOverflowError(max_order)
 
     index = _ElementIndex(backend, n)
     keys = [tuple(map(index.add, range(n), SquareMatrix.identity(n, backend).rows))]

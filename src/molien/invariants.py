@@ -5,10 +5,10 @@ is that average at one degree, and invariant_dimension its trace. The
 traces and bases computed here never sweep the group: traces are taken
 once per conjugacy class and weighted by class size, and the basis is
 the common fixed space of the generators, eliminated on sparse rows.
-Each backend has its own bodies. On floats the rows are scaled to the
-Bombieri orthonormal basis. On the exact backend both run on the walk's
-Gaussian-integer pairs: a trace is one division per class and degree,
-and the elimination is fraction-free, with the pivots of Q(i).
+One row builder transposes walk images into rows, and a row source per
+backend shifts them: scaled to the Bombieri basis on floats, on the
+Gaussian-integer pairs when exact. One loop per backend eliminates a
+stream of rows, fraction-free when exact; one pass per degree feeds it.
 """
 
 from __future__ import annotations
@@ -111,161 +111,127 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
 
 
-def _eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
-    """(W, pivots) of the rows of rho_d(s) - I over the generators s, by the backend's body.
+def _transposed(images: list) -> list[dict]:
+    """Row q holds at column j the coefficient of x^q in the image of x^j, in the walk's order."""
+    rows = [{} for _ in images]
+    for j, image in enumerate(images):
+        for q, c in image.items():
+            rows[q][j] = c
+    return rows
 
-    pivots maps each pivot column to its row, in the order found. No pivot
-    row holds an earlier pivot column, so each new row is reduced by the
-    known pivots oldest first before its own pivot is chosen.
-    """
-    return _ELIMINATIONS[group.backend.scalar](group, per_generator, d)
 
-
-def _complex_eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
-    """The float body, on the rows of W^-1 (rho_d(s) - I) W.
-
-    A row's pivot is its entry of largest absolute value above the
-    tolerance; pivots map to the rest of the row divided by it.
-    """
-    one, pivot = group.backend.one, group.backend.pivot
+def _complex_rows(group: FiniteMatrixGroup, d: int, per_generator: tuple):
+    """The rows of W^-1 (rho_d(s) - I) W over the generators s, in turn."""
+    one = group.backend.one
     weights = _bombieri_weights(MonomialBasis(group.n, d))
-    pivots, found, age = {}, [], {}
     for images in per_generator:
-        rows = [{} for _ in weights]
-        for j, image in enumerate(images):
-            for q, c in image.items():
-                rows[q][j] = c
-        for q, row in enumerate(rows):
-            c = row.get(q)
-            c = -one if c is None else c - one
-            if c:
-                row[q] = c
-            else:
+        for q, row in enumerate(_transposed(images)):
+            # the diagonal is updated in place, or appended as -1 (not 0j - 1, whose
+            # imaginary zero has the other sign)
+            row[q] = row[q] - one if q in row else -one
+            if not row[q]:
                 del row[q]
             wq = weights[q]
-            row = {k: v * (weights[k] / wq) for k, v in row.items()}
-            heap = [age[k] for k in row if k in pivots]
-            heapify(heap)
-            while heap:
-                p = found[heappop(heap)]
-                factor = row.pop(p, None)
-                if factor is None:
-                    continue
-                for k, v in pivots[p].items():
-                    if k in row:
-                        w = row[k] - factor * v
-                        if w:
-                            row[k] = w
-                        else:
-                            del row[k]
-                    else:
-                        row[k] = -factor * v
-                        if k in pivots:
-                            heappush(heap, age[k])
-            top = pivot(row)
-            if top is None:
-                continue
-            scale = one / row.pop(top)
-            pivots[top] = {k: v * scale for k, v in row.items()}
-            age[top] = len(found)
-            found.append(top)
-    return weights, pivots
+            yield {k: v * (weights[k] / wq) for k, v in row.items()}
 
 
-def _pair_eliminate(group: FiniteMatrixGroup, per_generator: tuple, d: int) -> tuple:
-    """The exact body, fraction-free on the (re, im) rows of rho_d(m s) - m^d I = m^d (rho_d(s) - I).
-
-    Pivot row v, pivot P, reduces a row to (P*row - f*v)/g, f its entry at
-    the pivot column and g = gcd(P, f): a nonzero multiple of the row reduced
-    over Q(i), so its pivot, the largest column, is the same. A new pivot
-    row is multiplied by its pivot's conjugate and divided by the gcd of its
-    parts, so P is a positive int. W is None; pivots map to (P, row).
-    """
-    pivots, found, age = {}, [], {}
+def _pair_rows(group: FiniteMatrixGroup, d: int, per_generator: tuple):
+    """The (re, im) rows of rho_d(m s) - m^d I = m^d (rho_d(s) - I) over the generators s."""
     for s, images in zip(group.generators(), per_generator):
         unit = s.backend.lift(s.rows)[0] ** d
-        rows = [{} for _ in range(comb(group.n + d - 1, d))]
-        for j, image in enumerate(images):
-            for q, c in image.items():
-                rows[q][j] = c
-        for q, row in enumerate(rows):
+        for q, row in enumerate(_transposed(images)):
             re, im = row.get(q, (0, 0))
             row[q] = (re - unit, im)
             if row[q] == (0, 0):
                 del row[q]
-            heap = [age[k] for k in row if k in pivots]
-            heapify(heap)
-            while heap:
-                p = found[heappop(heap)]
-                if p not in row:
-                    continue
-                fr, fi = row.pop(p)
-                scale, pivot_row = pivots[p]
-                g = gcd(scale, fr, fi)
-                scale, fr, fi = scale // g, fr // g, fi // g
-                if scale != 1:
-                    row = {k: (scale * x, scale * y) for k, (x, y) in row.items()}
-                for k, (x, y) in pivot_row.items():
-                    if k in pivots and k not in row:
-                        heappush(heap, age[k])
-                    a, b = row.pop(k, (0, 0))
-                    a, b = a - fr * x + fi * y, b - fr * y - fi * x
-                    if a or b:
-                        row[k] = (a, b)
-            if row:
-                top = max(row)
-                pr, pi = row.pop(top)
-                norm = pr * pr + pi * pi
-                row = {k: (x * pr + y * pi, y * pr - x * pi) for k, (x, y) in row.items()}
-                g = gcd(norm, *(part for pair in row.values() for part in pair))
-                pivots[top] = (norm // g, {k: (x // g, y // g) for k, (x, y) in row.items()})
-                age[top] = len(found)
-                found.append(top)
-    return None, pivots
+            yield row
 
 
-# each backend's bodies, by its scalar type
-_TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
-_ELIMINATIONS = {complex: _complex_eliminate, GaussianRational: _pair_eliminate}
+def _complex_eliminate(rows, backend) -> dict:
+    """Pivot column -> the rest of its row over the pivot, its largest entry above the tolerance.
 
-
-def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
-    """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
-    return _fixed_space_dimensions(group, _Ladder(group.n, max_degree))
-
-
-def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
-    """fixed_space_dimensions on a ladder already built."""
-    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
-    return [
-        comb(group.n + d - 1, d) - len(_eliminate(group, images, d)[1])
-        for d, images in enumerate(walks)
-    ]
-
-
-def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
-    """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
-
-    Polynomials come back with leading (grlex-first) coefficient 1. Exact
-    pivot rows are divided by their pivot P here, once per entry; then
-    back-substitution, newest pivot first, writes every pivot variable in
-    terms of the free columns; the kernel vector of free column f is 1 at
-    f and 0 at the other free columns. On the exact backend every pivot
-    is the largest column of its row, so f is the first nonzero entry of
-    its vector: that is the unique reduced echelon form, the basis the
-    paper's averaged monomials row-reduce to. On the float backend the
-    vectors are mapped back by W and row-reduced into that form.
+    Each row, consumed, is first reduced by the known pivots, oldest first.
     """
-    ladder = _Ladder(group.n, d)
-    for images in zip(*(monomial_images(s, ladder) for s in group.generators())):
-        pass
-    backend = group.backend
-    weights, pivots = _eliminate(group, images, d)
-    if weights is None:
-        pivots = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
-    basis = MonomialBasis(group.n, d)
+    one, pivot = backend.one, backend.pivot
+    pivots, found, age = {}, [], {}
+    for row in rows:
+        heap = [age[k] for k in row if k in pivots]
+        heapify(heap)
+        while heap:
+            p = found[heappop(heap)]
+            factor = row.pop(p, None)
+            if factor is None:
+                continue
+            for k, v in pivots[p].items():
+                if k in row:
+                    w = row[k] - factor * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+                else:
+                    row[k] = -factor * v
+                    if k in pivots:
+                        heappush(heap, age[k])
+        top = pivot(row)
+        if top is None:
+            continue
+        scale = one / row.pop(top)
+        pivots[top] = {k: v * scale for k, v in row.items()}
+        age[top] = len(found)
+        found.append(top)
+    return pivots
+
+
+def _pair_eliminate(rows) -> dict:
+    """Pivot column -> (P, row) of (re, im) int rows, reduced as on floats but fraction-free.
+
+    Pivot row v, pivot P, reduces a row to (P*row - f*v)/gcd(P, f), f its entry
+    at the pivot column: a multiple of the row reduced over Q(i), so its pivot,
+    the largest column, is the same. A new pivot row is multiplied by its
+    pivot's conjugate and divided by the gcd of its parts: P is a positive int.
+    """
+    pivots, found, age = {}, [], {}
+    for row in rows:
+        heap = [age[k] for k in row if k in pivots]
+        heapify(heap)
+        while heap:
+            p = found[heappop(heap)]
+            if p not in row:
+                continue
+            fr, fi = row.pop(p)
+            scale, pivot_row = pivots[p]
+            g = gcd(scale, fr, fi)
+            scale, fr, fi = scale // g, fr // g, fi // g
+            if scale != 1:
+                row = {k: (scale * x, scale * y) for k, (x, y) in row.items()}
+            for k, (x, y) in pivot_row.items():
+                if k in pivots and k not in row:
+                    heappush(heap, age[k])
+                a, b = row.pop(k, (0, 0))
+                a, b = a - fr * x + fi * y, b - fr * y - fi * x
+                if a or b:
+                    row[k] = (a, b)
+        if row:
+            top = max(row)
+            pr, pi = row.pop(top)
+            norm = pr * pr + pi * pi
+            row = {k: (x * pr + y * pi, y * pr - x * pi) for k, (x, y) in row.items()}
+            g = gcd(norm, *(part for pair in row.values() for part in pair))
+            pivots[top] = (norm // g, {k: (x // g, y // g) for k, (x, y) in row.items()})
+            age[top] = len(found)
+            found.append(top)
+    return pivots
+
+
+def _kernel(pivots: dict, size: int, backend) -> list[dict]:
+    """Per free column f, the kernel vector 1 at f and 0 at the other free columns.
+
+    Back-substitution, newest pivot first, writes every pivot variable in
+    terms of the free columns.
+    """
     zero, one = backend.zero, backend.one
-    vectors = {f: {f: one} for f in range(len(basis)) if f not in pivots}
+    vectors = {f: {f: one} for f in range(size) if f not in pivots}
     solved: dict = {}  # pivot column -> {free column: its coefficient}
     for p in reversed(pivots):
         acc: dict = {}
@@ -275,20 +241,65 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
         solved[p] = coeffs = {f: w for f, w in acc.items() if w}
         for f, w in coeffs.items():
             vectors[f][p] = w
-    monomials = basis.monomials
-    if weights is None:
-        return [
-            SparsePolynomial(basis.n, {monomials[q]: vector[q] for q in sorted(vector)}, backend)
-            for vector in vectors.values()
-        ]
-    rows = [
-        [vector[q] * w if q in vector else zero for q, w in enumerate(weights)]
-        for vector in vectors.values()
-    ]
+    return list(vectors.values())
+
+
+def _complex_basis(pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+    """The kernel mapped back by W and row-reduced into reduced echelon form."""
+    weights, zero = _bombieri_weights(basis), backend.zero
+    rows = [[vector[q] * w if q in vector else zero for q, w in enumerate(weights)]
+            for vector in _kernel(pivots, len(basis), backend)]
     rank, reduced = row_reduce(rows, backend)
-    return [
-        SparsePolynomial.from_coefficient_vector(row, basis, backend) for row in reduced[:rank]
-    ]
+    return [dict(enumerate(row)) for row in reduced[:rank]]
+
+
+def _pair_basis(pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+    """The kernel of the pivot rows each divided by its P: already in reduced echelon form."""
+    rows = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
+    return _kernel(rows, len(basis), backend)
+
+
+# each backend's bodies, by its scalar type
+_TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
+_PIVOTS = {
+    complex: lambda group, d, images: _complex_eliminate(_complex_rows(group, d, images), group.backend),
+    GaussianRational: lambda group, d, images: _pair_eliminate(_pair_rows(group, d, images)),
+}
+_BASES = {complex: _complex_basis, GaussianRational: _pair_basis}
+
+
+def _fixed_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
+    """The pivots of the generators' rows at each degree in degrees, lazily."""
+    fixed_space = _PIVOTS[group.backend.scalar]
+    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
+    return (fixed_space(group, d, images) for d, images in enumerate(walks) if d in degrees)
+
+
+def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
+    """Dimensions of the generators' common fixed spaces, degrees 0..max_degree."""
+    return _fixed_space_dimensions(group, _Ladder(group.n, max_degree))
+
+
+def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
+    """fixed_space_dimensions on a ladder already built."""
+    spaces = _fixed_spaces(group, ladder, range(ladder.top + 1))
+    return [comb(group.n + d - 1, d) - len(pivots) for d, pivots in enumerate(spaces)]
+
+
+def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
+    """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
+
+    Polynomials come back with leading (grlex-first) coefficient 1. Only
+    degree d is eliminated. On the exact backend every pivot is the largest
+    column of its row, so each kernel vector's free column is its first
+    nonzero entry: that is the unique reduced echelon form, the basis the
+    paper's averaged monomials row-reduce to. On the float backend the
+    vectors are mapped back by W and row-reduced into that form.
+    """
+    (pivots,) = _fixed_spaces(group, _Ladder(group.n, d), (d,))
+    basis, backend = MonomialBasis(group.n, d), group.backend
+    return [SparsePolynomial(basis.n, {basis.monomials[q]: v[q] for q in sorted(v)}, backend)
+            for v in _BASES[backend.scalar](pivots, basis, backend)]
 
 
 def invariant_dimension(reynolds: ReynoldsMatrix) -> int:

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molien import EXACT, parse_polynomial
+from molien import (
+    EXACT,
+    SquareMatrix,
+    close_group,
+    float_backend,
+    invariant_basis,
+    parse_polynomial,
+)
 from molien.cli import main
 
 C4_SPEC = {
@@ -115,6 +122,29 @@ class TestInvariantsCommand:
         parsed = [parse_polynomial(text, 2, EXACT) for text in block["basis"]]
         assert parsed[0].coefficient((2, 0)) == EXACT.one
         assert parsed[1].coefficient((1, 1)) == EXACT.one
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_float_invariants_with_non_real_coefficients(self, tmp_path, capsys, fmt):
+        # [[0, 1], [i, 0]] generates a group of order 8 whose degree-4 invariants
+        # need a non-real coefficient
+        spec = {"dimension": 2, "backend": "float", "generators": [[["0", "1"], ["i", "0"]]]}
+        path = write_spec(tmp_path, spec)
+        code = main(["invariants", "--degree", "4", "--format", fmt, path])
+        out = capsys.readouterr().out
+        assert code == 0
+        expected = ["x1^4 + x2^4", "x1^3*x2 + 1i*x1*x2^3"]
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["group_order"] == 8
+            assert payload["invariants"]["basis"] == expected
+        else:
+            assert out.splitlines() == ["group_order = 8", "a_4 = 2", *expected]
+        backend = float_backend()
+        group = close_group([SquareMatrix(spec["generators"][0], backend)])
+        basis = invariant_basis(group, 4)
+        assert len(basis) == len(expected)
+        for text, f in zip(expected, basis):
+            assert parse_polynomial(text, 2, backend).equals(f)
 
 
 class TestVerifyCommand:
@@ -283,6 +313,42 @@ class TestErrorPaths:
         assert result.stderr.startswith("error:parse:")
         assert result.stderr.count("error:") == result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "content, kind",
+        [
+            (b"\xff\xfe{}", "parse"),
+            (b"[" * 100_000, "parse"),
+            (b'{"dimension": ' + b"1" * 5000 + b"}", "parse"),
+            (b"[" + json.dumps(C4_SPEC).encode() + b"]", "validation"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long", "top-level-array"],
+    )
+    def test_unreadable_spec_in_process(self, tmp_path, capsys, content, kind):
+        # the same inputs in this process, where a line trace of the suite sees their branches
+        path = tmp_path / "group.json"
+        path.write_bytes(content)
+        code = main(["series", "--degree", "2", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error:{kind}:")
+        assert err.count("error:") == err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_tolerance_with_perm(self, capsys):
+        code = main(["series", "--degree", "2", "--perm", "(1 2)", "--tolerance", "1e-6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error:validation: tolerance only applies to the float backend\n"
+
+    def test_exact_generator_of_infinite_order_overflows_at_once(self, tmp_path, capsys):
+        rotation = [["3/5", "4/5"], ["-4/5", "3/5"]]
+        spec = {"dimension": 2, "backend": "exact", "generators": [rotation]}
+        code = main(["series", "--degree", "2", write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:overflow:")
+        assert err.count("\n") == 1
 
     def test_closure_overflow(self, tmp_path, capsys):
         code = main(["series", "--degree", "2", "--max-order", "3", write_spec(tmp_path, C4_SPEC)])

@@ -193,6 +193,53 @@ class TestClosure:
         assert "max_order=3" in str(err.value)
         assert err.value.max_order == 3
 
+    def test_zero_max_order_rejected(self):
+        with pytest.raises(ValidationError, match="max_order"):
+            close_group([ROTATION], max_order=0)
+
+    def test_generators_of_mismatched_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="generator 1 has dimension 3, expected 2"):
+            close_group([ROTATION, SquareMatrix.identity(3, EXACT)])
+
+    def test_exact_infinite_order_rotation_overflows_before_closing(self, monkeypatch):
+        # unitary, but its trace 6/5 is no Gaussian integer, so it has infinite
+        # order; closing it would reach max_order only after minutes
+        def step(self, point, terms):
+            raise AssertionError("the closure took a step")
+
+        monkeypatch.setattr(_ElementIndex, "step", step)
+        rotation = SquareMatrix([["3/5", "4/5"], ["-4/5", "3/5"]], EXACT)
+        for generators in ([rotation], [ROTATION, rotation]):
+            with pytest.raises(ClosureOverflowError) as err:
+                close_group(generators)
+            assert err.value.max_order == groups_module.DEFAULT_MAX_ORDER
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [
+            (corpus.s5, 120),
+            (corpus.s6, 720),
+            (corpus.binary_tetrahedral, 24),
+            (corpus.b3, 48),
+            (corpus.g423, 192),
+            (corpus.g8_type, 96),
+            (corpus.wf4, 1152),
+            (lambda: corpus.pauli(2), 64),
+            (lambda: corpus.signed_permutation_conjugate(corpus.b3(), 3), 48),
+            (lambda: corpus.gaussian_unitary_conjugate(corpus.b3(), 0), 48),
+            (lambda: corpus.gaussian_unitary_conjugate(corpus.binary_tetrahedral(), 0), 24),
+        ],
+    )
+    def test_exact_finite_groups_pass_the_trace_check(self, build, order):
+        assert build().order == order
+
+    def test_corpus_closes_to_its_orders(self, corpus):
+        orders = {name: group.order for name, group in corpus.items()}
+        assert orders == {
+            "trivial1": 1, "trivial2": 1, "trivial3": 1, "pm_i2": 2, "s2": 2,
+            "s3": 6, "s4": 24, "c4": 4, "d4": 8, "q8": 8,
+        }
+
     def test_float_runaway_rotation_overflows(self):
         import math
 

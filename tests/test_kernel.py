@@ -5,7 +5,9 @@ of m*a, m the lcm of the denominators of a's entries, and the fixed
 space is eliminated fraction-free on those pairs. Lowered to scalars,
 the images must be the reference walk's exactly, keys and order
 included, and the pivot rows, each divided by its pivot, the reference
-elimination's, in the order they were found.
+elimination's, in the order they were found. Each backend's elimination
+loop also takes row streams with no group behind them: its pivots must
+span the rows, as many as sympy's rank.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 import corpus
-from molien import EXACT, GaussianRational, SquareMatrix
+from molien import EXACT, GaussianRational, SquareMatrix, close_group, float_backend
 from molien.action import _Ladder, _lowered, monomial_images
-from molien.invariants import _eliminate
+from molien.invariants import _complex_eliminate, _complex_rows, _fixed_spaces, _pair_eliminate
 from molien.scalars import _make
 from oracles import reference_images, reference_pivots
 
@@ -124,12 +128,8 @@ class TestPivots:
     @pytest.mark.parametrize("name", PIVOT_GROUPS)
     def test_normalized_pivots_equal_the_reference(self, name):
         group = PIVOT_GROUPS[name]()
-        generators = group.generators()
         ladder = _Ladder(group.n, 8)
-        walks = zip(*(monomial_images(s, ladder) for s in generators))
-        for d, images in enumerate(walks):
-            weights, pivots = _eliminate(group, images, d)
-            assert weights is None
+        for d, pivots in enumerate(_fixed_spaces(group, ladder, range(9))):
             for scale, row in pivots.values():
                 # the stored pivot is a positive int, and the row has no common factor
                 assert type(scale) is int and scale > 0
@@ -140,3 +140,92 @@ class TestPivots:
                 for top, (scale, row) in pivots.items()
             ]
             assert ours == list(reference_pivots(group, d).items()), f"{name} at degree {d}"
+
+
+def gaussian_rows(rng, width, count, rank):
+    """count dense rows of small Gaussian integers in the span of rank sparse seeded rows."""
+
+    def small(bound):
+        return complex(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    spanning = [[small(3) if rng.random() < 0.5 else 0j for _ in range(width)] for _ in range(rank)]
+    rows = []
+    for _ in range(count):
+        coefficients = [small(2) for _ in spanning]
+        rows.append([sum(c * v[k] for c, v in zip(coefficients, spanning)) for k in range(width)])
+    return rows
+
+
+def row_stream(seed, width=9):
+    """Dense rows of two seeded sources interleaved, with duplicates and rows that reduce to zero."""
+    rng = random.Random(seed)
+    first, second = gaussian_rows(rng, width, 6, 3), gaussian_rows(rng, width, 6, 4)
+    stream = [row for pair in zip(first, second) for row in pair]
+    stream.insert(3, stream[0])
+    stream.append(stream[1])
+    stream.append([a - 2j * b for a, b in zip(stream[2], stream[4])])
+    stream.append([a - a for a in stream[5]])
+    return stream
+
+
+def sympy_rank(stream):
+    """The rank over Q(i), by sympy's domain matrices (Matrix.rank simplifies entries, slowly)."""
+    matrix = sp.Matrix([[int(c.real) + int(c.imag) * sp.I for c in row] for row in stream])
+    return DomainMatrix.from_Matrix(matrix).convert_to(sp.QQ_I).rank()
+
+
+def reduced(row, pivots):
+    """row less its multiples of the normalized pivot rows, oldest pivot first."""
+    row = dict(row)
+    for top, pivot_row in pivots:
+        factor = row.pop(top, 0)
+        if factor:
+            for k, v in pivot_row.items():
+                row[k] = row.get(k, 0) - factor * v
+    return row
+
+
+class TestRowStreams:
+    """Each elimination loop fed sparse rows directly, with no group and no walk."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_pivots_span_the_stream(self, seed):
+        stream = row_stream(seed)
+        sparse = [{k: (int(c.real), int(c.imag)) for k, c in enumerate(row) if c} for row in stream]
+        pivots = _pair_eliminate(dict(row) for row in sparse)
+        assert len(pivots) == sympy_rank(stream)
+        for scale, row in pivots.values():
+            assert type(scale) is int and scale > 0
+            assert math.gcd(scale, *(part for pair in row.values() for part in pair)) == 1
+        normalized = [
+            (top, {k: _make(re, im, scale) for k, (re, im) in row.items()})
+            for top, (scale, row) in pivots.items()
+        ]
+        for i, (_, row) in enumerate(normalized):
+            # no pivot row holds an earlier pivot column
+            assert not row.keys() & {top for top, _ in normalized[:i]}
+        for row in sparse:
+            exact = {k: GaussianRational(re, im) for k, (re, im) in row.items()}
+            assert not any(reduced(exact, normalized).values())
+
+    def test_float_rows_append_a_missing_diagonal_as_minus_one(self):
+        # the rotation maps x1 to x2 and x2 to -x1, so no image holds its own monomial;
+        # the appended -1 is -(1+0j), whose imaginary zero is -0.0 (0j - 1 has +0.0)
+        group = close_group([SquareMatrix(corpus.ROTATION, float_backend())])
+        walks = zip(*(monomial_images(s, _Ladder(2, 1)) for s in group.generators()))
+        rows = list(_complex_rows(group, 1, list(walks)[1]))
+        assert [list(row) for row in rows] == [[1, 0], [0, 1]]
+        for q, row in enumerate(rows):
+            assert row[q] == -1 and math.copysign(1.0, row[q].imag) == -1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_pivots_span_the_stream(self, seed):
+        stream = row_stream(seed)
+        sparse = [{k: c for k, c in enumerate(row) if c} for row in stream]
+        pivots = _complex_eliminate((dict(row) for row in sparse), float_backend())
+        assert len(pivots) == sympy_rank(stream)
+        normalized = list(pivots.items())
+        for i, (_, row) in enumerate(normalized):
+            assert not row.keys() & {top for top, _ in normalized[:i]}
+        for row in sparse:
+            assert max(map(abs, reduced(row, normalized).values()), default=0) < 1e-9
