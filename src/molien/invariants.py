@@ -9,6 +9,11 @@ One row builder transposes walk images into rows, and a row source per
 backend shifts them: scaled to the Bombieri basis on floats, on the
 Gaussian-integer pairs when exact. One loop per backend eliminates a
 stream of rows, fraction-free when exact; one pass per degree feeds it.
+When exact, a monomial generator (one nonzero entry per row) needs no
+rows: the monomial generators' fixed space is spanned by the sums over
+monomial orbits whose phases agree, and the other generators are
+eliminated on those orbit columns only, walked only along the ladder
+ancestors of the surviving orbits.
 """
 
 from __future__ import annotations
@@ -135,16 +140,59 @@ def _complex_rows(group: FiniteMatrixGroup, d: int, per_generator: tuple):
             yield {k: v * (weights[k] / wq) for k, v in row.items()}
 
 
-def _pair_rows(group: FiniteMatrixGroup, d: int, per_generator: tuple):
-    """The (re, im) rows of rho_d(m s) - m^d I = m^d (rho_d(s) - I) over the generators s."""
-    for s, images in zip(group.generators(), per_generator):
-        unit = s.backend.lift(s.rows)[0] ** d
-        for q, row in enumerate(_transposed(images)):
-            re, im = row.get(q, (0, 0))
-            row[q] = (re - unit, im)
-            if row[q] == (0, 0):
-                del row[q]
-            yield row
+def _pair_rows(units: list, per_generator: list, columns):
+    """The (re, im) rows of rho_d(m h) - m^d on the columns, over the generators h with m^d in units.
+
+    columns is None for the monomials themselves, whose rows are the
+    transposed images shifted on the diagonal. Otherwise it holds the
+    survivors of _orbits, and row q holds at orbit c the coefficient of
+    x^q in L_c (rho_d(m h) - m^d) v_c.
+    """
+    for unit, images in zip(units, per_generator):
+        if columns is None:
+            for q, row in enumerate(_transposed(images)):
+                re, im = row.get(q, (0, 0))
+                row[q] = (re - unit, im)
+                if row[q] == (0, 0):
+                    del row[q]
+                yield row
+            continue
+        rows = [{} for _ in images]
+        for c, (_, column) in enumerate(columns):
+            for j, (wr, wi) in column.items():
+                for q, (x, y) in (*images[j].items(), (j, (-unit, 0))):
+                    a, b = rows[q].get(c, (0, 0))
+                    rows[q][c] = (a + wr * x - wi * y, b + wr * y + wi * x)
+        yield from ({c: v for c, v in row.items() if v != (0, 0)} for row in rows)
+
+
+def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
+    """The fixed vectors v_c of monomial generators, one per orbit of monomials whose phases agree.
+
+    Generator s sends x^j to phi_s(j) x^pi_s(j), its one-term image over
+    m_s^d = scale, so a fixed vector has v at pi_s(j) equal to phi_s(j) v_j.
+    Each orbit is walked breadth first from its smallest position, where
+    v = 1, and dies if a position it reaches already holds another value.
+    Each survivor comes as (L_c, the pairs of L_c v_c by position), L_c
+    the lcm of the denominators of v_c's entries.
+    """
+    values, survivors = {}, []
+    for start in range(len(per_generator[0])):
+        if start in values:
+            continue
+        values[start], orbit, alive = _make(1, 0, 1), [start], True
+        for j in orbit:
+            a, b, e = values[j]._a, values[j]._b, values[j]._d  # v_j = (a + b i)/e
+            for images, scale in zip(per_generator, scales):
+                ((t, (re, im)),) = images[j].items()
+                v = _make(a * re - b * im, a * im + b * re, e * scale)
+                if t not in values:
+                    orbit.append(t)
+                alive &= values.setdefault(t, v) == v
+        if alive:
+            lcm, (pairs,) = lift([[values[j] for j in orbit]])
+            survivors.append((lcm, dict(zip(orbit, pairs))))
+    return survivors
 
 
 def _complex_eliminate(rows, backend) -> dict:
@@ -244,8 +292,8 @@ def _kernel(pivots: dict, size: int, backend) -> list[dict]:
     return list(vectors.values())
 
 
-def _complex_basis(pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
-    """The kernel mapped back by W and row-reduced into reduced echelon form."""
+def _complex_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+    """The kernel mapped back by W and row-reduced into reduced echelon form; orbits is None."""
     weights, zero = _bombieri_weights(basis), backend.zero
     rows = [[vector[q] * w if q in vector else zero for q, w in enumerate(weights)]
             for vector in _kernel(pivots, len(basis), backend)]
@@ -253,26 +301,56 @@ def _complex_basis(pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
     return [dict(enumerate(row)) for row in reduced[:rank]]
 
 
-def _pair_basis(pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
-    """The kernel of the pivot rows each divided by its P: already in reduced echelon form."""
+def _pair_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+    """The kernel of the pivot rows each divided by its P, in reduced echelon form.
+
+    On the monomials themselves the kernel already is. On orbit columns,
+    kernel vector c' maps to sum_c c'_c L_c v_c over its first entry L_f,
+    f its free column: the orbits are disjoint and ordered by their
+    smallest positions, where each v_c is 1, so this is the unique form too.
+    """
     rows = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
-    return _kernel(rows, len(basis), backend)
+    if orbits is None:
+        return _kernel(rows, len(basis), backend)
+    return [{q: x * _make(*w, orbits[min(v)][0]) for c, x in v.items() for q, w in orbits[c][1].items()}
+            for v in _kernel(rows, len(orbits), backend)]
+
+
+def _complex_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
+    """Per degree in degrees, None for the monomials as columns, and the pivots of all rows."""
+    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
+    return ((None, _complex_eliminate(_complex_rows(group, d, images), group.backend))
+            for d, images in enumerate(walks) if d in degrees)
+
+
+def _pair_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
+    """Per degree in degrees, the monomial generators' surviving orbits and the others' pivots on them.
+
+    A generator is monomial when each row holds one nonzero entry. With
+    none, the orbits are None, the monomials themselves, and each other
+    generator is walked in full as before; else only along the ladder
+    ancestors of the survivors' support. The others keep their order.
+    """
+    lift, generators = group.backend.lift, group.generators()
+    monomial = [s for s in generators if all(sum(map(bool, row)) == 1 for row in s.rows)]
+    others = [s for s in generators if s not in monomial]
+    orbits, wanted = dict.fromkeys(degrees), None
+    for d, images in enumerate(zip(*(monomial_images(s, ladder) for s in monomial))):
+        if d in degrees:
+            orbits[d] = _orbits(images, [lift(s.rows)[0] ** d for s in monomial], lift)
+    if monomial:
+        bases = {d: MonomialBasis(group.n, d).monomials for d in degrees if others}
+        wanted = ladder.ancestors([bases[d][q] for d in bases for _, v in orbits[d] for q in v])[0]
+    for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder, wanted) for s in others)):
+        if d in degrees:
+            units = [lift(s.rows)[0] ** d for s in others]
+            yield orbits[d], _pair_eliminate(_pair_rows(units, images, orbits[d]))
 
 
 # each backend's bodies, by its scalar type
 _TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
-_PIVOTS = {
-    complex: lambda group, d, images: _complex_eliminate(_complex_rows(group, d, images), group.backend),
-    GaussianRational: lambda group, d, images: _pair_eliminate(_pair_rows(group, d, images)),
-}
+_SPACES = {complex: _complex_spaces, GaussianRational: _pair_spaces}
 _BASES = {complex: _complex_basis, GaussianRational: _pair_basis}
-
-
-def _fixed_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
-    """The pivots of the generators' rows at each degree in degrees, lazily."""
-    fixed_space = _PIVOTS[group.backend.scalar]
-    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
-    return (fixed_space(group, d, images) for d, images in enumerate(walks) if d in degrees)
 
 
 def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
@@ -281,25 +359,29 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 
 
 def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
-    """fixed_space_dimensions on a ladder already built."""
-    spaces = _fixed_spaces(group, ladder, range(ladder.top + 1))
-    return [comb(group.n + d - 1, d) - len(pivots) for d, pivots in enumerate(spaces)]
+    """fixed_space_dimensions on a ladder already built: the number of columns less the pivots."""
+    spaces = _SPACES[group.backend.scalar](group, ladder, range(ladder.top + 1))
+    return [(comb(group.n + d - 1, d) if orbits is None else len(orbits)) - len(pivots)
+            for d, (orbits, pivots) in enumerate(spaces)]
 
 
 def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
 
     Polynomials come back with leading (grlex-first) coefficient 1. Only
-    degree d is eliminated. On the exact backend every pivot is the largest
-    column of its row, so each kernel vector's free column is its first
-    nonzero entry: that is the unique reduced echelon form, the basis the
-    paper's averaged monomials row-reduce to. On the float backend the
-    vectors are mapped back by W and row-reduced into that form.
+    degree d is eliminated. On the exact backend the monomial generators'
+    fixed space is spanned by their surviving orbits, each 1 at its
+    smallest position and disjoint from the others, and the other
+    generators are eliminated on those orbit columns; every pivot is the
+    largest column of its row, so each kernel vector's free column is its
+    first nonzero entry: that is the unique reduced echelon form, the
+    basis the paper's averaged monomials row-reduce to. On the float
+    backend the vectors are mapped back by W and row-reduced into that form.
     """
-    (pivots,) = _fixed_spaces(group, _Ladder(group.n, d), (d,))
+    (space,) = _SPACES[group.backend.scalar](group, _Ladder(group.n, d), (d,))
     basis, backend = MonomialBasis(group.n, d), group.backend
     return [SparsePolynomial(basis.n, {basis.monomials[q]: v[q] for q in sorted(v)}, backend)
-            for v in _BASES[backend.scalar](pivots, basis, backend)]
+            for v in _BASES[backend.scalar](*space, basis, backend)]
 
 
 def invariant_dimension(reynolds: ReynoldsMatrix) -> int:

@@ -100,7 +100,12 @@ def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple[UnivariatePoly, int]]
 
 
 def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:
-    """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order."""
+    """(1/|G|) sum over g of 1/det(id - lambda*T_g), truncated at the order.
+
+    A negative order is refused here, before any class work, on both backends.
+    """
+    if order < 0:
+        raise ValidationError("series order must be nonnegative")
     return _class_average(group, _distinct_dets(group), order)
 
 

@@ -7,9 +7,10 @@ exceptions are references for an algorithm rather than its arithmetic:
 reference_closure multiplies with the package's own matrix product,
 reference_class_average sums the package's own reciprocals,
 averaged_monomial_basis row-reduces with the package's own row_reduce,
-and reference_images and reference_pivots walk and eliminate with the
-package's own scalars, GaussianRational on the exact backend, where the
-package runs both on Gaussian-integer pairs.
+and reference_images, reference_pivots and reference_basis walk,
+eliminate and back-substitute with the package's own scalars,
+GaussianRational on the exact backend, where the package walks and
+eliminates on Gaussian-integer pairs.
 """
 
 from __future__ import annotations
@@ -190,6 +191,33 @@ def reference_pivots(group, d: int) -> dict:
             age[top] = len(found)
             found.append(top)
     return pivots
+
+
+def reference_basis(group, d: int, pivots=None) -> list[dict]:
+    """The reduced echelon basis of the fixed space, back-substituted from reference_pivots.
+
+    One vector per free column f, in ascending order: 1 at f, 0 at the
+    other free columns, and at each pivot column p, taken in ascending
+    order, minus the pivot row's entries times the values already found
+    (a pivot row holds only columns below its pivot). Keys ascend.
+    pivots, if given, are reference_pivots(group, d) already computed.
+    """
+    backend = group.backend
+    pivots = reference_pivots(group, d) if pivots is None else pivots
+    basis = []
+    for f in range(comb(group.n + d - 1, d)):
+        if f in pivots:
+            continue
+        vector = {f: backend.one}
+        for p in sorted(pivots):
+            value = backend.zero
+            for k, c in pivots[p].items():
+                if k in vector:
+                    value = value - c * vector[k]
+            if value:
+                vector[p] = value
+        basis.append(dict(sorted(vector.items())))
+    return basis
 
 
 def to_sympy(matrix) -> sp.Matrix:

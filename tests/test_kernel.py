@@ -4,8 +4,11 @@ On the exact backend the monomial-image walk runs on (re, im) int pairs
 of m*a, m the lcm of the denominators of a's entries, and the fixed
 space is eliminated fraction-free on those pairs. Lowered to scalars,
 the images must be the reference walk's exactly, keys and order
-included, and the pivot rows, each divided by its pivot, the reference
-elimination's, in the order they were found. Each backend's elimination
+included. Monomial generators give the fixed space as orbits and the
+others are eliminated on orbit columns, so ranks and bases must be the
+reference elimination's over all rows, term for term; with no monomial
+generator the pivot rows, each divided by its pivot, must be the
+reference's, in the order they were found. Each backend's elimination
 loop also takes row streams with no group behind them: its pivots must
 span the rows, as many as sympy's rank.
 """
@@ -21,11 +24,28 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 import corpus
-from molien import EXACT, GaussianRational, SquareMatrix, close_group, float_backend
+from molien import (
+    EXACT,
+    GaussianRational,
+    MonomialBasis,
+    SquareMatrix,
+    close_group,
+    float_backend,
+    invariant_basis,
+    molien_series,
+    verify_invariant,
+)
+from molien import invariants
 from molien.action import _Ladder, _lowered, monomial_images
-from molien.invariants import _complex_eliminate, _complex_rows, _fixed_spaces, _pair_eliminate
+from molien.invariants import (
+    _complex_eliminate,
+    _complex_rows,
+    _pair_eliminate,
+    _pair_spaces,
+    fixed_space_dimensions,
+)
 from molien.scalars import _make
-from oracles import reference_images, reference_pivots
+from oracles import reference_basis, reference_images, reference_pivots
 
 DENOMINATORS = (1, 2, 5, 10)
 PHASES = ["1", "-1", "i", "-i", "3/5+4/5i", "3/5-4/5i", "-4/5+3/5i", "4/5+3/5i"]
@@ -122,24 +142,123 @@ PIVOT_GROUPS = {
     "s5": corpus.s5,
     "wf4": corpus.wf4,
 }
+# the ladder ancestors of the monomials in W(F4)'s B3-orbit survivors, degrees 1..12,
+# of the 1 820 monomials of degree <= 12 in 4 variables
+WF4_ANCESTORS = 418
+# no generator of these is monomial, so every monomial is its own column
+NO_MONOMIAL_GROUPS = {
+    "b3_gaussian0": lambda: corpus.gaussian_unitary_conjugate(corpus.b3(), 0),
+    "2t_gaussian0": lambda: corpus.gaussian_unitary_conjugate(corpus.binary_tetrahedral(), 0),
+    "g8_gaussian0": lambda: corpus.gaussian_unitary_conjugate(corpus.g8_type(), 0),
+}
+
+
+def is_monomial(s):
+    return all(sum(map(bool, row)) == 1 for row in s.rows)
+
+
+def basis_terms(group, d):
+    """invariant_basis at degree d as lists of (monomial, coefficient), in key order."""
+    return [list(f.terms.items()) for f in invariant_basis(group, d)]
+
+
+def reference_terms(group, d, pivots=None):
+    """reference_basis at degree d as lists of (monomial, coefficient), in key order."""
+    monomials = MonomialBasis(group.n, d).monomials
+    return [[(monomials[q], c) for q, c in v.items()] for v in reference_basis(group, d, pivots)]
 
 
 class TestPivots:
-    @pytest.mark.parametrize("name", PIVOT_GROUPS)
+    @pytest.mark.parametrize("name", [*PIVOT_GROUPS, *NO_MONOMIAL_GROUPS])
     def test_normalized_pivots_equal_the_reference(self, name):
-        group = PIVOT_GROUPS[name]()
-        ladder = _Ladder(group.n, 8)
-        for d, pivots in enumerate(_fixed_spaces(group, ladder, range(9))):
+        """The pivots normalized into ranks and bases, against the elimination over all rows.
+
+        On orbit columns the pivots are compared through the rank and the
+        reduced echelon basis they give; on the monomials themselves each
+        pivot row over its pivot is also the reference's, in order.
+        """
+        group = {**PIVOT_GROUPS, **NO_MONOMIAL_GROUPS}[name]()
+        monomial = any(map(is_monomial, group.generators()))
+        assert monomial == (name in PIVOT_GROUPS)
+        ranks = fixed_space_dimensions(group, 8)
+        for d, (orbits, pivots) in enumerate(_pair_spaces(group, _Ladder(group.n, 8), range(9))):
             for scale, row in pivots.values():
                 # the stored pivot is a positive int, and the row has no common factor
                 assert type(scale) is int and scale > 0
                 assert math.gcd(scale, *(part for pair in row.values() for part in pair)) == 1
-            # each pivot row divided by its pivot, dict for dict, in the order found
-            ours = [
-                (top, {k: _make(re, im, scale) for k, (re, im) in row.items()})
-                for top, (scale, row) in pivots.items()
-            ]
-            assert ours == list(reference_pivots(group, d).items()), f"{name} at degree {d}"
+            reference = reference_pivots(group, d)
+            assert ranks[d] == math.comb(group.n + d - 1, d) - len(reference), f"{name} at degree {d}"
+            assert basis_terms(group, d) == reference_terms(group, d, reference), f"{name} at degree {d}"
+            assert (orbits is None) == (not monomial)
+            if orbits is None:
+                # each pivot row divided by its pivot, dict for dict, in the order found
+                ours = [
+                    (top, {k: _make(re, im, scale) for k, (re, im) in row.items()})
+                    for top, (scale, row) in pivots.items()
+                ]
+                assert ours == list(reference.items()), f"{name} at degree {d}"
+
+
+def trap(build):
+    """build() conjugated by diag(1, (3+4i)/5): its monomial generators get entries +-(3+-4i)/5."""
+    u = SquareMatrix([[1, 0], [0, "3/5+4/5i"]], EXACT)
+    return close_group([u @ s @ u.conj_transpose() for s in build().generators()])
+
+
+class TestNonUnitMonomials:
+    """Orbit vectors with denominators: each orbit column is scaled by its own L_c."""
+
+    @pytest.mark.parametrize("build, order", [(corpus.binary_tetrahedral, 24), (corpus.q8, 8)])
+    def test_bases_equal_the_reference(self, build, order):
+        group = trap(build)
+        assert group.order == order
+        monomial = [s for s in group.generators() if is_monomial(s)]
+        assert any(x.re.denominator == 5 for s in monomial for row in s.rows for x in row)
+        for d in range(11):
+            assert basis_terms(group, d) == reference_terms(group, d), f"degree {d}"
+
+    @pytest.mark.parametrize("build", [corpus.binary_tetrahedral, corpus.q8])
+    def test_ranks_equal_the_series(self, build):
+        group = trap(build)
+        assert fixed_space_dimensions(group, 12) == molien_series(group, 12).coefficients
+
+
+class TestGeneratorOrder:
+    """Monomial generators first, the others in input order, walked only where the survivors reach."""
+
+    def test_dense_generator_listed_first(self, monkeypatch):
+        wf4 = corpus.wf4()
+        dense = wf4.generators()[3]
+        group = close_group([dense, *wf4.generators()[:3]])
+        assert group.generators() == [dense, *wf4.generators()[:3]]
+        calls = []
+
+        def recorded(a, ladder, wanted=None):
+            calls.append((a, wanted))
+            return monomial_images(a, ladder, wanted)
+
+        monkeypatch.setattr(invariants, "monomial_images", recorded)
+        ranks = fixed_space_dimensions(group, 12)
+        # the three monomial generators are walked in full, then the dense one
+        assert [a for a, _ in calls] == [*wf4.generators()[:3], dense]
+        assert [wanted is None for _, wanted in calls] == [True, True, True, False]
+        # only along the ladder ancestors of the survivors' support: the monomials
+        # of the invariants of the subgroup the monomial generators make
+        subgroup = close_group(wf4.generators()[:3])
+        support = {t for d in range(13) for f in invariant_basis(subgroup, d) for t in f.terms}
+        expected, _ = _Ladder(4, 12).ancestors(sorted(support))
+        asked = calls[3][1]
+        assert [[j for j, *_ in step] for step in asked[1:]] == [
+            [j for j, *_ in step] for step in expected[1:]
+        ]
+        walked = sum(map(len, asked[1:]))
+        assert walked == WF4_ANCESTORS
+        assert walked < sum(math.comb(3 + d, d) for d in range(13)) // 4
+        monkeypatch.undo()
+        assert ranks == fixed_space_dimensions(wf4, 12) == molien_series(wf4, 12).coefficients
+        basis = invariant_basis(group, 12)
+        assert basis == invariant_basis(wf4, 12)
+        assert all(verify_invariant(f, wf4) for f in basis)
 
 
 def gaussian_rows(rng, width, count, rank):

@@ -135,6 +135,22 @@ class TestMolienSeries:
         assert float_report.coefficients == exact_report.coefficients
 
 
+class TestNegativeDegree:
+    """A negative degree is one ValidationError on both backends, raised before any class work."""
+
+    @pytest.mark.parametrize("function", [molien_series, averaged_reciprocal_series, cross_check])
+    @pytest.mark.parametrize("build", [corpus.s4, lambda: corpus.dihedral_float(6)])
+    def test_rejected_before_class_work(self, build, function, monkeypatch):
+        group = build()
+
+        def refuse(self):
+            raise AssertionError("class work for a negative degree")
+
+        monkeypatch.setattr(type(group), "conjugacy_classes", refuse)
+        with pytest.raises(ValidationError, match="series order must be nonnegative"):
+            function(group, -1)
+
+
 class TestGaussianIntegerAverage:
     """The exact class average runs on Gaussian-integer pairs; the float one on complex floats."""
 
