@@ -6,17 +6,22 @@ matrix is the entrywise conjugate of A. The walk builds the images of the
 wanted monomials degree by degree on raw dicts keyed by basis positions:
 image(x^a) = image(x^(a - e_i)) * L_i, with x_i the first variable of x^a,
 in complex floats or, exact, in Gaussian-integer (re, im) int pairs of
-m*A, m the lcm of its entries' denominators. reynolds_matrix, the fixed
-space and induced_matrix want every monomial, the class traces only the
-entries that can reach a diagonal, verify_invariant and substitute_linear
-the ancestors of f's monomials. The ladder builds position links only
-where a walk reads them. Exact pairs are lowered only where read.
+m*A, m the lcm of its entries' denominators. A monomial A, one nonzero
+entry per column, makes every L_i one term, and takes the one-term body
+on either backend: each image is its parent's one term times that of
+L_i, the single product the general body would make. reynolds_matrix,
+the fixed space and induced_matrix want every monomial, the class traces
+only the entries that can reach a diagonal, verify_invariant and
+substitute_linear the ancestors of f's monomials. The ladder builds
+position links only where a walk reads them. Exact pairs are lowered
+only where read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from molien.errors import ShapeError
@@ -47,20 +52,22 @@ class _Ladder:
         self.raise_by = [units[k] + sum(units[n + k + 1 :]) for k in range(n)]
         self.codes = [[0]] + [[None] * comb(n + d - 1, d) for d in range(1, top + 1)]
         self.up = [None] + [[None] * len(codes) for codes in self.codes[:-1]]
+        # steps[k][S] = C(S + n-k-1, n-k-1) for S = 0..top, read by row
+        self.steps = [[comb(s + n - k - 1, n - k - 1) for s in range(top + 1)] for k in range(n)]
 
     def row(self, d: int, q: int) -> tuple:
         """up[d][q], built from the code of q on first use, with the codes of its targets."""
-        if self.up[d][q] is None:
-            n, code, row = self.n, self.codes[d - 1][q], [q]
+        up = self.up[d]
+        if up[q] is None:
+            n, code, row, steps, codes = self.n, self.codes[d - 1][q], [q], self.steps, self.codes[d]
             for k in range(1, n):
-                # x_k x^q sits C(S_k + n-k-1, n-k-1) positions after x_(k-1) x^q,
+                # x_k x^q sits steps[k][S_k] positions after x_(k-1) x^q,
                 # S_k = d-1 - P_k, and P_k is field n+k of the code of q
-                s = d - 1 - (code >> (n + k) * self.width & self.full)
-                row.append(row[-1] + comb(s + n - k - 1, n - k - 1))
+                row.append(row[-1] + steps[k][d - 1 - (code >> (n + k) * self.width & self.full)])
             for t, rise in zip(row, self.raise_by):
-                self.codes[d][t] = code + rise
-            self.up[d][q] = tuple(row)
-        return self.up[d][q]
+                codes[t] = code + rise
+            up[q] = tuple(row)
+        return up[q]
 
     def monomial(self, d: int, q: int) -> tuple:
         """The exponent tuple of position q of degree d, read off its code."""
@@ -135,9 +142,49 @@ def monomial_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[l
     zeros are skipped, none by the float tolerance. An entry at t is started
     only if bound is None or (bound - code of t) keeps every guard bit, and
     gets the same terms in the same order whatever is wanted. The backend
-    picks the body; the exact one's coefficients are the pairs of m*a.
+    picks the body; the exact one's coefficients are the pairs of m*a. A
+    monomial a (_monomial: one nonzero entry per column, so every image has
+    one term) takes the one-term body on either backend, which makes the
+    same one product per entry.
     """
-    return _WALKS[a.backend.scalar](a, ladder, wanted)
+    return (_one_term_images if _monomial(a) else _WALKS[a.backend.scalar])(a, ladder, wanted)
+
+
+def _monomial(a: SquareMatrix) -> bool:
+    """True iff each column of a holds one nonzero entry: each linear form L_i is one term."""
+    return all(sum(map(bool, column)) == 1 for column in zip(*a.rows))
+
+
+def _pair_product(c: tuple, l: tuple) -> tuple:
+    """c times l on Gaussian-integer (re, im) pairs, as the pair body multiplies a term."""
+    return c[0] * l[0] - c[1] * l[1], c[0] * l[1] + c[1] * l[0]
+
+
+def _one_term_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
+    """monomial_images of a monomial a: each image is its parent's one term times that of L_i."""
+    lift, guard, row = a.backend.lift, ladder.guard, ladder.row
+    # per column i, the one term (k, conj(a[k][i])) of L_i, as a pair of m*a when exact
+    if lift is None:
+        times, one = mul, a.backend.one
+        terms = [(k, x.conjugate()) for c in zip(*a.rows) for k, x in enumerate(c) if x]
+    else:
+        times, one = _pair_product, (1, 0)
+        terms = [(k, (re, -im)) for c in zip(*lift(a.rows)[1]) for k, (re, im) in enumerate(c) if re or im]
+    images = [{0: one}]
+    yield images
+    for d, step in enumerate((ladder.every if wanted is None else wanted)[1:], 1):
+        up, codes = ladder.up[d], ladder.codes[d]
+        nxt = [None] * len(codes)
+        for j, p, i, bound in step:
+            nxt[j] = out = {}
+            if images[p]:
+                ((q, c),) = images[p].items()
+                k, l = terms[i]
+                t = (up[q] or row(d, q))[k]
+                if (bound is None or (bound - codes[t]) & guard == guard) and (v := times(c, l)):
+                    out[t] = v  # a float product may underflow to 0, a pair product cannot
+        images = nxt
+        yield images
 
 
 def _complex_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: series, invariants, verify. Groups come from a JSON spec
-file (dimension, backend, generators) or from --perm cycle notation.
+file (dimension, backend, generators, and optionally max_group_order and
+tolerance; any other key is an error) or from --perm cycle notation.
 Errors print one machine-parsable line `error:<kind>: message` on stderr;
 exit codes: 0 success, 1 input error, 2 verification mismatch, 3 closure
 overflow, 4 internal consistency error.
@@ -42,6 +43,8 @@ EXIT_MISMATCH = 2
 EXIT_OVERFLOW = 3
 EXIT_CONSISTENCY = 4
 
+SPEC_KEYS = ("dimension", "backend", "generators", "max_group_order", "tolerance")
+
 
 def _load_spec(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
@@ -76,6 +79,9 @@ def _tolerance(value) -> float:
 
 
 def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
+    for key in spec:
+        if key not in SPEC_KEYS:
+            raise ValidationError(f"unknown spec key {key!r}; the keys are {', '.join(SPEC_KEYS)}")
     try:
         n = spec["dimension"]
         backend_tag = spec["backend"]

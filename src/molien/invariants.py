@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, prod, sqrt
 
-from molien.action import _image_terms, _Ladder, _lowered, dense_matrix, monomial_images
+from molien.action import _image_terms, _Ladder, _lowered, _monomial, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
 from molien.matrices import SquareMatrix, row_reduce
@@ -173,24 +173,26 @@ def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
     m_s^d = scale, so a fixed vector has v at pi_s(j) equal to phi_s(j) v_j.
     Each orbit is walked breadth first from its smallest position, where
     v = 1, and dies if a position it reaches already holds another value.
-    Each survivor comes as (L_c, the pairs of L_c v_c by position), L_c
-    the lcm of the denominators of v_c's entries.
+    Values are unreduced int triples (a, b, e), v = (a + b i)/e, compared
+    by cross-multiplying. Each survivor comes as (L_c, the pairs of L_c v_c
+    by position), L_c the lcm of the denominators of v_c's entries.
     """
     values, survivors = {}, []
     for start in range(len(per_generator[0])):
         if start in values:
             continue
-        values[start], orbit, alive = _make(1, 0, 1), [start], True
+        values[start], orbit, alive = (1, 0, 1), [start], True
         for j in orbit:
-            a, b, e = values[j]._a, values[j]._b, values[j]._d  # v_j = (a + b i)/e
+            a, b, e = values[j]
             for images, scale in zip(per_generator, scales):
                 ((t, (re, im)),) = images[j].items()
-                v = _make(a * re - b * im, a * im + b * re, e * scale)
+                x, y, f = v = a * re - b * im, a * im + b * re, e * scale
                 if t not in values:
                     orbit.append(t)
-                alive &= values.setdefault(t, v) == v
+                g, h, k = values.setdefault(t, v)
+                alive = alive and g * f == x * k and h * f == y * k
         if alive:
-            lcm, (pairs,) = lift([[values[j] for j in orbit]])
+            lcm, (pairs,) = lift([[_make(*values[j]) for j in orbit]])
             survivors.append((lcm, dict(zip(orbit, pairs))))
     return survivors
 
@@ -326,13 +328,14 @@ def _complex_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
 def _pair_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
     """Per degree in degrees, the monomial generators' surviving orbits and the others' pivots on them.
 
-    A generator is monomial when each row holds one nonzero entry. With
-    none, the orbits are None, the monomials themselves, and each other
-    generator is walked in full as before; else only along the ladder
-    ancestors of the survivors' support. The others keep their order.
+    A generator is monomial when each column holds one nonzero entry, as
+    for the walk's one-term body (action._monomial). With none, the orbits
+    are None, the monomials themselves, and each other generator is walked
+    in full as before; else only along the ladder ancestors of the
+    survivors' support. The others keep their order.
     """
     lift, generators = group.backend.lift, group.generators()
-    monomial = [s for s in generators if all(sum(map(bool, row)) == 1 for row in s.rows)]
+    monomial = [s for s in generators if _monomial(s)]
     others = [s for s in generators if s not in monomial]
     orbits, wanted = dict.fromkeys(degrees), None
     for d, images in enumerate(zip(*(monomial_images(s, ladder) for s in monomial))):

@@ -27,8 +27,9 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.action import _Ladder, _lowered, monomial_images
-from oracles import sympy_induced, to_sympy
+from molien import action
+from molien.action import _WALKS, _Ladder, _lowered, _monomial, monomial_images
+from oracles import reference_images, sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
 DIAG_I = SquareMatrix([["i", "0"], ["0", "-i"]], EXACT)
@@ -200,7 +201,8 @@ def traces(diagonals, backend):
 
 
 def entries(walk):
-    return sum(len(image) for images in walk for image in images)
+    """The image entries a walk built, over the wanted monomials (None where not wanted)."""
+    return sum(len(image) for images in walk for image in images if image)
 
 
 class TestLadder:
@@ -346,3 +348,101 @@ class TestAncestorWalk:
             assert sum(code is not None for codes in ladder.codes for code in codes) == 1 + 8 + 36 + 64 * 12
         # the images of x_k^e, e = 1..14, and of the constant
         assert built == ([1] + [8] * 14) * 2
+
+
+def phased(group, phases):
+    """The group generated by u s u^-1 over the generators s, u the diagonal of the given phases."""
+    u = SquareMatrix([[p if i == j else 0 for j in range(len(phases))] for i, p in enumerate(phases)], EXACT)
+    return close_group([u @ s @ u.conj_transpose() for s in group.generators()])
+
+
+def one_term_cases():
+    """Monomial matrices on both backends: (name, matrix)."""
+    s7 = from_permutations([(2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1)])
+    trap = SquareMatrix([[1, 0], [0, "3/5+4/5i"]], EXACT)
+    non_unit = [trap @ s @ trap.conj_transpose() for s in corpus.q8().generators()[:2]]
+    floats = float_backend()
+    signed = SquareMatrix([[0.0, -1.0, -0.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]], floats)
+    phases = SquareMatrix([[0, 0.6 + 0.8j, 0], [-0.0, 0, -0.8 + 0.6j], [-1j, -0.0, 0]], floats)
+    return [
+        *((f"s7_{k}", s) for k, s in enumerate(s7)),
+        *((f"b3_phased_{k}", s) for k, s in enumerate(phased(corpus.b3(), [1, "i", "-i"]).generators())),
+        *((f"non_unit_{k}", s) for k, s in enumerate(non_unit)),
+        ("float_signed", signed),
+        ("float_phases", phases),
+    ]
+
+
+def bits(walk):
+    """Each degree's images as lists of (position, coefficient), floats by their bits, None where not wanted."""
+
+    def exact(c):
+        return (c.real.hex(), c.imag.hex()) if type(c) is complex else c
+
+    return [[None if image is None else [(q, exact(c)) for q, c in image.items()] for image in images]
+            for images in walk]
+
+
+class TestOneTermBody:
+    """Monomial matrices walk one term per monomial, bit for bit as the general bodies would."""
+
+    @pytest.mark.parametrize("name, a", one_term_cases(), ids=[name for name, _ in one_term_cases()])
+    def test_equals_the_general_body(self, name, a):
+        assert _monomial(a)
+        n, top = a.n, 8 if a.n < 7 else 6
+        monomials = [tuple(top * (k == i) for k in range(n)) for i in range(n)]
+        monomials.append((1,) * (n - 1) + (top - n + 1,))
+        for kind in ("every", "to_diagonals", "ancestors"):
+            walks = []
+            for walk in (monomial_images, _WALKS[a.backend.scalar], reference_images):
+                # each body on a fresh ladder, so it builds its own links
+                ladder = _Ladder(n, top)
+                wanted = {
+                    "every": None,
+                    "to_diagonals": ladder.to_diagonals,
+                    "ancestors": ladder.ancestors(monomials)[0],
+                }[kind]
+                walks.append(list(walk(a, ladder, wanted)))
+            ours, general, reference = walks
+            assert bits(ours) == bits(general), kind
+            # one term or none per wanted monomial
+            assert all(image is None or len(image) <= 1 for images in ours for image in images)
+            lowered = [_lowered(a, d, images) for d, images in enumerate(ours)]
+            assert bits(lowered) == bits(reference), kind
+
+    def test_signed_zero_phases_keep_their_bits(self):
+        # conj(-1) is -1-0j, so the images of odd degree carry a negative zero
+        _, a = one_term_cases()[-2]
+        images = list(monomial_images(a, _Ladder(3, 3)))
+        signs = {math.copysign(1.0, c.imag) for image in images[3] for c in image.values()}
+        assert signs == {1.0, -1.0}
+
+    def test_near_monomial_float_keeps_the_general_body(self):
+        # cos(pi/2) is about 6e-17: not zero, so x1 maps to two terms
+        c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
+        assert 0 < c < 1e-16
+        rotation = SquareMatrix([[c, -s], [s, c]], float_backend())
+        assert not _monomial(rotation)
+        ladder = _Ladder(2, 4)
+        ours = list(monomial_images(rotation, ladder))
+        assert [len(image) for image in ours[1]] == [2, 2]
+        assert bits(ours) == bits(_WALKS[complex](rotation, _Ladder(2, 4), None))
+
+    @pytest.mark.parametrize("name, a", one_term_cases()[:2], ids=["s7_0", "s7_1"])
+    def test_one_entry_and_one_product_per_wanted_monomial(self, name, a, monkeypatch):
+        products, product = [], action._pair_product
+
+        def counted(c, l):
+            products.append(c)
+            return product(c, l)
+
+        monkeypatch.setattr(action, "_pair_product", counted)
+        ladder = _Ladder(7, 8)
+        size = sum(math.comb(6 + d, d) for d in range(9))
+        assert entries(monomial_images(a, ladder)) == size
+        assert len(products) == size - 1
+        # along the ancestors of a few monomials: one entry per wanted one
+        wanted, _ = ladder.ancestors([(8, 0, 0, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0, 5)])
+        products.clear()
+        assert entries(monomial_images(a, ladder, wanted)) == 1 + sum(map(len, wanted[1:]))
+        assert len(products) == sum(map(len, wanted[1:]))

@@ -476,6 +476,31 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:validation:")
 
+    @pytest.mark.parametrize(
+        "extra", [{"extra": 1}, {"max_grup_order": 2}, {"Tolerance": 1e-6}, {"": None}]
+    )
+    @pytest.mark.parametrize("command", ["series", "invariants", "verify"])
+    def test_unknown_spec_key(self, tmp_path, capsys, command, extra):
+        # a misspelt max_group_order must not drop the closure bound without a word
+        (key,) = extra
+        code = main([command, "--degree", "2", write_spec(tmp_path, dict(C4_SPEC, **extra))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:validation: unknown spec key {key!r}")
+        assert captured.err.count("\n") == 1
+
+    def test_every_spec_key_is_accepted(self, tmp_path, capsys):
+        spec = {
+            "dimension": 1,
+            "backend": "float",
+            "generators": [[[-1.0]]],
+            "max_group_order": 2,
+            "tolerance": 1e-6,
+        }
+        assert main(["series", "--degree", "2", write_spec(tmp_path, spec)]) == 0
+        assert capsys.readouterr().out == "group_order = 2\na = [1, 0, 1]\n"
+
 
 class TestDeterminism:
     def test_verify_is_byte_identical_across_runs(self, tmp_path):
@@ -575,7 +600,7 @@ def generator_values(draw, n):
 
 @st.composite
 def spec_values(draw):
-    """A valid spec whose keys are each kept, replaced by random JSON or dropped: every check is reached."""
+    """A valid spec whose keys are each kept, replaced by random JSON, dropped or joined by an unknown key."""
     n = draw(st.integers(1, 3))
     spec = {
         "dimension": n,
@@ -587,11 +612,13 @@ def spec_values(draw):
         tolerances = st.one_of(st.floats(allow_nan=True), st.sampled_from([1e-9, "1e-6", 1.5]))
         spec["tolerance"] = draw(tolerances)
     for key in list(spec):
-        action = draw(st.sampled_from(["keep"] * 6 + ["random", "drop"]))
+        action = draw(st.sampled_from(["keep"] * 6 + ["random", "drop", "unknown"]))
         if action == "random":
             spec[key] = draw(JSON_VALUES)
         elif action == "drop":
             del spec[key]
+        elif action == "unknown":
+            spec[key[:-1]] = spec[key]
     return spec
 
 

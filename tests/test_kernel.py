@@ -31,6 +31,7 @@ from molien import (
     SquareMatrix,
     close_group,
     float_backend,
+    from_permutations,
     invariant_basis,
     molien_series,
     verify_invariant,
@@ -221,6 +222,38 @@ class TestNonUnitMonomials:
     def test_ranks_equal_the_series(self, build):
         group = trap(build)
         assert fixed_space_dimensions(group, 12) == molien_series(group, 12).coefficients
+
+
+class TestOrbitValues:
+    """Orbit values are int triples: _make runs once per survivor entry, never per orbit step."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_make_once_per_survivor_entry(self, n, monkeypatch):
+        group = close_group(from_permutations([(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)]))
+        self.assert_counts(group, monkeypatch, dead=False)
+
+    @pytest.mark.parametrize("build", [corpus.q8, corpus.b3, lambda: trap(corpus.q8)])
+    def test_dead_orbits_make_nothing(self, build, monkeypatch):
+        self.assert_counts(build(), monkeypatch, dead=True)
+
+    @staticmethod
+    def assert_counts(group, monkeypatch, dead):
+        made = []
+
+        def counted(*triple):
+            made.append(triple)
+            return _make(*triple)
+
+        monkeypatch.setattr(invariants, "_make", counted)
+        spaces = list(_pair_spaces(group, _Ladder(group.n, 8), range(9)))
+        monkeypatch.undo()
+        survivors = sum(len(v) for orbits, _ in spaces for _, v in orbits)
+        size = sum(math.comb(group.n + d - 1, d) for d in range(9))
+        steps = size * len(group.generators())
+        assert len(made) == survivors < steps
+        # with every orbit alive the survivors cover every monomial
+        assert (survivors < size) == dead
+        assert [len(orbits) for orbits, _ in spaces] == molien_series(group, 8).coefficients
 
 
 class TestGeneratorOrder:
