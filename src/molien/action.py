@@ -209,7 +209,7 @@ def _complex_images(a: SquareMatrix, ladder: _Ladder, wanted) -> Iterator[list]:
                         out[t] = out[t] + c * lk
                     elif bound is None or (bound - codes[t]) & guard == guard:
                         out[t] = c * lk
-            nxt[j] = {t: v for t, v in out.items() if v}
+            nxt[j] = out if all(out.values()) else {t: v for t, v in out.items() if v}
         images = nxt
         yield images
 

@@ -128,25 +128,32 @@ class _ElementIndex:
         rows = [tuple([x.conjugate() for x in row]) for _, row in self.points]
         return rows if self.binned else list(map(self._ids, rows))
 
-    def find(self, position: int, row: tuple) -> int | None:
+    def find(self, position: int, row: tuple, b: int | None = None) -> int | None:
         """Smallest index of a known point equal to row at position, or None.
 
-        The row is given by its entry ids when not binned.
+        The row is given by its entry ids when not binned; b is its bin, if known.
         """
         if not self.binned:
             return self.table.get((position, row))
-        b, eq = self._bin(row), self.backend.eq
-        near = (p for k in (b - 1, b, b + 1) for p in self.table.get((position, k), ()))
-        return min((p for p in near if all(map(eq, row, self.points[p][1]))), default=None)
+        eq, points, table, found = self.backend.eq, self.points, self.table, None
+        b = self._bin(row) if b is None else b
+        for k in (b - 1, b, b + 1):
+            for p in table.get((position, k), ()):
+                if all(map(eq, row, points[p][1])):
+                    if found is None or p < found:
+                        found = p
+                    break  # a bin lists its points in index order
+        return found
 
     def add(self, position: int, row: tuple) -> int:
         """Index of the point row at position, added if not known yet."""
         point = len(self.points)
         if self.binned:
-            found = self.find(position, row)
+            b = self._bin(row)
+            found = self.find(position, row, b)
             if found is not None:
                 return found
-            self.table.setdefault((position, self._bin(row)), []).append(point)
+            self.table.setdefault((position, b), []).append(point)
         else:
             found = self.table.setdefault((position, self._ids(row)), point)
             if found != point:

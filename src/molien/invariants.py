@@ -5,15 +5,17 @@ is that average at one degree, and invariant_dimension its trace. The
 traces and bases computed here never sweep the group: traces are taken
 once per conjugacy class and weighted by class size, and the basis is
 the common fixed space of the generators, eliminated on sparse rows.
-One row builder transposes walk images into rows, and a row source per
-backend shifts them: scaled to the Bombieri basis on floats, on the
-Gaussian-integer pairs when exact. One loop per backend eliminates a
-stream of rows, fraction-free when exact; one pass per degree feeds it.
-When exact, a monomial generator (one nonzero entry per row) needs no
-rows: the monomial generators' fixed space is spanned by the sums over
-monomial orbits whose phases agree, and the other generators are
-eliminated on those orbit columns only, walked only along the ladder
-ancestors of the surviving orbits.
+A monomial generator (one nonzero entry per column) needs no rows: the
+monomial generators' fixed space is spanned by the sums over monomial
+orbits whose phases agree (within the tolerance on floats), and the
+other generators give rows on those orbit columns only, walked only
+along the ladder ancestors of the surviving orbits. One row builder
+transposes walk images into rows, and a row source per backend shifts
+them: on Gaussian-integer pairs when exact, scaled to the Bombieri basis
+on floats, where each orbit column has unit norm. One loop per backend
+eliminates the rows: fraction-free in stream order when exact, by
+complete pivoting on floats, which reveals the rank of such
+well-conditioned rows. One pass per degree feeds it.
 """
 
 from __future__ import annotations
@@ -125,19 +127,31 @@ def _transposed(images: list) -> list[dict]:
     return rows
 
 
-def _complex_rows(group: FiniteMatrixGroup, d: int, per_generator: tuple):
-    """The rows of W^-1 (rho_d(s) - I) W over the generators s, in turn."""
-    one = group.backend.one
-    weights = _bombieri_weights(MonomialBasis(group.n, d))
+def _complex_rows(weights: list, per_generator, columns):
+    """The rows of W^-1 (rho_d(h) - I) W V over the generators h, in turn.
+
+    V = I when columns is None: the transposed images, shifted on the diagonal.
+    Else columns holds the W V_c of _complex_orbits, and row q holds at orbit c
+    the coefficient of x^q in (rho_d(h) - I) W V_c over w_q.
+    """
+    one = 1 + 0j
     for images in per_generator:
-        for q, row in enumerate(_transposed(images)):
-            # the diagonal is updated in place, or appended as -1 (not 0j - 1, whose
-            # imaginary zero has the other sign)
-            row[q] = row[q] - one if q in row else -one
-            if not row[q]:
-                del row[q]
-            wq = weights[q]
-            yield {k: v * (weights[k] / wq) for k, v in row.items()}
+        if columns is None:
+            for q, row in enumerate(_transposed(images)):
+                # the diagonal is updated in place, or appended as -1 (not 0j - 1, whose
+                # imaginary zero has the other sign)
+                row[q] = row[q] - one if q in row else -one
+                if not row[q]:
+                    del row[q]
+                wq = weights[q]
+                yield {k: v * (weights[k] / wq) for k, v in row.items()}
+            continue
+        rows = [{} for _ in images]
+        for c, column in enumerate(columns):
+            for j, u in column.items():
+                for q, x in (*images[j].items(), (j, -one)):
+                    rows[q][c] = rows[q][c] + x * u if c in rows[q] else x * u
+        yield from ({c: v / weights[q] for c, v in row.items() if v} for q, row in enumerate(rows))
 
 
 def _pair_rows(units: list, per_generator: list, columns):
@@ -197,39 +211,63 @@ def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
     return survivors
 
 
-def _complex_eliminate(rows, backend) -> dict:
-    """Pivot column -> the rest of its row over the pivot, its largest entry above the tolerance.
+def _complex_orbits(per_generator: list, weights: list, eq) -> list[dict]:
+    """_orbits on complex floats, whose phases agree within the tolerance of eq.
 
-    Each row, consumed, is first reduced by the known pivots, oldest first.
+    Each survivor comes as W V_c by position, V_c = v_c / sqrt(|orbit|): W is
+    constant on an orbit, so V_c has unit Bombieri norm.
     """
-    one, pivot = backend.one, backend.pivot
-    pivots, found, age = {}, [], {}
-    for row in rows:
-        heap = [age[k] for k in row if k in pivots]
-        heapify(heap)
-        while heap:
-            p = found[heappop(heap)]
-            factor = row.pop(p, None)
+    values, survivors = {}, []
+    for start in range(len(per_generator[0])):
+        if start in values:
+            continue
+        values[start], orbit, alive = 1 + 0j, [start], True
+        for j in orbit:
+            for images in per_generator:
+                ((t, phase),) = images[j].items()
+                v = values[j] * phase
+                if t not in values:
+                    values[t] = v
+                    orbit.append(t)
+                alive = alive and eq(values[t], v)
+        if alive:
+            scale = weights[start] / sqrt(len(orbit))
+            survivors.append({j: values[j] * scale for j in orbit})
+    return survivors
+
+
+def _complex_eliminate(rows, backend) -> dict:
+    """Pivot column -> the rest of its row over the pivot, by complete pivoting above the tolerance.
+
+    Each step takes the entry of largest magnitude over all rows left, from
+    per-row maxima refreshed only where the step touched, and eliminates its
+    column from the other rows, so no pivot row holds an earlier pivot column.
+    """
+    live = dict(enumerate(row for row in rows if row))
+    tops = {r: max(map(abs, row.values())) for r, row in live.items()}
+    pivots = {}
+    while tops:
+        r = max(tops, key=tops.__getitem__)
+        if tops.pop(r) <= backend.tolerance:
+            break
+        row = live.pop(r)
+        p = max(row, key=lambda k: abs(row[k]))
+        scale = 1 / row.pop(p)
+        pivots[p] = pivot_row = {k: v * scale for k, v in row.items()}
+        for i, other in live.items():
+            factor = other.pop(p, None)
             if factor is None:
                 continue
-            for k, v in pivots[p].items():
-                if k in row:
-                    w = row[k] - factor * v
+            for k, v in pivot_row.items():
+                if k in other:
+                    w = other[k] - factor * v
                     if w:
-                        row[k] = w
+                        other[k] = w
                     else:
-                        del row[k]
+                        del other[k]
                 else:
-                    row[k] = -factor * v
-                    if k in pivots:
-                        heappush(heap, age[k])
-        top = pivot(row)
-        if top is None:
-            continue
-        scale = one / row.pop(top)
-        pivots[top] = {k: v * scale for k, v in row.items()}
-        age[top] = len(found)
-        found.append(top)
+                    other[k] = -factor * v
+            tops[i] = max(map(abs, other.values()), default=0.0)
     return pivots
 
 
@@ -295,10 +333,14 @@ def _kernel(pivots: dict, size: int, backend) -> list[dict]:
 
 
 def _complex_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
-    """The kernel mapped back by W and row-reduced into reduced echelon form; orbits is None."""
-    weights, zero = _bombieri_weights(basis), backend.zero
-    rows = [[vector[q] * w if q in vector else zero for q, w in enumerate(weights)]
-            for vector in _kernel(pivots, len(basis), backend)]
+    """The kernel mapped back through W V, whose columns have disjoint supports, then row-reduced."""
+    columns = [{q: w} for q, w in enumerate(_bombieri_weights(basis))] if orbits is None else orbits
+    rows = []
+    for vector in _kernel(pivots, len(columns), backend):
+        rows.append(row := [backend.zero] * len(basis))
+        for c, y in vector.items():
+            for q, u in columns[c].items():
+                row[q] = y * u
     rank, reduced = row_reduce(rows, backend)
     return [dict(enumerate(row)) for row in reduced[:rank]]
 
@@ -319,10 +361,21 @@ def _pair_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dic
 
 
 def _complex_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
-    """Per degree in degrees, None for the monomials as columns, and the pivots of all rows."""
-    walks = zip(*(monomial_images(s, ladder) for s in group.generators()))
-    return ((None, _complex_eliminate(_complex_rows(group, d, images), group.backend))
-            for d, images in enumerate(walks) if d in degrees)
+    """_pair_spaces on complex floats: orbits as the W V_c of _complex_orbits, rows in the Bombieri basis."""
+    backend, generators = group.backend, group.generators()
+    monomial = [s for s in generators if _monomial(s)]
+    others = [s for s in generators if not _monomial(s)]
+    bases = {d: MonomialBasis(group.n, d) for d in degrees}
+    weights = {d: _bombieri_weights(bases[d]) for d in degrees}
+    orbits, wanted = dict.fromkeys(degrees), None
+    for d, images in enumerate(zip(*(monomial_images(s, ladder) for s in monomial))):
+        if d in degrees:
+            orbits[d] = _complex_orbits(images, weights[d], backend.eq)
+    if monomial and others:
+        wanted = ladder.ancestors([bases[d].monomials[q] for d in degrees for v in orbits[d] for q in v])[0]
+    for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder, wanted) for s in others)):
+        if d in degrees:
+            yield orbits[d], _complex_eliminate(_complex_rows(weights[d], images, orbits[d]), backend)
 
 
 def _pair_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
@@ -372,14 +425,14 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     """Basis of the degree-d invariants: the reduced echelon basis of the common fixed space.
 
     Polynomials come back with leading (grlex-first) coefficient 1. Only
-    degree d is eliminated. On the exact backend the monomial generators'
-    fixed space is spanned by their surviving orbits, each 1 at its
-    smallest position and disjoint from the others, and the other
-    generators are eliminated on those orbit columns; every pivot is the
+    degree d is eliminated. The monomial generators' fixed space is
+    spanned by their surviving orbits, disjoint from each other, and the
+    other generators are eliminated on those orbit columns. When exact,
+    each orbit is 1 at its smallest position and every pivot is the
     largest column of its row, so each kernel vector's free column is its
     first nonzero entry: that is the unique reduced echelon form, the
-    basis the paper's averaged monomials row-reduce to. On the float
-    backend the vectors are mapped back by W and row-reduced into that form.
+    basis the paper's averaged monomials row-reduce to. On floats the
+    vectors are mapped back through the orbits and W, and row-reduced.
     """
     (space,) = _SPACES[group.backend.scalar](group, _Ladder(group.n, d), (d,))
     basis, backend = MonomialBasis(group.n, d), group.backend

@@ -133,6 +133,27 @@ def h3_float():
     return close_group([SquareMatrix(m, fb) for m in mirrors])
 
 
+def h3_dense_conjugate():
+    """H3 conjugated by the rotation by 0.7 rad about the unit axis (0.48, 0.6, 0.64).
+
+    The rotation comes from Rodrigues' formula, so no generator of the
+    conjugate is monomial: every entry is nonzero. It is not in
+    build_corpus().
+    """
+    (x, y, z), angle = (0.48, 0.6, 0.64), 0.7
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1 - c
+    rotation = SquareMatrix(
+        [
+            [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
+            [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
+            [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
+        ],
+        float_backend(),
+    )
+    return close_group([rotation @ g @ rotation.conj_transpose() for g in h3_float().generators()])
+
+
 def gleason():
     """Gleason's float group of order 192 generated by (1/sqrt 2) [[1, 1], [1, -1]] and diag(1, i).
 

@@ -402,6 +402,51 @@ class TestFloatElementIdentity:
         assert close_group([a, b]).order == 2
 
 
+class ScanningIndex(_ElementIndex):
+    """_ElementIndex whose float lookups scan every known point: the smallest index within tolerance."""
+
+    def find(self, position, row, b=None):
+        if not self.binned:
+            return super().find(position, row)
+        eq = self.backend.eq
+        known = enumerate(self.points)
+        return next((p for p, (k, r) in known if k == position and all(map(eq, row, r))), None)
+
+    def add(self, position, row):
+        if not self.binned:
+            return super().add(position, row)
+        found = self.find(position, row)
+        if found is None:
+            self.points.append((position, row))
+            return len(self.points) - 1
+        return found
+
+
+class TestFloatIndexAgainstScan:
+    """The binned float index gives close_group the same points as a scan of all of them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda m=m: corpus.dihedral_float(m) for m in (5, 12, 30, 60)),
+            corpus.h3_float,
+            lambda: corpus.signed_permutation_conjugate(corpus.h3_float(), 17),
+            lambda: corpus.signed_permutation_conjugate(corpus.dihedral_float(30), 17),
+            corpus.h3_dense_conjugate,
+            corpus.gleason,
+        ],
+        ids=["D5", "D12", "D30", "D60", "H3", "H3-conjugate", "D30-conjugate", "H3-dense", "Gleason"],
+    )
+    def test_elements_and_tables(self, build, monkeypatch):
+        generators = build().generators()
+        group = close_group(generators)
+        monkeypatch.setattr(groups_module, "_ElementIndex", ScanningIndex)
+        scanned = close_group(generators)
+        assert [g.rows for g in group.elements] == [g.rows for g in scanned.elements]
+        assert group.right == scanned.right
+        assert group.inverse_of == scanned.inverse_of
+
+
 class TestExactElementIdentity:
     def test_conjugate_rows_are_found_by_entry_ids(self):
         index = _ElementIndex(EXACT, 2)

@@ -6,7 +6,7 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -27,12 +27,13 @@ from molien import (
     induced_matrix,
     invariant_basis,
     invariant_dimension,
+    molien_series,
     reynolds_matrix,
     row_reduce,
     substitute_linear,
     verify_invariant,
 )
-from molien.action import _Ladder, monomial_images
+from molien.action import _image_terms, _Ladder, _monomial, monomial_images
 from molien.invariants import _bombieri_weights, fixed_space_dimensions, reynolds_traces
 from oracles import (
     averaged_monomial_basis,
@@ -441,6 +442,79 @@ class TestFixedSpace:
         report = cross_check(group, 4)
         assert report.per_method["rank"] == [1, 1, 2, 3, 5]
         assert not report.all_agree()
+
+
+def bombieri_stack(group, d):
+    """W^-1 (rho_d(s) - I) W over the generators s, stacked, from induced_matrix and numpy alone."""
+    basis = MonomialBasis(group.n, d)
+    w = np.sqrt([factorial(d) / prod(map(factorial, a)) for a in basis.monomials])
+    blocks = []
+    for s in group.generators():
+        rho = np.array(induced_matrix(s, basis).rows, dtype=complex)
+        blocks.append((rho - np.eye(len(basis))) * w[np.newaxis, :] / w[:, np.newaxis])
+    return np.vstack(blocks), w
+
+
+class TestFloatRank:
+    """Float rank against the series where stream-order elimination kept false pivots.
+
+    The series and the traces read no elimination, so they are the oracle.
+    """
+
+    def test_dihedral60_rank_is_series_to_64(self):
+        group = corpus.dihedral_float(60)
+        assert fixed_space_dimensions(group, 64) == molien_series(group, 64).coefficients
+
+    @pytest.mark.parametrize("d, size", [(24, 9), (26, 10)])
+    def test_h3_basis_sizes_at_high_degree(self, d, size):
+        group = corpus.h3_float()
+        basis = invariant_basis(group, d)
+        assert len(basis) == size == molien_series(group, d).coefficients[d]
+        # coefficients reach 3e5 here, so invariance is checked relative to them
+        for f in basis:
+            largest = max(map(abs, f.terms.values()))
+            for s in group.generators():
+                moved = _image_terms(f, s)
+                for t in moved.keys() | f.terms.keys():
+                    assert abs(moved.get(t, 0) - f.terms.get(t, 0)) <= 1e-12 * largest
+
+    def test_dense_h3_conjugate_rank_is_series_to_12(self):
+        # no generator is monomial, so every monomial is its own column
+        group = corpus.h3_dense_conjugate()
+        assert not any(map(_monomial, group.generators()))
+        series = molien_series(group, 12).coefficients
+        assert fixed_space_dimensions(group, 12) == series == reynolds_traces(group, 12)
+
+
+SVD_CASES = [(name, m, top, False) for name, m, top in FLOAT_CASES] + [
+    ("h3_float", None, 8, True),
+    ("dihedral_float", 30, 16, True),
+    ("gleason", None, 48, False),
+    ("dihedral_float", 60, 64, False),
+    ("h3_dense_conjugate", None, 12, False),
+]
+
+
+class TestSvdOracle:
+    """numpy's SVD of the Bombieri-scaled generator rows, built from induced_matrix, as the rank oracle."""
+
+    @pytest.mark.parametrize("name, m, top, conjugated", SVD_CASES)
+    def test_nullity_and_basis_span(self, name, m, top, conjugated):
+        group = float_case(name, m, conjugated)
+        dimensions = fixed_space_dimensions(group, top)
+        for d in range(top + 1):
+            stack, w = bombieri_stack(group, d)
+            _, values, vh = np.linalg.svd(stack)
+            # a clear gap: every singular value is at rounding level or of order one
+            assert not np.any((values > 1e-9) & (values < 1e-2)), (d, values)
+            nullity = int(np.sum(values <= 1e-9))
+            assert nullity == dimensions[d], d
+            null = vh[len(values) - nullity :]
+            basis = MonomialBasis(group.n, d)
+            for f in invariant_basis(group, d):
+                y = np.array([f.terms.get(a, 0) for a in basis.monomials], dtype=complex) / w
+                y /= np.linalg.norm(y)
+                assert np.linalg.norm(y - null.conj().T @ (null @ y)) <= 1e-9, d
 
 
 class TestVerifyInvariant:

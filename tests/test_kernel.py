@@ -365,7 +365,7 @@ class TestRowStreams:
         # the appended -1 is -(1+0j), whose imaginary zero is -0.0 (0j - 1 has +0.0)
         group = close_group([SquareMatrix(corpus.ROTATION, float_backend())])
         walks = zip(*(monomial_images(s, _Ladder(2, 1)) for s in group.generators()))
-        rows = list(_complex_rows(group, 1, list(walks)[1]))
+        rows = list(_complex_rows([1.0, 1.0], list(walks)[1], None))
         assert [list(row) for row in rows] == [[1, 0], [0, 1]]
         for q, row in enumerate(rows):
             assert row[q] == -1 and math.copysign(1.0, row[q].imag) == -1.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -26,9 +28,11 @@ from molien import (
     invariant_basis,
     molien_rational,
     molien_series,
+    parse_polynomial,
     series_reciprocal,
     verify_invariant,
 )
+from molien.cli import main
 from molien.invariants import fixed_space_dimensions, reynolds_traces
 from molien.series import _class_average
 from oracles import (
@@ -540,13 +544,20 @@ class TestGleasonGroup:
         assert molien_series(group, 48).coefficients == self.EXPECTED
         assert reynolds_traces(group, 48) == self.EXPECTED
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 8: stream-order float elimination keeps false pivots",
-    )
     def test_rank_is_gleasons(self):
         dimensions = fixed_space_dimensions(corpus.gleason(), 48)
         assert [dimensions[d] for d in (24, 32, 40, 48)] == [2, 2, 2, 3]
+
+    def test_invariants_command_at_degree_24(self, tmp_path, capsys):
+        h = 1 / math.sqrt(2)
+        spec = {"dimension": 2, "backend": "float", "generators": [[[h, h], [h, -h]], [[1, 0], [0, "i"]]]}
+        path = tmp_path / "gleason.json"
+        path.write_text(json.dumps(spec))
+        assert main(["invariants", "--degree", "24", "--format", "json", str(path)]) == 0
+        basis = json.loads(capsys.readouterr().out)["invariants"]["basis"]
+        assert len(basis) == 2
+        group = corpus.gleason()
+        assert all(verify_invariant(parse_polynomial(text, 2, group.backend), group) for text in basis)
 
 
 class TestPauliGroups:
