@@ -128,15 +128,18 @@ class _ElementIndex:
         rows = [tuple([x.conjugate() for x in row]) for _, row in self.points]
         return rows if self.binned else list(map(self._ids, rows))
 
-    def find(self, position: int, row: tuple, b: int | None = None) -> int | None:
+    def find(self, position: int, row: tuple) -> int | None:
         """Smallest index of a known point equal to row at position, or None.
 
-        The row is given by its entry ids when not binned; b is its bin, if known.
+        The row is given by its entry ids when not binned.
         """
         if not self.binned:
             return self.table.get((position, row))
+        return self._scan(position, row, self._bin(row))
+
+    def _scan(self, position: int, row: tuple, b: int) -> int | None:
+        """find on a binned row in bin b: the smallest index within tolerance in bins b - 1..b + 1."""
         eq, points, table, found = self.backend.eq, self.points, self.table, None
-        b = self._bin(row) if b is None else b
         for k in (b - 1, b, b + 1):
             for p in table.get((position, k), ()):
                 if all(map(eq, row, points[p][1])):
@@ -150,7 +153,7 @@ class _ElementIndex:
         point = len(self.points)
         if self.binned:
             b = self._bin(row)
-            found = self.find(position, row, b)
+            found = self._scan(position, row, b)
             if found is not None:
                 return found
             self.table.setdefault((position, b), []).append(point)

@@ -9,13 +9,15 @@ A monomial generator (one nonzero entry per column) needs no rows: the
 monomial generators' fixed space is spanned by the sums over monomial
 orbits whose phases agree (within the tolerance on floats), and the
 other generators give rows on those orbit columns only, walked only
-along the ladder ancestors of the surviving orbits. One row builder
-transposes walk images into rows, and a row source per backend shifts
-them: on Gaussian-integer pairs when exact, scaled to the Bombieri basis
-on floats, where each orbit column has unit norm. One loop per backend
+along the ladder ancestors of the surviving orbits. A row source per
+backend gives those rows: on Gaussian-integer pairs when exact, scaled
+to the Bombieri basis on floats, where each orbit column has unit norm.
+With no monomial generator the exact rows are the transposed walk
+images, and each float orbit is one monomial. One loop per backend
 eliminates the rows: fraction-free in stream order when exact, by
 complete pivoting on floats, which reveals the rank of such
-well-conditioned rows. One pass per degree feeds it.
+well-conditioned rows. One pass per degree runs the backend's orbits,
+rows and loop.
 """
 
 from __future__ import annotations
@@ -127,41 +129,35 @@ def _transposed(images: list) -> list[dict]:
     return rows
 
 
-def _complex_rows(weights: list, per_generator, columns):
+def _complex_rows(per_generator: list, generators: list, n: int, d: int, columns: list):
     """The rows of W^-1 (rho_d(h) - I) W V over the generators h, in turn.
 
-    V = I when columns is None: the transposed images, shifted on the diagonal.
-    Else columns holds the W V_c of _complex_orbits, and row q holds at orbit c
+    columns holds the W V_c of _complex_orbits, and row q holds at orbit c
     the coefficient of x^q in (rho_d(h) - I) W V_c over w_q.
     """
-    one = 1 + 0j
+    one, weights = 1 + 0j, _bombieri_weights(MonomialBasis(n, d))
     for images in per_generator:
-        if columns is None:
-            for q, row in enumerate(_transposed(images)):
-                # the diagonal is updated in place, or appended as -1 (not 0j - 1, whose
-                # imaginary zero has the other sign)
-                row[q] = row[q] - one if q in row else -one
-                if not row[q]:
-                    del row[q]
-                wq = weights[q]
-                yield {k: v * (weights[k] / wq) for k, v in row.items()}
-            continue
         rows = [{} for _ in images]
         for c, column in enumerate(columns):
             for j, u in column.items():
+                # the diagonal's -1 is -(1+0j), whose imaginary zero is -0.0 (0j - 1 has +0.0)
                 for q, x in (*images[j].items(), (j, -one)):
                     rows[q][c] = rows[q][c] + x * u if c in rows[q] else x * u
-        yield from ({c: v / weights[q] for c, v in row.items() if v} for q, row in enumerate(rows))
+        for q, row in enumerate(rows):
+            # times 1/w_q, not over w_q: complex division would turn a -0.0 into +0.0
+            scale = 1 / weights[q]
+            yield {c: v * scale for c, v in row.items() if v}
 
 
-def _pair_rows(units: list, per_generator: list, columns):
-    """The (re, im) rows of rho_d(m h) - m^d on the columns, over the generators h with m^d in units.
+def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns):
+    """The (re, im) rows of rho_d(m h) - m^d on the columns, over the generators h, m h on ints.
 
     columns is None for the monomials themselves, whose rows are the
     transposed images shifted on the diagonal. Otherwise it holds the
     survivors of _orbits, and row q holds at orbit c the coefficient of
     x^q in L_c (rho_d(m h) - m^d) v_c.
     """
+    units = [s.backend.lift(s.rows)[0] ** d for s in generators]
     for unit, images in zip(units, per_generator):
         if columns is None:
             for q, row in enumerate(_transposed(images)):
@@ -172,7 +168,7 @@ def _pair_rows(units: list, per_generator: list, columns):
                 yield row
             continue
         rows = [{} for _ in images]
-        for c, (_, column) in enumerate(columns):
+        for c, column in enumerate(columns):
             for j, (wr, wi) in column.items():
                 for q, (x, y) in (*images[j].items(), (j, (-unit, 0))):
                     a, b = rows[q].get(c, (0, 0))
@@ -180,7 +176,7 @@ def _pair_rows(units: list, per_generator: list, columns):
         yield from ({c: v for c, v in row.items() if v != (0, 0)} for row in rows)
 
 
-def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
+def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict] | None:
     """The fixed vectors v_c of monomial generators, one per orbit of monomials whose phases agree.
 
     Generator s sends x^j to phi_s(j) x^pi_s(j), its one-term image over
@@ -188,10 +184,14 @@ def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
     Each orbit is walked breadth first from its smallest position, where
     v = 1, and dies if a position it reaches already holds another value.
     Values are unreduced int triples (a, b, e), v = (a + b i)/e, compared
-    by cross-multiplying. Each survivor comes as (L_c, the pairs of L_c v_c
-    by position), L_c the lcm of the denominators of v_c's entries.
+    by cross-multiplying. Each survivor comes as the pairs of L_c v_c by
+    position, L_c the lcm of the denominators of v_c's entries, so its
+    first entry is (L_c, 0). With no generators, None: the monomials themselves.
     """
-    values, survivors = {}, []
+    if not generators:
+        return None
+    lift, values, survivors = backend.lift, {}, []
+    scales = [lift(s.rows)[0] ** d for s in generators]
     for start in range(len(per_generator[0])):
         if start in values:
             continue
@@ -206,19 +206,21 @@ def _orbits(per_generator: list, scales: list, lift) -> list[tuple]:
                 g, h, k = values.setdefault(t, v)
                 alive = alive and g * f == x * k and h * f == y * k
         if alive:
-            lcm, (pairs,) = lift([[_make(*values[j]) for j in orbit]])
-            survivors.append((lcm, dict(zip(orbit, pairs))))
+            _, (pairs,) = lift([[_make(*values[j]) for j in orbit]])
+            survivors.append(dict(zip(orbit, pairs)))
     return survivors
 
 
-def _complex_orbits(per_generator: list, weights: list, eq) -> list[dict]:
-    """_orbits on complex floats, whose phases agree within the tolerance of eq.
+def _complex_orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
+    """_orbits on complex floats, whose phases agree within the backend tolerance.
 
     Each survivor comes as W V_c by position, V_c = v_c / sqrt(|orbit|): W is
-    constant on an orbit, so V_c has unit Bombieri norm.
+    constant on an orbit, so V_c has unit Bombieri norm. With no generators
+    each monomial is its own orbit, and the survivors are the columns of W.
     """
+    weights, eq = _bombieri_weights(MonomialBasis(n, d)), backend.eq
     values, survivors = {}, []
-    for start in range(len(per_generator[0])):
+    for start in range(len(weights)):
         if start in values:
             continue
         values[start], orbit, alive = 1 + 0j, [start], True
@@ -332,14 +334,13 @@ def _kernel(pivots: dict, size: int, backend) -> list[dict]:
     return list(vectors.values())
 
 
-def _complex_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+def _complex_basis(orbits: list, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
     """The kernel mapped back through W V, whose columns have disjoint supports, then row-reduced."""
-    columns = [{q: w} for q, w in enumerate(_bombieri_weights(basis))] if orbits is None else orbits
     rows = []
-    for vector in _kernel(pivots, len(columns), backend):
+    for vector in _kernel(pivots, len(orbits), backend):
         rows.append(row := [backend.zero] * len(basis))
         for c, y in vector.items():
-            for q, u in columns[c].items():
+            for q, u in orbits[c].items():
                 row[q] = y * u
     rank, reduced = row_reduce(rows, backend)
     return [dict(enumerate(row)) for row in reduced[:rank]]
@@ -356,56 +357,42 @@ def _pair_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dic
     rows = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
     if orbits is None:
         return _kernel(rows, len(basis), backend)
-    return [{q: x * _make(*w, orbits[min(v)][0]) for c, x in v.items() for q, w in orbits[c][1].items()}
+    firsts = [next(iter(orbit.values()))[0] for orbit in orbits]
+    return [{q: x * _make(*w, firsts[min(v)]) for c, x in v.items() for q, w in orbits[c].items()}
             for v in _kernel(rows, len(orbits), backend)]
 
 
-def _complex_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
-    """_pair_spaces on complex floats: orbits as the W V_c of _complex_orbits, rows in the Bombieri basis."""
-    backend, generators = group.backend, group.generators()
-    monomial = [s for s in generators if _monomial(s)]
-    others = [s for s in generators if not _monomial(s)]
-    bases = {d: MonomialBasis(group.n, d) for d in degrees}
-    weights = {d: _bombieri_weights(bases[d]) for d in degrees}
-    orbits, wanted = dict.fromkeys(degrees), None
-    for d, images in enumerate(zip(*(monomial_images(s, ladder) for s in monomial))):
-        if d in degrees:
-            orbits[d] = _complex_orbits(images, weights[d], backend.eq)
-    if monomial and others:
-        wanted = ladder.ancestors([bases[d].monomials[q] for d in degrees for v in orbits[d] for q in v])[0]
-    for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder, wanted) for s in others)):
-        if d in degrees:
-            yield orbits[d], _complex_eliminate(_complex_rows(weights[d], images, orbits[d]), backend)
-
-
-def _pair_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
+def _fixed_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
     """Per degree in degrees, the monomial generators' surviving orbits and the others' pivots on them.
 
     A generator is monomial when each column holds one nonzero entry, as
-    for the walk's one-term body (action._monomial). With none, the orbits
-    are None, the monomials themselves, and each other generator is walked
-    in full as before; else only along the ladder ancestors of the
-    survivors' support. The others keep their order.
+    for the walk's one-term body (action._monomial). The backend's bodies
+    give the orbits, the other generators' rows on them and their pivots.
+    The others keep their order, and are walked only along the ladder
+    ancestors of the survivors' support when a generator is monomial.
     """
-    lift, generators = group.backend.lift, group.generators()
+    backend, generators = group.backend, group.generators()
+    orbits_of, rows_of, eliminate = _SPACES[backend.scalar]
     monomial = [s for s in generators if _monomial(s)]
-    others = [s for s in generators if s not in monomial]
-    orbits, wanted = dict.fromkeys(degrees), None
-    for d, images in enumerate(zip(*(monomial_images(s, ladder) for s in monomial))):
+    others = [s for s in generators if not _monomial(s)]
+    orbits, wanted = {}, None
+    for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder) for s in monomial)):
         if d in degrees:
-            orbits[d] = _orbits(images, [lift(s.rows)[0] ** d for s in monomial], lift)
-    if monomial:
-        bases = {d: MonomialBasis(group.n, d).monomials for d in degrees if others}
-        wanted = ladder.ancestors([bases[d][q] for d in bases for _, v in orbits[d] for q in v])[0]
+            orbits[d] = orbits_of(images, monomial, group.n, d, backend)
+    if monomial and others:
+        bases = {d: MonomialBasis(group.n, d).monomials for d in degrees}
+        wanted = ladder.ancestors([bases[d][q] for d in degrees for v in orbits[d] for q in v])[0]
     for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder, wanted) for s in others)):
         if d in degrees:
-            units = [lift(s.rows)[0] ** d for s in others]
-            yield orbits[d], _pair_eliminate(_pair_rows(units, images, orbits[d]))
+            yield orbits[d], eliminate(rows_of(images, others, group.n, d, orbits[d]), backend)
 
 
 # each backend's bodies, by its scalar type
 _TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
-_SPACES = {complex: _complex_spaces, GaussianRational: _pair_spaces}
+_SPACES = {
+    complex: (_complex_orbits, _complex_rows, _complex_eliminate),
+    GaussianRational: (_orbits, _pair_rows, lambda rows, _: _pair_eliminate(rows)),
+}
 _BASES = {complex: _complex_basis, GaussianRational: _pair_basis}
 
 
@@ -416,7 +403,7 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 
 def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """fixed_space_dimensions on a ladder already built: the number of columns less the pivots."""
-    spaces = _SPACES[group.backend.scalar](group, ladder, range(ladder.top + 1))
+    spaces = _fixed_spaces(group, ladder, range(ladder.top + 1))
     return [(comb(group.n + d - 1, d) if orbits is None else len(orbits)) - len(pivots)
             for d, (orbits, pivots) in enumerate(spaces)]
 
@@ -434,7 +421,7 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
     basis the paper's averaged monomials row-reduce to. On floats the
     vectors are mapped back through the orbits and W, and row-reduced.
     """
-    (space,) = _SPACES[group.backend.scalar](group, _Ladder(group.n, d), (d,))
+    (space,) = _fixed_spaces(group, _Ladder(group.n, d), (d,))
     basis, backend = MonomialBasis(group.n, d), group.backend
     return [SparsePolynomial(basis.n, {basis.monomials[q]: v[q] for q in sorted(v)}, backend)
             for v in _BASES[backend.scalar](*space, basis, backend)]

@@ -361,13 +361,13 @@ GOLDEN = {
     "invariants-5/h3_float": "384a4a473fd420842ca3eb724a3cac0394bde51c65b9d6c39e36056f271dfc3a",
     "invariants-6/h3_float": "d562c564ce10d3a86922a4e0c69d8dabc894563cff968387b2347a36efda4205",
     "raw-traces/h3_float": "970cd1ba393694abe305f69e3a709e9fc35e48d6c50b377925489846ce608931",
-    "raw-basis/h3_float": "641afe4df5eae0dad8863470427089f5ef815a426deffca882e2f6f86a606e2f",
+    "raw-basis/h3_float": "57adfc3eaabac42de1ac29b4b4ecc081a62ab5186b4cf55f7fe5611a82460e27",
     "raw-traces/dihedral12_float": "98cb61dc05068d8bb6259929ffb70dad7e9aee826f8bb05cabfdd8fda317170b",
-    "raw-basis/dihedral12_float": "456722aa30a0ed1418097e39a78cdbb90651c2d177b873f285b2d7764769570c",
+    "raw-basis/dihedral12_float": "370f0eeb7144801f0f750940c96554ad862e4100e41660183865f8c43a848eb7",
     "raw-traces/dihedral30_float": "f3e94d839f63c7bdce6090a35878147dcf1ac775c4a8b5512aa17ca58419a8c4",
-    "raw-basis/dihedral30_float": "5fe77fdf401e635e2723a2de5dc700f86cbe7a19300f03f14ca4005c7356276b",
+    "raw-basis/dihedral30_float": "9bf5e62d4d2118b694d7185dbf3bd6397d65331abba43b2fb85321a3ba246213",
     "raw-traces/dihedral60_float": "f801093830a976daab7b6369a4f5dba8e90f88113f2e0303dbd9e556b83323c8",
-    "raw-basis/dihedral60_float": "4271855b644781ed308f39a85a62c89c01d7e8a41bd15a2d922d95fb7f8c6b3e",
+    "raw-basis/dihedral60_float": "08dab3138853a3eba4b59c3ed5839354bb59bec74fcfe9507075a37ebd6ea40e",
 }
 
 

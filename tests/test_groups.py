@@ -405,7 +405,7 @@ class TestFloatElementIdentity:
 class ScanningIndex(_ElementIndex):
     """_ElementIndex whose float lookups scan every known point: the smallest index within tolerance."""
 
-    def find(self, position, row, b=None):
+    def find(self, position, row):
         if not self.binned:
             return super().find(position, row)
         eq = self.backend.eq

@@ -41,8 +41,8 @@ from molien.action import _Ladder, _lowered, monomial_images
 from molien.invariants import (
     _complex_eliminate,
     _complex_rows,
+    _fixed_spaces,
     _pair_eliminate,
-    _pair_spaces,
     fixed_space_dimensions,
 )
 from molien.scalars import _make
@@ -182,7 +182,7 @@ class TestPivots:
         monomial = any(map(is_monomial, group.generators()))
         assert monomial == (name in PIVOT_GROUPS)
         ranks = fixed_space_dimensions(group, 8)
-        for d, (orbits, pivots) in enumerate(_pair_spaces(group, _Ladder(group.n, 8), range(9))):
+        for d, (orbits, pivots) in enumerate(_fixed_spaces(group, _Ladder(group.n, 8), range(9))):
             for scale, row in pivots.values():
                 # the stored pivot is a positive int, and the row has no common factor
                 assert type(scale) is int and scale > 0
@@ -245,9 +245,9 @@ class TestOrbitValues:
             return _make(*triple)
 
         monkeypatch.setattr(invariants, "_make", counted)
-        spaces = list(_pair_spaces(group, _Ladder(group.n, 8), range(9)))
+        spaces = list(_fixed_spaces(group, _Ladder(group.n, 8), range(9)))
         monkeypatch.undo()
-        survivors = sum(len(v) for orbits, _ in spaces for _, v in orbits)
+        survivors = sum(len(v) for orbits, _ in spaces for v in orbits)
         size = sum(math.comb(group.n + d - 1, d) for d in range(9))
         steps = size * len(group.generators())
         assert len(made) == survivors < steps
@@ -365,8 +365,9 @@ class TestRowStreams:
         # the appended -1 is -(1+0j), whose imaginary zero is -0.0 (0j - 1 has +0.0)
         group = close_group([SquareMatrix(corpus.ROTATION, float_backend())])
         walks = zip(*(monomial_images(s, _Ladder(2, 1)) for s in group.generators()))
-        rows = list(_complex_rows([1.0, 1.0], list(walks)[1], None))
-        assert [list(row) for row in rows] == [[1, 0], [0, 1]]
+        columns = [{0: 1.0}, {1: 1.0}]  # the degree-1 Bombieri weights: W itself
+        rows = list(_complex_rows(list(walks)[1], group.generators(), 2, 1, columns))
+        assert [list(row) for row in rows] == [[0, 1], [0, 1]]
         for q, row in enumerate(rows):
             assert row[q] == -1 and math.copysign(1.0, row[q].imag) == -1.0
 
