@@ -12,12 +12,11 @@ other generators give rows on those orbit columns only, walked only
 along the ladder ancestors of the surviving orbits. A row source per
 backend gives those rows: on Gaussian-integer pairs when exact, scaled
 to the Bombieri basis on floats, where each orbit column has unit norm.
-With no monomial generator the exact rows are the transposed walk
-images, and each float orbit is one monomial. One loop per backend
-eliminates the rows: fraction-free in stream order when exact, by
-complete pivoting on floats, which reveals the rank of such
-well-conditioned rows. One pass per degree runs the backend's orbits,
-rows and loop.
+With no monomial generator each monomial is its own orbit, on both
+backends. One loop per backend eliminates the rows: fraction-free in
+stream order when exact, by complete pivoting on floats, which reveals
+the rank of such well-conditioned rows. One pass per degree runs the
+backend's orbits, rows and loop.
 """
 
 from __future__ import annotations
@@ -120,15 +119,6 @@ def _bombieri_weights(basis: MonomialBasis) -> list[float]:
     return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
 
 
-def _transposed(images: list) -> list[dict]:
-    """Row q holds at column j the coefficient of x^q in the image of x^j, in the walk's order."""
-    rows = [{} for _ in images]
-    for j, image in enumerate(images):
-        for q, c in image.items():
-            rows[q][j] = c
-    return rows
-
-
 def _complex_rows(per_generator: list, generators: list, n: int, d: int, columns: list):
     """The rows of W^-1 (rho_d(h) - I) W V over the generators h, in turn.
 
@@ -149,24 +139,14 @@ def _complex_rows(per_generator: list, generators: list, n: int, d: int, columns
             yield {c: v * scale for c, v in row.items() if v}
 
 
-def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns):
+def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns: list):
     """The (re, im) rows of rho_d(m h) - m^d on the columns, over the generators h, m h on ints.
 
-    columns is None for the monomials themselves, whose rows are the
-    transposed images shifted on the diagonal. Otherwise it holds the
-    survivors of _orbits, and row q holds at orbit c the coefficient of
-    x^q in L_c (rho_d(m h) - m^d) v_c.
+    columns holds the survivors of _orbits, and row q holds at orbit c the
+    coefficient of x^q in L_c (rho_d(m h) - m^d) v_c.
     """
     units = [s.backend.lift(s.rows)[0] ** d for s in generators]
     for unit, images in zip(units, per_generator):
-        if columns is None:
-            for q, row in enumerate(_transposed(images)):
-                re, im = row.get(q, (0, 0))
-                row[q] = (re - unit, im)
-                if row[q] == (0, 0):
-                    del row[q]
-                yield row
-            continue
         rows = [{} for _ in images]
         for c, column in enumerate(columns):
             for j, (wr, wi) in column.items():
@@ -176,7 +156,7 @@ def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns):
         yield from ({c: v for c, v in row.items() if v != (0, 0)} for row in rows)
 
 
-def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict] | None:
+def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
     """The fixed vectors v_c of monomial generators, one per orbit of monomials whose phases agree.
 
     Generator s sends x^j to phi_s(j) x^pi_s(j), its one-term image over
@@ -186,13 +166,12 @@ def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> l
     Values are unreduced int triples (a, b, e), v = (a + b i)/e, compared
     by cross-multiplying. Each survivor comes as the pairs of L_c v_c by
     position, L_c the lcm of the denominators of v_c's entries, so its
-    first entry is (L_c, 0). With no generators, None: the monomials themselves.
+    first entry is (L_c, 0). With no generators each monomial is its own
+    orbit, {j: (1, 0)}, as on floats.
     """
-    if not generators:
-        return None
     lift, values, survivors = backend.lift, {}, []
     scales = [lift(s.rows)[0] ** d for s in generators]
-    for start in range(len(per_generator[0])):
+    for start in range(comb(n + d - 1, d)):
         if start in values:
             continue
         values[start], orbit, alive = (1, 0, 1), [start], True
@@ -346,17 +325,14 @@ def _complex_basis(orbits: list, pivots: dict, basis: MonomialBasis, backend) ->
     return [dict(enumerate(row)) for row in reduced[:rank]]
 
 
-def _pair_basis(orbits, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
+def _pair_basis(orbits: list, pivots: dict, basis: MonomialBasis, backend) -> list[dict]:
     """The kernel of the pivot rows each divided by its P, in reduced echelon form.
 
-    On the monomials themselves the kernel already is. On orbit columns,
-    kernel vector c' maps to sum_c c'_c L_c v_c over its first entry L_f,
+    Kernel vector c' maps to sum_c c'_c L_c v_c over its first entry L_f,
     f its free column: the orbits are disjoint and ordered by their
-    smallest positions, where each v_c is 1, so this is the unique form too.
+    smallest positions, where each v_c is 1, so this is the unique form.
     """
     rows = {t: {k: _make(*v, p) for k, v in row.items()} for t, (p, row) in pivots.items()}
-    if orbits is None:
-        return _kernel(rows, len(basis), backend)
     firsts = [next(iter(orbit.values()))[0] for orbit in orbits]
     return [{q: x * _make(*w, firsts[min(v)]) for c, x in v.items() for q, w in orbits[c].items()}
             for v in _kernel(rows, len(orbits), backend)]
@@ -404,8 +380,7 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """fixed_space_dimensions on a ladder already built: the number of columns less the pivots."""
     spaces = _fixed_spaces(group, ladder, range(ladder.top + 1))
-    return [(comb(group.n + d - 1, d) if orbits is None else len(orbits)) - len(pivots)
-            for d, (orbits, pivots) in enumerate(spaces)]
+    return [len(orbits) - len(pivots) for orbits, pivots in spaces]
 
 
 def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
@@ -439,16 +414,18 @@ def verify_invariant(f: SparsePolynomial, group: FiniteMatrixGroup) -> bool:
     Each generator acts through the monomial images of molien.action, so
     no coefficient is dropped by the float tolerance while the image is
     built; the image and f are then compared coefficient by coefficient,
-    exactly or within the backend tolerance.
+    exactly, or on floats within the backend tolerance times the largest
+    absolute coefficient of f, at least 1.
     """
     if f.n != group.n:
         raise ShapeError(f"polynomial in {f.n} variables, group acts on {group.n}")
     backend = group.backend
     check_same_backend(f.backend, backend)
     zero, is_zero = backend.zero, backend.is_zero
+    scale = 1 if backend.is_exact else 1 / max([1, *map(abs, f.terms.values())])
     for s in group.generators():
         moved = _image_terms(f, s)
         for mono in moved.keys() | f.terms.keys():
-            if not is_zero(moved.get(mono, zero) - f.terms.get(mono, zero)):
+            if not is_zero(scale * (moved.get(mono, zero) - f.terms.get(mono, zero))):
                 return False
     return True

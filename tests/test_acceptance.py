@@ -11,12 +11,14 @@ import functools
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from math import comb
 
 import corpus
+import molien
 from molien import (
     EXACT,
     MonomialBasis,
@@ -158,8 +160,13 @@ def test_dimension_formula():
 @report("criterion 9: CLI determinism and documented exit codes")
 def test_cli_contract(tmp_path):
     def run(*argv):
+        # the child imports the molien these tests import, from a checkout or installed
+        path = [os.path.dirname(os.path.dirname(molien.__file__)), os.environ.get("PYTHONPATH")]
         return subprocess.run(
-            [sys.executable, "-m", "molien.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "molien.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
 
     spec = tmp_path / "c4.json"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molien
 from molien import (
     EXACT,
     SquareMatrix,
@@ -45,10 +46,13 @@ def write_spec(tmp_path, spec, name="group.json"):
 
 
 def run_cli(*argv):
+    # the child imports the molien these tests import, from a checkout or installed
+    path = [os.path.dirname(os.path.dirname(molien.__file__)), os.environ.get("PYTHONPATH")]
     return subprocess.run(
         [sys.executable, "-m", "molien.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
 
 

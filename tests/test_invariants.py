@@ -477,6 +477,12 @@ class TestFloatRank:
                 moved = _image_terms(f, s)
                 for t in moved.keys() | f.terms.keys():
                     assert abs(moved.get(t, 0) - f.terms.get(t, 0)) <= 1e-12 * largest
+        # verify_invariant measures a move against the largest coefficient too
+        assert all(verify_invariant(f, group) for f in basis)
+        f = basis[-1]
+        first, largest = next(iter(f.terms)), max(map(abs, f.terms.values()))
+        moved = SparsePolynomial(3, {**f.terms, first: f.terms[first] + 1e-6 * largest}, group.backend)
+        assert not verify_invariant(moved, group)
 
     def test_dense_h3_conjugate_rank_is_series_to_12(self):
         # no generator is monomial, so every monomial is its own column

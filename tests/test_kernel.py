@@ -7,8 +7,9 @@ the images must be the reference walk's exactly, keys and order
 included. Monomial generators give the fixed space as orbits and the
 others are eliminated on orbit columns, so ranks and bases must be the
 reference elimination's over all rows, term for term; with no monomial
-generator the pivot rows, each divided by its pivot, must be the
-reference's, in the order they were found. Each backend's elimination
+generator each monomial is its own orbit, and the pivot rows, each
+divided by its pivot, must be the reference's, in the order they were
+found. Each backend's elimination
 loop also takes row streams with no group behind them: its pivots must
 span the rows, as many as sympy's rank.
 """
@@ -39,9 +40,12 @@ from molien import (
 from molien import invariants
 from molien.action import _Ladder, _lowered, monomial_images
 from molien.invariants import (
+    _bombieri_weights,
     _complex_eliminate,
+    _complex_orbits,
     _complex_rows,
     _fixed_spaces,
+    _orbits,
     _pair_eliminate,
     fixed_space_dimensions,
 )
@@ -175,8 +179,9 @@ class TestPivots:
         """The pivots normalized into ranks and bases, against the elimination over all rows.
 
         On orbit columns the pivots are compared through the rank and the
-        reduced echelon basis they give; on the monomials themselves each
-        pivot row over its pivot is also the reference's, in order.
+        reduced echelon basis they give; with no monomial generator each
+        orbit is one monomial, and each pivot row over its pivot is also
+        the reference's, in order.
         """
         group = {**PIVOT_GROUPS, **NO_MONOMIAL_GROUPS}[name]()
         monomial = any(map(is_monomial, group.generators()))
@@ -190,8 +195,9 @@ class TestPivots:
             reference = reference_pivots(group, d)
             assert ranks[d] == math.comb(group.n + d - 1, d) - len(reference), f"{name} at degree {d}"
             assert basis_terms(group, d) == reference_terms(group, d, reference), f"{name} at degree {d}"
-            assert (orbits is None) == (not monomial)
-            if orbits is None:
+            if not monomial:
+                # every monomial is its own orbit, in position order
+                assert orbits == [{j: (1, 0)} for j in range(math.comb(group.n + d - 1, d))]
                 # each pivot row divided by its pivot, dict for dict, in the order found
                 ours = [
                     (top, {k: _make(re, im, scale) for k, (re, im) in row.items()})
@@ -222,6 +228,15 @@ class TestNonUnitMonomials:
     def test_ranks_equal_the_series(self, build):
         group = trap(build)
         assert fixed_space_dimensions(group, 12) == molien_series(group, 12).coefficients
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_no_generators_give_one_orbit_per_monomial(d):
+    """With no monomial generator each monomial is its own orbit on both backends, in position order."""
+    basis = MonomialBasis(3, d)
+    assert _orbits([], [], 3, d, EXACT) == [{j: (1, 0)} for j in range(len(basis))]
+    weights = _bombieri_weights(basis)
+    assert _complex_orbits([], [], 3, d, float_backend()) == [{j: w} for j, w in enumerate(weights)]
 
 
 class TestOrbitValues:
