@@ -150,10 +150,13 @@ def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns: l
         rows = [{} for _ in images]
         for c, column in enumerate(columns):
             for j, (wr, wi) in column.items():
-                for q, (x, y) in (*images[j].items(), (j, (-unit, 0))):
-                    a, b = rows[q].get(c, (0, 0))
-                    rows[q][c] = (a + wr * x - wi * y, b + wr * y + wi * x)
-        yield from ({c: v for c, v in row.items() if v != (0, 0)} for row in rows)
+                # where L_c v_c is 1 at j, as on every single-monomial orbit: x^j's image as it is
+                image = images[j] if (wr, wi) == (1, 0) else {
+                    q: (wr * x - wi * y, wr * y + wi * x) for q, (x, y) in images[j].items()}
+                for q, v in (*image.items(), (j, (-unit * wr, -unit * wi))):
+                    row = rows[q]
+                    row[c] = (row[c][0] + v[0], row[c][1] + v[1]) if c in row else v
+        yield from ({c: v for c, v in row.items() if v[0] or v[1]} for row in rows)
 
 
 def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
