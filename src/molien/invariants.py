@@ -155,8 +155,10 @@ def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns: l
                     q: (wr * x - wi * y, wr * y + wi * x) for q, (x, y) in images[j].items()}
                 for q, v in (*image.items(), (j, (-unit * wr, -unit * wi))):
                     row = rows[q]
-                    row[c] = (row[c][0] + v[0], row[c][1] + v[1]) if c in row else v
-        yield from ({c: v for c, v in row.items() if v[0] or v[1]} for row in rows)
+                    row[c] = v = (row[c][0] + v[0], row[c][1] + v[1]) if c in row else v
+                    if v == (0, 0):
+                        del row[c]
+        yield from rows
 
 
 def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
@@ -382,8 +384,7 @@ def fixed_space_dimensions(group: FiniteMatrixGroup, max_degree: int) -> list[in
 
 def _fixed_space_dimensions(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
     """fixed_space_dimensions on a ladder already built: the number of columns less the pivots."""
-    spaces = _fixed_spaces(group, ladder, range(ladder.top + 1))
-    return [len(orbits) - len(pivots) for orbits, pivots in spaces]
+    return [len(o) - len(p) for o, p in _fixed_spaces(group, ladder, range(ladder.top + 1))]
 
 
 def invariant_basis(group: FiniteMatrixGroup, d: int) -> list[SparsePolynomial]:
