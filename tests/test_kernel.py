@@ -9,9 +9,9 @@ others are eliminated on orbit columns, so ranks and bases must be the
 reference elimination's over all rows, term for term; with no monomial
 generator each monomial is its own orbit, and the pivot rows, each
 divided by its pivot, must be the reference's, in the order they were
-found. Each backend's elimination
-loop also takes row streams with no group behind them: its pivots must
-span the rows, as many as sympy's rank.
+found. Each backend's elimination loop also takes row streams with no
+group behind them: its pivots must span the rows, as many as sympy's
+rank.
 """
 
 from __future__ import annotations
