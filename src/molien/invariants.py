@@ -14,16 +14,16 @@ backend gives those rows: on Gaussian-integer pairs when exact, scaled
 to the Bombieri basis on floats, where each orbit column has unit norm.
 With no monomial generator each monomial is its own orbit, on both
 backends. One loop per backend eliminates the rows: fraction-free in
-stream order when exact, by complete pivoting on floats, which reveals
-the rank of such well-conditioned rows. One pass per degree runs the
-backend's orbits, rows and loop.
+reduced form when exact (Gauss-Jordan: no pivot row holds another pivot
+column), by complete pivoting on floats, which reveals the rank of such
+well-conditioned rows. One pass per degree runs the backend's orbits,
+rows and loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, prod, sqrt
 
 from molien.action import _image_terms, _Ladder, _lowered, _monomial, dense_matrix, monomial_images
@@ -257,44 +257,58 @@ def _complex_eliminate(rows, backend) -> dict:
     return pivots
 
 
-def _pair_eliminate(rows) -> dict:
-    """Pivot column -> (P, row) of (re, im) int rows, reduced as on floats but fraction-free.
+def _cleared(row: dict, p: int, scale: int, pivot_row: dict) -> tuple:
+    """(s, (scale*row - f*pivot_row)/g): row's column p cleared, fraction-free, and s = scale/g.
 
-    Pivot row v, pivot P, reduces a row to (P*row - f*v)/gcd(P, f), f its entry
-    at the pivot column: a multiple of the row reduced over Q(i), so its pivot,
-    the largest column, is the same. A new pivot row is multiplied by its
-    pivot's conjugate and divided by the gcd of its parts: P is a positive int.
+    The pivot row is the positive int scale at column p and pivot_row
+    elsewhere; f is row's entry at p and g = gcd(scale, f), so the result
+    is a multiple of row reduced over Q(i). row itself may be changed.
     """
-    pivots, found, age = {}, [], {}
+    fr, fi = row.pop(p)
+    g = gcd(scale, fr, fi)
+    scale, fr, fi = scale // g, fr // g, fi // g
+    if scale != 1:
+        row = {k: (scale * x, scale * y) for k, (x, y) in row.items()}
+    for k, (x, y) in pivot_row.items():
+        a, b = row.pop(k, (0, 0))
+        a, b = a - fr * x + fi * y, b - fr * y - fi * x
+        if a or b:
+            row[k] = (a, b)
+    return scale, row
+
+
+def _divided(scale: int, row: dict) -> tuple:
+    """(scale, row) divided by the gcd of scale and all the row's parts."""
+    g = gcd(scale, *(part for pair in row.values() for part in pair))
+    return scale // g, {k: (x // g, y // g) for k, (x, y) in row.items()}
+
+
+def _pair_eliminate(rows) -> dict:
+    """Pivot column -> (P, row) of (re, im) int rows in reduced form: no row holds another pivot column.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968). An incoming row
+    is cleared of each pivot column it holds, in one pass, as no pivot row
+    brings in another. What is left pivots on its largest column, and is
+    multiplied by the pivot's conjugate and divided by the gcd of its parts,
+    so P is a positive int; the new pivot row then clears its column from
+    every older pivot row, whose P takes the same factor, and each row it
+    changes is divided by its gcd again. The reduced rows of a span are
+    unique, so each row over its P is the same whatever order clears it.
+    """
+    pivots = {}
     for row in rows:
-        heap = [age[k] for k in row if k in pivots]
-        heapify(heap)
-        while heap:
-            p = found[heappop(heap)]
-            if p not in row:
-                continue
-            fr, fi = row.pop(p)
-            scale, pivot_row = pivots[p]
-            g = gcd(scale, fr, fi)
-            scale, fr, fi = scale // g, fr // g, fi // g
-            if scale != 1:
-                row = {k: (scale * x, scale * y) for k, (x, y) in row.items()}
-            for k, (x, y) in pivot_row.items():
-                if k in pivots and k not in row:
-                    heappush(heap, age[k])
-                a, b = row.pop(k, (0, 0))
-                a, b = a - fr * x + fi * y, b - fr * y - fi * x
-                if a or b:
-                    row[k] = (a, b)
+        for p in [k for k in row if k in pivots]:
+            row = _cleared(row, p, *pivots[p])[1]
         if row:
             top = max(row)
             pr, pi = row.pop(top)
-            norm = pr * pr + pi * pi
             row = {k: (x * pr + y * pi, y * pr - x * pi) for k, (x, y) in row.items()}
-            g = gcd(norm, *(part for pair in row.values() for part in pair))
-            pivots[top] = (norm // g, {k: (x // g, y // g) for k, (x, y) in row.items()})
-            age[top] = len(found)
-            found.append(top)
+            new = _divided(pr * pr + pi * pi, row)
+            for q, (scale, old) in pivots.items():
+                if top in old:
+                    factor, old = _cleared(old, top, *new)
+                    pivots[q] = _divided(scale * factor, old)
+            pivots[top] = new
     return pivots
 
 

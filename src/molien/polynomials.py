@@ -128,10 +128,6 @@ class SparsePolynomial:
     def __neg__(self) -> "SparsePolynomial":
         return SparsePolynomial(self.n, {m: -c for m, c in self.terms.items()}, self.backend)
 
-    def scale(self, factor) -> "SparsePolynomial":
-        c = self.backend.coerce(factor)
-        return SparsePolynomial(self.n, {m: c * v for m, v in self.terms.items()}, self.backend)
-
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_compatible(other)
         out: dict = {}

@@ -48,9 +48,6 @@ class TruncatedSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValidationError("series must carry exactly order+1 coefficients")
 
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
 
 @dataclass
 class MolienReport:

@@ -394,6 +394,19 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:validation:")
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--perm", "()"], "cycle notation names no points"),
+            ({"dimension": 2, "backend": "exact", "generators": []}, "generators must be a nonempty list"),
+        ],
+        ids=["empty-cycle", "no-generators"],
+    )
+    def test_empty_group_is_one_validation_error(self, tmp_path, capsys, source, message):
+        args = source if isinstance(source, list) else [write_spec(tmp_path, source)]
+        assert main(["series", "--degree", "2", *args]) == 1
+        assert capsys.readouterr().err == f"error:validation: {message}\n"
+
     def test_bad_cycle_notation(self, capsys):
         code = main(["series", "--degree", "2", "--perm", "(1 2"])
         assert code == 1

@@ -67,6 +67,10 @@ class TestProduct:
         with pytest.raises(ShapeError):
             exact([[1, 2], [3, 4], [5, 6]])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError, match="at least one row"):
+            SquareMatrix([], EXACT)
+
 
 def reference_product(a, b):
     """Textbook triple loop, summing every term, zeros included."""

@@ -77,6 +77,11 @@ class TestMonomialBasis:
     def test_degree_zero(self):
         assert MonomialBasis(3, 0).monomials == ((0, 0, 0),)
 
+    @pytest.mark.parametrize("n, d", [(0, 1), (2, -1)])
+    def test_rejects_no_variables_or_negative_degree(self, n, d):
+        with pytest.raises(ShapeError):
+            MonomialBasis(n, d)
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):

@@ -76,6 +76,8 @@ class TestParse:
             ("+1", 0),
             ("i3", 1),
             ("3/4-2/0i", 6),
+            ("1+2ix", 4),
+            (5, 0),
         ],
     )
     def test_rejects_malformed(self, text, offset):

@@ -356,6 +356,35 @@ class TestMolienRational:
             "1", "-1", "-1", "0", "0", "2", "0", "0", "-1", "-1", "1"
         ]
 
+    def test_common_factor_is_cancelled(self):
+        # a monomial group whose 47 distinct dets have an lcm L of degree 28 that shares
+        # a factor of degree 4 with the series times L
+        group = close_group([
+            SquareMatrix([[0, 0, 0, "-i"], [0, "-i", 0, 0], ["-i", 0, 0, 0], [0, 0, "-i", 0]], EXACT),
+            SquareMatrix([[0, 0, 0, "-i"], [0, 1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]], EXACT),
+        ])
+        classes = group.conjugacy_classes()
+        assert (group.order, len(classes)) == (768, 80)
+        dets = [
+            sp.Poly((sp.eye(4) - LAM * to_sympy(group.elements[members[0]])).det(), LAM, domain=sp.QQ_I)
+            for members in classes
+        ]
+        lcm = dets[0]
+        for det in dets[1:]:
+            lcm = lcm.lcm(det)
+        assert (len(set(dets)), lcm.degree()) == (47, 28)
+        numerator, denominator = molien_rational(group)
+        assert fraction_coeffs(numerator) == [1, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 1]
+        assert fraction_coeffs(denominator) == [
+            1, 0, 0, 0, -3, 0, 0, 0, 3, 0, 0, 0, -2, 0, 0, 0, 3, 0, 0, 0, -3, 0, 0, 0, 1
+        ]
+        num, den = (sp.Poly(fraction_coeffs(p)[::-1], LAM, domain=sp.QQ_I) for p in (numerator, denominator))
+        assert num.gcd(den).is_one
+        assert ints(expand_rational(numerator, denominator, 40)) == molien_series(group, 40).coefficients
+        # the class sum of 1/det(1 - lambda g), times L, against |G| num/den times L
+        class_sum = sum((lcm.exquo(det) * len(members) for members, det in zip(classes, dets)), 0 * lcm)
+        assert class_sum * den == num * lcm * group.order
+
     def test_float_backend_rejected(self):
         from molien import float_backend
 
