@@ -25,7 +25,7 @@ from operator import mul
 from typing import Iterator
 
 from molien.errors import ShapeError
-from molien.matrices import SquareMatrix, _trusted
+from molien.matrices import SquareMatrix, _monomial, _trusted
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import GaussianRational, ScalarBackend, _make
 
@@ -148,11 +148,6 @@ def monomial_images(a: SquareMatrix, ladder: _Ladder, wanted=None) -> Iterator[l
     same one product per entry.
     """
     return (_one_term_images if _monomial(a) else _WALKS[a.backend.scalar])(a, ladder, wanted)
-
-
-def _monomial(a: SquareMatrix) -> bool:
-    """True iff each column of a holds one nonzero entry: each linear form L_i is one term."""
-    return all(sum(map(bool, column)) == 1 for column in zip(*a.rows))
 
 
 def _pair_product(c: tuple, l: tuple) -> tuple:

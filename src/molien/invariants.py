@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod, sqrt
+from math import comb, factorial, gcd, lcm, prod, sqrt
 
-from molien.action import _image_terms, _Ladder, _lowered, _monomial, dense_matrix, monomial_images
+from molien.action import _image_terms, _Ladder, _lowered, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
-from molien.matrices import SquareMatrix, row_reduce
+from molien.matrices import SquareMatrix, _monomial, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import GaussianRational, _make, check_same_backend
 
@@ -170,12 +170,13 @@ def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> l
     v = 1, and dies if a position it reaches already holds another value.
     Values are unreduced int triples (a, b, e), v = (a + b i)/e, compared
     by cross-multiplying. Each survivor comes as the pairs of L_c v_c by
-    position, L_c the lcm of the denominators of v_c's entries, so its
-    first entry is (L_c, 0). With no generators each monomial is its own
-    orbit, {j: (1, 0)}, as on floats.
+    position, L_c the lcm of the denominators of v_c's entries, read off
+    the triples without building a scalar, so its first entry is (L_c, 0).
+    With no generators each monomial is its own orbit, {j: (1, 0)}, as on
+    floats.
     """
-    lift, values, survivors = backend.lift, {}, []
-    scales = [lift(s.rows)[0] ** d for s in generators]
+    values, survivors = {}, []
+    scales = [backend.lift(s.rows)[0] ** d for s in generators]
     for start in range(comb(n + d - 1, d)):
         if start in values:
             continue
@@ -190,8 +191,10 @@ def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> l
                 g, h, k = values.setdefault(t, v)
                 alive = alive and g * f == x * k and h * f == y * k
         if alive:
-            _, (pairs,) = lift([[_make(*values[j]) for j in orbit]])
-            survivors.append(dict(zip(orbit, pairs)))
+            triples = [values[j] for j in orbit]
+            # (a + b i)/e has denominator e/gcd(a, b, e), which divides m, so e divides a m and b m
+            m = lcm(*(e // gcd(a, b, e) for a, b, e in triples))
+            survivors.append({j: (a * m // e, b * m // e) for j, (a, b, e) in zip(orbit, triples)})
     return survivors
 
 
@@ -361,8 +364,9 @@ def _fixed_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
     """Per degree in degrees, the monomial generators' surviving orbits and the others' pivots on them.
 
     A generator is monomial when each column holds one nonzero entry, as
-    for the walk's one-term body (action._monomial). The backend's bodies
-    give the orbits, the other generators' rows on them and their pivots.
+    for the walk's one-term body and the cycle det (matrices._monomial).
+    The backend's bodies give the orbits, the other generators' rows on
+    them and their pivots.
     The others keep their order, and are walked only along the ladder
     ancestors of the survivors' support when a generator is monomial.
     """

@@ -2,10 +2,11 @@
 
 Everything here is a pure function over immutable values. Matrices are
 small (dimension at most a few hundred) and stored dense, so the
-algorithms favour exactness over asymptotics: characteristic coefficients
-come from traces of powers via Newton's identities, rank from Gauss-Jordan
-elimination. Products skip exact zeros, so a monomial matrix (one nonzero
-per row) costs n multiplications per product, not n^3.
+algorithms favour exactness over asymptotics: det(id - lambda*A) comes off
+the cycles of a monomial A (one nonzero entry per column, _monomial) and
+otherwise from traces of powers via Newton's identities, rank from
+Gauss-Jordan elimination. Products skip exact zeros, so a monomial matrix
+costs n multiplications per product, not n^3.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix({[list(row) for row in self.rows]!r})"
+
+
+def _monomial(a: SquareMatrix) -> bool:
+    """True iff each column of a holds one nonzero entry, an exact test: A e_i = a_i e_pi(i)."""
+    # a loop, not all() over a generator: a dense matrix fails at its first column, in half the time
+    for column in zip(*a.rows):
+        if sum(map(bool, column)) != 1:
+            return False
+    return True
 
 
 def _trusted(rows: tuple, backend: ScalarBackend) -> SquareMatrix:
@@ -217,14 +227,32 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
 
 
 def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
-    """Characteristic-style polynomial det(id - lambda*A) of degree <= n.
+    """Characteristic-style polynomial det(id - lambda*A) of degree <= n, constant term 1.
 
-    Built from power traces p_k = Tr(A^k) through Newton's identities
-    e_k = (1/k) * sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j; the coefficient of
-    lambda^k is (-1)^k e_k, and the constant term is always 1.
+    A monomial A, with A e_i = a_i e_pi(i), gives the product over the
+    cycles C of pi of 1 - (prod_{i in C} a_i) lambda^|C| (Polya's cycle
+    form of Molien's sum): no matrix product. Any other A takes the power
+    traces p_k = Tr(A^k), k = 1..n, from n - 1 products, and Newton's
+    identities e_k = (1/k) * sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j; the
+    coefficient of lambda^k is (-1)^k e_k.
     """
     backend = a.backend
     n = a.n
+    if _monomial(a):
+        # column i holds a_i at row pi(i)
+        image = {i: next((k, x) for k, x in enumerate(c) if x) for i, c in enumerate(zip(*a.rows))}
+        coeffs = [backend.one] + [backend.zero] * n
+        while image:
+            start, (i, phase) = image.popitem()
+            length = 1
+            while i != start:
+                i, x = image.pop(i)
+                phase, length = phase * x, length + 1
+            # times 1 - phase lambda^length, from the top down
+            for k in range(n, length - 1, -1):
+                if coeffs[k - length]:
+                    coeffs[k] = coeffs[k] - phase * coeffs[k - length]
+        return UnivariatePoly(coeffs, backend)
     traces = [a.trace()]
     power = a
     for _ in range(n - 1):

@@ -118,14 +118,17 @@ def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> Truncat
     if backend.lift is not None:
         re, im = [0] * (order + 1), [0] * (order + 1)
         for p, multiplicity in terms:
-            # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j)
+            # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j), over p_j != 0
             m, (tail,) = backend.lift([p.coeffs[1:]])
             if m != 1:
                 raise ConsistencyError(f"a coefficient of {p!r} is not a Gaussian integer")
+            nonzero = [(j, pair) for j, pair in enumerate(tail, 1) if pair != (0, 0)]
             qr, qi = [1], [0]
             for k in range(1, order + 1):
                 sr = si = 0
-                for j, (a, b) in enumerate(tail[:k], 1):
+                for j, (a, b) in nonzero:
+                    if j > k:
+                        break
                     c, d = qr[k - j], qi[k - j]
                     sr += a * c - b * d
                     si += a * d + b * c

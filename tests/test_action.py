@@ -28,7 +28,8 @@ from molien import (
     verify_invariant,
 )
 from molien import action
-from molien.action import _WALKS, _Ladder, _lowered, _monomial, monomial_images
+from molien.action import _WALKS, _Ladder, _lowered, monomial_images
+from molien.matrices import _monomial
 from oracles import reference_images, sympy_induced, to_sympy
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)

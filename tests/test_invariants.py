@@ -33,8 +33,9 @@ from molien import (
     substitute_linear,
     verify_invariant,
 )
-from molien.action import _image_terms, _Ladder, _monomial, monomial_images
+from molien.action import _image_terms, _Ladder, monomial_images
 from molien.invariants import _bombieri_weights, fixed_space_dimensions, reynolds_traces
+from molien.matrices import _monomial
 from oracles import (
     averaged_monomial_basis,
     sympy_fixed_space_dimension,

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy as sp
 
 import corpus
 from molien import (
@@ -23,8 +24,9 @@ from molien import (
     parse_scalar,
     row_reduce,
 )
-from molien import groups
-from molien.matrices import _trusted, poly_divmod, poly_gcd
+from molien import groups, molien_rational, molien_series
+from molien.matrices import _monomial, _trusted, poly_divmod, poly_gcd
+from oracles import LAM, partitions_with_parts_at_most, to_sympy
 
 R = [[0, -1], [1, 0]]  # rotation by pi/2
 I2 = SquareMatrix.identity(2, EXACT)
@@ -221,6 +223,19 @@ class TestUnitarity:
         assert almost.is_unitary()
 
 
+def counted_products(monkeypatch) -> list:
+    """A list that SquareMatrix.__matmul__ appends to on each call, until monkeypatch undoes it."""
+    calls = []
+    original = SquareMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(SquareMatrix, "__matmul__", counting)
+    return calls
+
+
 class TestDetOneMinusLambda:
     def test_identity(self):
         poly = det_one_minus_lambda(I2)
@@ -264,20 +279,118 @@ class TestDetOneMinusLambda:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_takes_n_minus_one_products(self, n, monkeypatch):
-        # the power traces Tr(A^1..A^n) need A^2..A^n and nothing beyond
-        calls = []
-        original = SquareMatrix.__matmul__
-
-        def counting(self, other):
-            calls.append(1)
-            return original(self, other)
-
-        monkeypatch.setattr(SquareMatrix, "__matmul__", counting)
-        cycle = exact([[1 if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)])
-        poly = det_one_minus_lambda(cycle)
+        # the power traces Tr(A^1..A^n) of a dense A need A^2..A^n and nothing
+        # beyond. The reflection H = id - 2 v v*/(v* v), v = (1, .., n-1, n i),
+        # has no zero entry for n >= 2; a 1x1 matrix is monomial, and takes
+        # 0 = n - 1 products either way
+        v = [GaussianRational(k) for k in range(1, n)] + [GaussianRational(0, n)]
+        scale = Fraction(2, sum(k * k for k in range(1, n + 1)))
+        h = exact([[int(j == k) - v[j] * v[k].conjugate() * scale for k in range(n)] for j in range(n)])
+        assert h.is_unitary() and _monomial(h) == (n == 1)
+        calls = counted_products(monkeypatch)
+        poly = det_one_minus_lambda(h)
         assert len(calls) == n - 1
-        # det(id - lambda*C) = 1 - lambda^n for the n-cycle
-        assert poly == UnivariatePoly([1] + [0] * (n - 1) + [-1], EXACT)
+        # eigenvalue -1 once and 1 n - 1 times: (1 + lambda)(1 - lambda)^(n-1)
+        expected = UnivariatePoly([1, 1], EXACT)
+        for _ in range(n - 1):
+            expected = expected * UnivariatePoly([1, -1], EXACT)
+        assert poly == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_phased_cycle_takes_no_products(self, n, monkeypatch):
+        phases = ["i", "-1", "-i", "1", "i", "i"][:n]
+        cycle = exact([[phases[c] if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)])
+        calls = counted_products(monkeypatch)
+        poly = det_one_minus_lambda(cycle)
+        assert calls == []
+        # det(id - lambda*A) = 1 - (product of the phases) lambda^n for a phased n-cycle
+        product = parse_scalar("1")
+        for x in phases:
+            product = product * parse_scalar(x)
+        assert poly == UnivariatePoly([1] + [0] * (n - 1) + [-product], EXACT)
+
+
+def sympy_det(a) -> list:
+    """The coefficients of det(id - lambda*A) in lambda^0..lambda^n, by sympy."""
+    det = sp.Poly(sp.expand((sp.eye(a.n) - LAM * to_sympy(a)).det()), LAM)
+    return [sp.expand(det.coeff_monomial(LAM**k)) for k in range(a.n + 1)]
+
+
+def as_sympy(poly, n) -> list:
+    """The coefficients of poly in lambda^0..lambda^n as sympy numbers."""
+    return [sp.Rational(c.re) + sp.I * sp.Rational(c.im) for c in map(poly.coefficient, range(n + 1))]
+
+
+EXACT_GROUPS = {
+    "trivial1": lambda: corpus.trivial(1),
+    "trivial2": lambda: corpus.trivial(2),
+    "trivial3": lambda: corpus.trivial(3),
+    "pm_i2": corpus.plus_minus_i2,
+    "s2": corpus.s2,
+    "s3": corpus.s3,
+    "s4": corpus.s4,
+    "s5": corpus.s5,
+    "s6": corpus.s6,
+    "c4": corpus.c4,
+    "d4": corpus.d4,
+    "q8": corpus.q8,
+    "2t": corpus.binary_tetrahedral,
+    "b3": corpus.b3,
+    "g423": corpus.g423,
+    "g8_type": corpus.g8_type,
+    "wf4": corpus.wf4,
+    "pauli1": lambda: corpus.pauli(1),
+    "pauli2": lambda: corpus.pauli(2),
+    "b3_signed": lambda: corpus.signed_permutation_conjugate(corpus.b3(), 5),
+    "b3_gaussian": lambda: corpus.gaussian_unitary_conjugate(corpus.b3(), 5),
+    "q8_gaussian": lambda: corpus.gaussian_unitary_conjugate(corpus.q8(), 2),
+}
+
+
+class TestDetAgainstSympy:
+    """det_one_minus_lambda against sympy's det(id - lambda*A), on both of its paths."""
+
+    def test_every_class_representative(self):
+        shapes = set()
+        for name, build in EXACT_GROUPS.items():
+            group = build()
+            for members in group.conjugacy_classes():
+                a = group.elements[members[0]]
+                shapes.add(_monomial(a))
+                assert as_sympy(det_one_minus_lambda(a), a.n) == sympy_det(a), (name, a)
+        assert shapes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_phased_permutations(self, seed):
+        rng = random.Random(seed)
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        n = sum(lengths)
+        order = rng.sample(range(n), n)
+        image, start = {}, 0
+        for length in lengths:
+            cycle = order[start : start + length]
+            start += length
+            image.update(zip(cycle, cycle[1:] + cycle[:1]))
+        a = exact([[rng.choice(["1", "-1", "i", "-i"]) if image[c] == r else 0 for c in range(n)]
+                   for r in range(n)])
+        assert _monomial(a)
+        assert as_sympy(det_one_minus_lambda(a), n) == sympy_det(a)
+
+
+def test_series_and_rational_take_no_matrix_products(monkeypatch):
+    # every class representative of S7 is a permutation matrix, so after
+    # closure the dets come off cycles and no method multiplies matrices
+    s7 = close_group(from_permutations([(2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1)]))
+    calls = counted_products(monkeypatch)
+    series = molien_series(s7, 12).coefficients
+    numerator, denominator = molien_rational(s7)
+    assert calls == []
+    # the invariants of S7 are the polynomials in its elementary symmetric ones
+    assert series == [partitions_with_parts_at_most(d, 7) for d in range(13)]
+    expected = UnivariatePoly([1], EXACT)
+    for k in range(1, 8):
+        expected = expected * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
+    assert (numerator, denominator) == (UnivariatePoly([1], EXACT), expected)
 
 
 class TestRowReduce:
