@@ -2,8 +2,9 @@
 
 The paper's method averages over every group element; reynolds_matrix
 is that average at one degree, and invariant_dimension its trace. The
-traces and bases computed here never sweep the group: traces are taken
-once per conjugacy class and weighted by class size, and the basis is
+traces and bases computed here never sweep the group: traces are summed
+per conjugacy class and weighted by class size, walked once per orbit of
+classes under central scalars and inversion, and the basis is
 the common fixed space of the generators, eliminated on sparse rows.
 A monomial generator (one nonzero entry per column) needs no rows: the
 monomial generators' fixed space is spanned by the sums over monomial
@@ -24,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, prod, sqrt
+from operator import mul
 
 from molien.action import _image_terms, _Ladder, _lowered, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
-from molien.matrices import SquareMatrix, _monomial, row_reduce
+from molien.matrices import SquareMatrix, _monomial, _nonzero_terms, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import GaussianRational, _make, check_same_backend
 
@@ -66,28 +69,83 @@ def reynolds_matrix(group: FiniteMatrixGroup, d: int) -> ReynoldsMatrix:
 def reynolds_traces(group: FiniteMatrixGroup, max_degree: int) -> list[int]:
     """Tr of the Reynolds matrices of degrees 0..max_degree, as counts.
 
-    Tr rho_d(g) is a class function, so each class adds its size times the
-    trace at its first element, read from the diagonals of that element's
-    monomial images; the sums are scaled by 1/|G| once. The walk wants
-    only the entries that can feed a diagonal up to max_degree, and every
-    diagonal is the full walk's bit for bit.
+    Tr rho_d(g) is a class function, so each class adds its size times its
+    trace, and the sums are scaled by 1/|G| once. A trace is read from the
+    diagonals of one member's monomial images, walked once per orbit of
+    classes under central scalars and inversion (_orbit_traces). The walk
+    wants only the entries that can feed a diagonal up to max_degree, and
+    every diagonal is the full walk's bit for bit.
     """
     return _class_traces(group, _Ladder(group.n, max_degree))
 
 
 def _class_traces(group: FiniteMatrixGroup, ladder: _Ladder) -> list[int]:
-    """reynolds_traces on a ladder already built."""
+    """reynolds_traces on a ladder already built: class sizes times their traces, in class order."""
     backend = group.backend
-    traces = _TRACES[backend.scalar]
     sums = [backend.zero] * (ladder.top + 1)
-    for members in group.conjugacy_classes():
-        for d, trace in enumerate(traces(group.elements[members[0]], ladder)):
+    for members, traces in _orbit_traces(group, ladder):
+        for d, trace in enumerate(traces):
             sums[d] = sums[d] + len(members) * trace
     factor = backend.coerce(Fraction(1, group.order))
     return [
         backend.count(total * factor, f"Reynolds trace at degree {d}")
         for d, total in enumerate(sums)
     ]
+
+
+def _orbit_traces(group: FiniteMatrixGroup, ladder: _Ladder):
+    """Per class in order, its members and Tr rho_d at them for d = 0..top: one walk per orbit.
+
+    The orbits are those of the classes under g -> z g, z I the first
+    central scalar other than I in element order (tested exactly), and
+    g -> g^-1. Each is walked at the member of its first class whose
+    fullest column has the fewest nonzero entries, ties to the smallest
+    index, with no scan when the first element is monomial. z scales every
+    x_i's image by conj(z), so Tr rho_d(z^k g) = conj(z)^(kd) Tr rho_d(g),
+    and rho_d(g) is unitary for the Bombieri inner product, so
+    Tr rho_d(g^-1) = conj Tr rho_d(g). No trace is read off a det, a power
+    trace or a cycle. g z^k is read off the right table (_times), so it
+    merges classes even where float residues hide z^k from the test.
+    """
+    elements, right, classes = group.elements, group.right, group.conjugacy_classes()
+    class_of = {g: c for c, members in enumerate(classes) for g in members}
+    z = next((g for g, *rest in classes[1:] if not rest and _scalar(elements[g])), 0)
+    # g -> g z = z g by element index; only a scalar other than the identity reads the right table
+    zbar, shift = elements[z].rows[0][0].conjugate(), _times(right, z) if z else range(len(right))
+    found = [None] * len(classes)
+    for c, members in enumerate(classes):
+        if found[c] is None:
+            walked = members[0] if _monomial(elements[members[0]]) else min(
+                members, key=lambda g: max(sum(map(bool, col)) for col in zip(*elements[g].rows)))
+            traces = list(_TRACES[group.backend.scalar](elements[walked], ladder))
+            for g, inverted in ((members[0], False), (group.inverse_of[members[0]], True)):
+                power = group.backend.one
+                while found[class_of[g]] is None:
+                    found[class_of[g]] = traces, power, inverted
+                    g, power = shift[g], power * zbar
+        traces, power, inverted = found[c]
+        if power != 1 or inverted:
+            powers = accumulate([power] * ladder.top, mul, initial=group.backend.one)
+            traces = [p * (t.conjugate() if inverted else t) for p, t in zip(powers, traces)]
+        yield members, traces
+
+
+def _scalar(a: SquareMatrix) -> bool:
+    """True iff a is z I: exact zeros off the diagonal and equal diagonal entries, no tolerance."""
+    return _nonzero_terms(a.rows) == tuple(((i, a.rows[0][0]),) for i in range(a.n))
+
+
+def _times(right: tuple, z: int) -> dict:
+    """Element index x -> the index of x z, for a central z: x = p s, so x z = (p z) s.
+
+    Every element but the identity is found in a row p before its own,
+    so p z is known when row p is read.
+    """
+    shift = {0: z}
+    for p, row in enumerate(right):
+        for s, x in enumerate(row):
+            shift.setdefault(x, right[shift[p]][s])
+    return shift
 
 
 def _complex_traces(a: SquareMatrix, ladder: _Ladder):

@@ -10,9 +10,10 @@ Their degree-by-degree agreement is the content of Molien's 1897 formula.
 det(id - lambda*T_g) is a class function, so on both backends the series
 sums one reciprocal per distinct det, weighted by class size, and the
 rational form reads the same sum over the lcm of those dets. Traces are
-taken once per conjugacy class too, and the rank is the dimension of the
+summed per conjugacy class too, walked once per orbit of classes under
+central scalars and inversion, and the rank is the dimension of the
 generators' common fixed space, so rank shares nothing with the other
-two and no method sweeps the group.
+two and no method sweeps the group. No trace is read off a det.
 
 On the exact backend the series sum runs in the Gaussian integers Z[i]:
 det(id - lambda*T_g) is the product of (1 - zeta*lambda) over the

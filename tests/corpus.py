@@ -196,6 +196,24 @@ def pauli(qubits: int):
     return close_group(generators)
 
 
+def clifford2():
+    """The 2-qubit Clifford group over Q(i), order 46 080: zeta_8 H on each qubit, S on each qubit, CZ.
+
+    zeta_8 H = (1+i)/2 [[1, 1], [1, -1]] is g8_type's generator, S =
+    diag(1, i) and CZ = diag(1, 1, 1, -1). Neither real nor monomial, with
+    a scalar centre <i I>; its Molien series is
+    1/((1 - l^8)(1 - l^12)(1 - l^20)(1 - l^24)), as for Shephard-Todd
+    G_31. It is past the default max_order, closed here with 50 000, and
+    not in build_corpus().
+    """
+    zeta_h = [["1/2+1/2i", "1/2+1/2i"], ["1/2+1/2i", "-1/2-1/2i"]]
+    phase, identity = [[1, 0], [0, "i"]], PAULI["I"]
+    cz = [[(-1 if i == 3 else 1) * int(i == j) for j in range(4)] for i in range(4)]
+    generators = [kron(zeta_h, identity), kron(identity, zeta_h), kron(phase, identity),
+                  kron(identity, phase), cz]
+    return close_group([SquareMatrix(m, EXACT) for m in generators], max_order=50_000)
+
+
 def signed_permutation_conjugate(group, seed: int):
     """The group generated by P s P^-1 over the generators s, for a seeded signed permutation P."""
     rng = random.Random(seed)

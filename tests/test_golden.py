@@ -360,7 +360,7 @@ GOLDEN = {
     "invariants-4/h3_float": "ec1bbe39e6c5e37dd6621c32f2ec6c6927f69e358fb9d37aa6deed284c6fb5d9",
     "invariants-5/h3_float": "384a4a473fd420842ca3eb724a3cac0394bde51c65b9d6c39e36056f271dfc3a",
     "invariants-6/h3_float": "d562c564ce10d3a86922a4e0c69d8dabc894563cff968387b2347a36efda4205",
-    "raw-traces/h3_float": "970cd1ba393694abe305f69e3a709e9fc35e48d6c50b377925489846ce608931",
+    "raw-traces/h3_float": "1a4f3498d5571b7523c53e7db18a363d3921ee972a5cb7d895ea9a315a87b089",
     "raw-basis/h3_float": "57adfc3eaabac42de1ac29b4b4ecc081a62ab5186b4cf55f7fe5611a82460e27",
     "raw-traces/dihedral12_float": "98cb61dc05068d8bb6259929ffb70dad7e9aee826f8bb05cabfdd8fda317170b",
     "raw-basis/dihedral12_float": "370f0eeb7144801f0f750940c96554ad862e4100e41660183865f8c43a848eb7",

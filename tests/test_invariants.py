@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -21,9 +22,11 @@ from molien import (
     ShapeError,
     SparsePolynomial,
     SquareMatrix,
+    close_group,
     cross_check,
     float_backend,
     format_polynomial,
+    from_permutations,
     induced_matrix,
     invariant_basis,
     invariant_dimension,
@@ -34,7 +37,14 @@ from molien import (
     verify_invariant,
 )
 from molien.action import _image_terms, _Ladder, monomial_images
-from molien.invariants import _bombieri_weights, fixed_space_dimensions, reynolds_traces
+from molien.invariants import (
+    _TRACES,
+    _bombieri_weights,
+    _orbit_traces,
+    _times,
+    fixed_space_dimensions,
+    reynolds_traces,
+)
 from molien.matrices import _monomial
 from oracles import (
     averaged_monomial_basis,
@@ -454,6 +464,103 @@ def bombieri_stack(group, d):
         rho = np.array(induced_matrix(s, basis).rows, dtype=complex)
         blocks.append((rho - np.eye(len(basis))) * w[np.newaxis, :] / w[:, np.newaxis])
     return np.vstack(blocks), w
+
+
+def g413():
+    """G(4,1,3) of order 384: S3's transposition and 3-cycle, and diag(i, 1, 1); its centre holds i I."""
+    diagonal = SquareMatrix([["i", 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)
+    return close_group(from_permutations([(2, 1, 3), (2, 3, 1)]) + [diagonal])
+
+
+def scalar_cyclic(backend, m):
+    """The cyclic group of order m on C^1, every element a scalar: i or exp(2 pi i/m) generates it."""
+    zeta = "i" if backend.is_exact else cmath.exp(2j * cmath.pi / m)
+    return close_group([SquareMatrix([[zeta]], backend)])
+
+
+def counted_orbit_traces(group, top, monkeypatch):
+    """_orbit_traces' (members, traces) per class, and the matrices the backend's trace body walked."""
+    body, walked = _TRACES[group.backend.scalar], []
+
+    def counting(a, ladder):
+        walked.append(a)
+        return body(a, ladder)
+
+    monkeypatch.setitem(_TRACES, group.backend.scalar, counting)
+    return list(_orbit_traces(group, _Ladder(group.n, top))), walked
+
+
+class TestOrbitTraces:
+    """One walk per orbit of classes under the central scalars z I and inversion.
+
+    A class z g takes conj(z)^d times the walked trace and a class g^-1 its
+    conjugate; each must equal a walk of the class's own first element.
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        [corpus.q8, corpus.binary_tetrahedral, corpus.b3, corpus.g8_type, corpus.wf4, g413,
+         corpus.h3_float, corpus.gleason],
+        ids=["q8", "2t", "b3", "g8_type", "wf4", "g413", "h3_float", "gleason"],
+    )
+    def test_orbit_values_equal_own_walks(self, build, monkeypatch):
+        group, top = build(), 12
+        ours, _ = counted_orbit_traces(group, top, monkeypatch)
+        monkeypatch.undo()
+        ladder, body = _Ladder(group.n, top), _TRACES[group.backend.scalar]
+        assert [members for members, _ in ours] == list(group.conjugacy_classes())
+        sums = [0] * (top + 1)
+        for members, traces in ours:
+            own = list(body(group.elements[members[0]], ladder))
+            if group.backend.is_exact:
+                assert traces == own, members
+            else:
+                assert max(abs(a - b) for a, b in zip(traces, own)) <= 1e-9, members
+            sums = [total + len(members) * t for total, t in zip(sums, own)]
+        counts = [group.backend.count(total / group.order, "own walks") for total in sums]
+        assert reynolds_traces(group, top) == counts
+
+    @pytest.mark.parametrize(
+        "build, walks",
+        [(corpus.binary_tetrahedral, 3), (corpus.b3, 5), (corpus.q8, 4), (corpus.s4, 5),
+         (corpus.h3_float, 5), (lambda: corpus.dihedral_float(60), 33), (corpus.gleason, 5),
+         (lambda: scalar_cyclic(EXACT, 4), 1), (lambda: scalar_cyclic(float_backend(), 600), 1)],
+        ids=["2t", "b3", "q8", "s4", "h3_float", "dihedral60_float", "gleason", "c4_scalar",
+             "c600_scalar_float"],
+    )
+    def test_walks_per_group(self, build, walks, monkeypatch):
+        # D_60's r^30 carries rounding residues, so it is no scalar and no orbit merges;
+        # Gleason's zeta_8 I is exact, and its powers merge classes though i I is not
+        group = build()
+        ours, walked = counted_orbit_traces(group, 8, monkeypatch)
+        assert len(walked) == walks
+        assert len(ours) == len(group.conjugacy_classes())
+
+    def test_walked_member_has_the_sparsest_fullest_column(self, monkeypatch):
+        # per walked class: the smallest index among the members whose fullest column is sparsest
+        group = corpus.wf4()
+        _, walked = counted_orbit_traces(group, 2, monkeypatch)
+        class_of = {g: members for members in group.conjugacy_classes() for g in members}
+
+        def fullest(g):
+            return max(sum(map(bool, column)) for column in zip(*group.elements[g].rows))
+
+        firsts = []
+        for a in walked:
+            g = next(g for g, e in enumerate(group.elements) if e is a)
+            members = class_of[g]
+            assert g == min(members, key=fullest)
+            firsts.append(_monomial(group.elements[members[0]]))
+        assert (len(walked), sum(map(_monomial, walked)), sum(firsts)) == (16, 12, 10)
+
+    def test_scalar_shift_is_right_multiplication(self):
+        # i I in g8_type: (zeta_8 H)^2; x -> x z is read down the right table
+        group = corpus.g8_type()
+        z = next(g for g, *rest in group.conjugacy_classes()[1:] if not rest)
+        assert group.elements[z].equals(SquareMatrix([["i", 0], [0, "i"]], EXACT))
+        shift = _times(group.right, z)
+        for x, element in enumerate(group.elements):
+            assert group.elements[shift[x]].equals(element @ group.elements[z])
 
 
 class TestFloatRank:

@@ -639,3 +639,28 @@ class TestPauliGroups:
             basis = invariant_basis(group, d)
             assert len(basis) == size
             assert all(verify_invariant(f, group) for f in basis)
+
+
+class TestClifford2:
+    """The 2-qubit Clifford group over Q(i), past the default max_order.
+
+    Its Molien series is 1/((1 - l^8)(1 - l^12)(1 - l^20)(1 - l^24)), the
+    product for Shephard-Todd G_31's degrees (Sloane 1977; Nebe, Rains and
+    Sloane 2001).
+    """
+
+    # [l^d]: the ways to write d as 8a + 12b + 20c + 24e
+    EXPECTED = [
+        sum(1 for a in range(4) for b in range(3) for c in range(2) for e in range(2)
+            if 8 * a + 12 * b + 20 * c + 24 * e == d)
+        for d in range(25)
+    ]
+
+    def test_order_series_and_cross_check(self):
+        group = corpus.clifford2()
+        assert (group.order, len(group.conjugacy_classes())) == (46080, 59)
+        assert molien_series(group, 24).coefficients == self.EXPECTED
+        assert [self.EXPECTED[d] for d in (8, 12, 16, 20, 24)] == [1, 1, 1, 2, 3]
+        report = cross_check(group, 8)
+        assert report.all_agree()
+        assert report.per_method["trace"] == self.EXPECTED[:9]
