@@ -32,7 +32,7 @@ from operator import mul
 from molien.action import _image_terms, _Ladder, _lowered, dense_matrix, monomial_images
 from molien.errors import ShapeError
 from molien.groups import FiniteMatrixGroup
-from molien.matrices import SquareMatrix, _monomial, _nonzero_terms, row_reduce
+from molien.matrices import SquareMatrix, _monomial, row_reduce
 from molien.polynomials import MonomialBasis, SparsePolynomial
 from molien.scalars import GaussianRational, _make, check_same_backend
 
@@ -97,10 +97,12 @@ def _orbit_traces(group: FiniteMatrixGroup, ladder: _Ladder):
     """Per class in order, its members and Tr rho_d at them for d = 0..top: one walk per orbit.
 
     The orbits are those of the classes under g -> z g, z I the first
-    central scalar other than I in element order (tested exactly), and
+    central scalar other than I in element order (_scalar: tested with the
+    backend's equality, the one that identified the element), and
     g -> g^-1. Each is walked at the member of its first class whose
-    fullest column has the fewest nonzero entries, ties to the smallest
-    index, with no scan when the first element is monomial. z scales every
+    fullest column has the fewest nonzero entries (an exact-zero count),
+    ties to the smallest index, so at its first monomial member when it
+    has one, found with no further scan. z scales every
     x_i's image by conj(z), so Tr rho_d(z^k g) = conj(z)^(kd) Tr rho_d(g),
     and rho_d(g) is unitary for the Bombieri inner product, so
     Tr rho_d(g^-1) = conj Tr rho_d(g). No trace is read off a det, a power
@@ -115,8 +117,11 @@ def _orbit_traces(group: FiniteMatrixGroup, ladder: _Ladder):
     found = [None] * len(classes)
     for c, members in enumerate(classes):
         if found[c] is None:
-            walked = members[0] if _monomial(elements[members[0]]) else min(
-                members, key=lambda g: max(sum(map(bool, col)) for col in zip(*elements[g].rows)))
+            # a monomial member's fullest column holds one entry, the fewest there can be
+            walked = next((g for g in members if _monomial(elements[g])), None)
+            if walked is None:
+                walked = min(
+                    members, key=lambda g: max(sum(map(bool, col)) for col in zip(*elements[g].rows)))
             traces = list(_TRACES[group.backend.scalar](elements[walked], ladder))
             for g, inverted in ((members[0], False), (group.inverse_of[members[0]], True)):
                 power = group.backend.one
@@ -131,8 +136,15 @@ def _orbit_traces(group: FiniteMatrixGroup, ladder: _Ladder):
 
 
 def _scalar(a: SquareMatrix) -> bool:
-    """True iff a is z I: exact zeros off the diagonal and equal diagonal entries, no tolerance."""
-    return _nonzero_terms(a.rows) == tuple(((i, a.rows[0][0]),) for i in range(a.n))
+    """True iff a is z I, z = a[0][0], every entry compared with backend.eq.
+
+    That is the equality close_group identified a's rows with: exact on
+    the exact backend, within the tolerance on floats, where closure
+    leaves residues of about 1e-16 on D_m's r^(m/2). The shape tests
+    (_monomial, the walked member's fullest column) stay exact-zero.
+    """
+    z, eq, zero = a.rows[0][0], a.backend.eq, a.backend.zero
+    return all(eq(b, z if i == j else zero) for i, row in enumerate(a.rows) for j, b in enumerate(row))
 
 
 def _times(right: tuple, z: int) -> dict:

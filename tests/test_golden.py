@@ -362,11 +362,11 @@ GOLDEN = {
     "invariants-6/h3_float": "d562c564ce10d3a86922a4e0c69d8dabc894563cff968387b2347a36efda4205",
     "raw-traces/h3_float": "1a4f3498d5571b7523c53e7db18a363d3921ee972a5cb7d895ea9a315a87b089",
     "raw-basis/h3_float": "57adfc3eaabac42de1ac29b4b4ecc081a62ab5186b4cf55f7fe5611a82460e27",
-    "raw-traces/dihedral12_float": "98cb61dc05068d8bb6259929ffb70dad7e9aee826f8bb05cabfdd8fda317170b",
+    "raw-traces/dihedral12_float": "ff89abd41f6e9a4eb1a39ef2fb1464d7306f7da319c5cc4f6512693f976a9bea",
     "raw-basis/dihedral12_float": "370f0eeb7144801f0f750940c96554ad862e4100e41660183865f8c43a848eb7",
-    "raw-traces/dihedral30_float": "f3e94d839f63c7bdce6090a35878147dcf1ac775c4a8b5512aa17ca58419a8c4",
+    "raw-traces/dihedral30_float": "5b5580d74869cef093ed8d58a3199ea0a56a3fbcc454e83686a23d568ffa482b",
     "raw-basis/dihedral30_float": "9bf5e62d4d2118b694d7185dbf3bd6397d65331abba43b2fb85321a3ba246213",
-    "raw-traces/dihedral60_float": "f801093830a976daab7b6369a4f5dba8e90f88113f2e0303dbd9e556b83323c8",
+    "raw-traces/dihedral60_float": "64b935961c41014ce3478c7c5e4bc5e0c79b1e4c7229d2e3c6819bc8f42fcdf0",
     "raw-basis/dihedral60_float": "08dab3138853a3eba4b59c3ed5839354bb59bec74fcfe9507075a37ebd6ea40e",
 }
 

@@ -41,6 +41,7 @@ from molien.invariants import (
     _TRACES,
     _bombieri_weights,
     _orbit_traces,
+    _scalar,
     _times,
     fixed_space_dimensions,
     reynolds_traces,
@@ -500,8 +501,10 @@ class TestOrbitTraces:
     @pytest.mark.parametrize(
         "build",
         [corpus.q8, corpus.binary_tetrahedral, corpus.b3, corpus.g8_type, corpus.wf4, g413,
-         corpus.h3_float, corpus.gleason],
-        ids=["q8", "2t", "b3", "g8_type", "wf4", "g413", "h3_float", "gleason"],
+         corpus.h3_float, corpus.gleason, lambda: corpus.dihedral_float(30),
+         lambda: corpus.dihedral_float(60), corpus.h3_dense_conjugate],
+        ids=["q8", "2t", "b3", "g8_type", "wf4", "g413", "h3_float", "gleason", "dihedral30_float",
+             "dihedral60_float", "h3_dense_conjugate"],
     )
     def test_orbit_values_equal_own_walks(self, build, monkeypatch):
         group, top = build(), 12
@@ -523,14 +526,17 @@ class TestOrbitTraces:
     @pytest.mark.parametrize(
         "build, walks",
         [(corpus.binary_tetrahedral, 3), (corpus.b3, 5), (corpus.q8, 4), (corpus.s4, 5),
-         (corpus.h3_float, 5), (lambda: corpus.dihedral_float(60), 33), (corpus.gleason, 5),
+         (corpus.h3_float, 5), (lambda: corpus.dihedral_float(30), 9),
+         (lambda: corpus.dihedral_float(60), 18), (corpus.h3_dense_conjugate, 5), (corpus.gleason, 5),
          (lambda: scalar_cyclic(EXACT, 4), 1), (lambda: scalar_cyclic(float_backend(), 600), 1)],
-        ids=["2t", "b3", "q8", "s4", "h3_float", "dihedral60_float", "gleason", "c4_scalar",
-             "c600_scalar_float"],
+        ids=["2t", "b3", "q8", "s4", "h3_float", "dihedral30_float", "dihedral60_float",
+             "h3_dense_conjugate", "gleason", "c4_scalar", "c600_scalar_float"],
     )
     def test_walks_per_group(self, build, walks, monkeypatch):
-        # D_60's r^30 carries rounding residues, so it is no scalar and no orbit merges;
-        # Gleason's zeta_8 I is exact, and its powers merge classes though i I is not
+        # D_30's r^15, D_60's r^30 and the dense H3 conjugate's -I carry rounding residues
+        # of about 1e-16, but they equal -I by the tolerance that identified them, so
+        # -I and inversion halve the walks; Gleason's zeta_8 I is exact, and its powers
+        # merge classes though i I is not
         group = build()
         ours, walked = counted_orbit_traces(group, 8, monkeypatch)
         assert len(walked) == walks
@@ -552,6 +558,35 @@ class TestOrbitTraces:
             assert g == min(members, key=fullest)
             firsts.append(_monomial(group.elements[members[0]]))
         assert (len(walked), sum(map(_monomial, walked)), sum(firsts)) == (16, 12, 10)
+
+    def test_float_half_turn_is_a_scalar_despite_residues(self):
+        # D_60's r^30 is -I within the tolerance, not exactly
+        group = corpus.dihedral_float(60)
+        (z,) = (g for g, *rest in group.conjugacy_classes()[1:] if not rest)
+        a = group.elements[z]
+        assert a.equals(SquareMatrix([[-1, 0], [0, -1]], group.backend))
+        assert a.rows != ((-1, 0), (0, -1))
+        assert _scalar(a)
+
+    @pytest.mark.parametrize("backend", [EXACT, float_backend()], ids=["exact", "float"])
+    def test_reflection_is_not_a_scalar(self, backend):
+        assert not _scalar(SquareMatrix([[1, 0], [0, -1]], backend))
+
+    @pytest.mark.parametrize("backend", [EXACT, float_backend()], ids=["exact", "float"])
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_one_entry_off_i_identity_is_not_a_scalar(self, backend, i, j):
+        # off by 1e-6, far above the float tolerance
+        rows = [["i", 0], [0, "i"]]
+        assert _scalar(SquareMatrix(rows, backend))
+        rows[i][j] = "1/1000000+i" if i == j else "1/1000000"
+        assert not _scalar(SquareMatrix(rows, backend))
+
+    def test_g8_type_i_identity_is_a_scalar(self):
+        # the first central scalar, as in test_scalar_shift_is_right_multiplication
+        group = corpus.g8_type()
+        z = next(g for g, *rest in group.conjugacy_classes()[1:] if not rest)
+        assert group.elements[z].rows == SquareMatrix([["i", 0], [0, "i"]], EXACT).rows
+        assert _scalar(group.elements[z])
 
     def test_scalar_shift_is_right_multiplication(self):
         # i I in g8_type: (zeta_8 H)^2; x -> x z is read down the right table

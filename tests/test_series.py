@@ -651,16 +651,29 @@ class TestClifford2:
 
     # [l^d]: the ways to write d as 8a + 12b + 20c + 24e
     EXPECTED = [
-        sum(1 for a in range(4) for b in range(3) for c in range(2) for e in range(2)
+        sum(1 for a in range(10) for b in range(7) for c in range(4) for e in range(4)
             if 8 * a + 12 * b + 20 * c + 24 * e == d)
-        for d in range(25)
+        for d in range(73)
     ]
 
-    def test_order_series_and_cross_check(self):
-        group = corpus.clifford2()
+    @pytest.fixture(scope="class")
+    def group(self):
+        # closing takes most of this class's time, so its tests share one group
+        return corpus.clifford2()
+
+    def test_order_series_and_cross_check(self, group):
         assert (group.order, len(group.conjugacy_classes())) == (46080, 59)
-        assert molien_series(group, 24).coefficients == self.EXPECTED
+        assert molien_series(group, 24).coefficients == self.EXPECTED[:25]
         assert [self.EXPECTED[d] for d in (8, 12, 16, 20, 24)] == [1, 1, 1, 2, 3]
         report = cross_check(group, 8)
         assert report.all_agree()
         assert report.per_method["trace"] == self.EXPECTED[:9]
+
+    def test_series_to_72_is_the_chevalley_product(self, group):
+        assert molien_series(group, 72).coefficients == self.EXPECTED
+
+    def test_rational_form_is_the_chevalley_product(self, group):
+        product = UnivariatePoly.one(EXACT)
+        for k in (8, 12, 20, 24):
+            product = product * UnivariatePoly([1] + [0] * (k - 1) + [-1], EXACT)
+        assert molien_rational(group) == (UnivariatePoly.one(EXACT), product)
