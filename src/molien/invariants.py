@@ -178,24 +178,24 @@ def _pair_traces(a: SquareMatrix, ladder: _Ladder):
         yield _make(sum(x for x, _ in diagonal), sum(y for _, y in diagonal), m**d)
 
 
-def _bombieri_weights(basis: MonomialBasis) -> list[float]:
-    """sqrt(d!/a!) for each basis monomial x^a: the diagonal of W.
+def _bombieri_weights(n: int, d: int) -> list[float]:
+    """sqrt(d!/a!) for each monomial x^a of MonomialBasis(n, d): the diagonal of W.
 
     The monomials x^a * sqrt(d!/a!) are orthonormal for the Bombieri inner
     product, in which rho_d(g) is unitary for unitary g; so W^-1 rho_d(g) W
     is unitary and W^-1 (rho_d(g) - I) W has entries of absolute value at most 2.
     """
-    top = factorial(basis.d)
-    return [sqrt(top // prod(map(factorial, a))) for a in basis.monomials]
+    top = factorial(d)
+    return [sqrt(top // prod(map(factorial, a))) for a in MonomialBasis(n, d).monomials]
 
 
-def _complex_rows(per_generator: list, generators: list, n: int, d: int, columns: list):
+def _complex_rows(per_generator: list, generators: list, d: int, weights: list, columns: list):
     """The rows of W^-1 (rho_d(h) - I) W V over the generators h, in turn.
 
     columns holds the W V_c of _complex_orbits, and row q holds at orbit c
     the coefficient of x^q in (rho_d(h) - I) W V_c over w_q.
     """
-    one, weights = 1 + 0j, _bombieri_weights(MonomialBasis(n, d))
+    one = 1 + 0j
     for images in per_generator:
         rows = [{} for _ in images]
         for c, column in enumerate(columns):
@@ -209,7 +209,7 @@ def _complex_rows(per_generator: list, generators: list, n: int, d: int, columns
             yield {c: v * scale for c, v in row.items() if v}
 
 
-def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns: list):
+def _pair_rows(per_generator: list, generators: list, d: int, size: int, columns: list):
     """The (re, im) rows of rho_d(m h) - m^d on the columns, over the generators h, m h on ints.
 
     columns holds the survivors of _orbits, and row q holds at orbit c the
@@ -231,7 +231,7 @@ def _pair_rows(per_generator: list, generators: list, n: int, d: int, columns: l
         yield from rows
 
 
-def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
+def _orbits(per_generator: list, generators: list, d: int, size: int, backend) -> list[dict]:
     """The fixed vectors v_c of monomial generators, one per orbit of monomials whose phases agree.
 
     Generator s sends x^j to phi_s(j) x^pi_s(j), its one-term image over
@@ -247,7 +247,7 @@ def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> l
     """
     values, survivors = {}, []
     scales = [backend.lift(s.rows)[0] ** d for s in generators]
-    for start in range(comb(n + d - 1, d)):
+    for start in range(size):
         if start in values:
             continue
         values[start], orbit, alive = (1, 0, 1), [start], True
@@ -263,19 +263,19 @@ def _orbits(per_generator: list, generators: list, n: int, d: int, backend) -> l
         if alive:
             triples = [values[j] for j in orbit]
             # (a + b i)/e has denominator e/gcd(a, b, e), which divides m, so e divides a m and b m
-            m = lcm(*(e // gcd(a, b, e) for a, b, e in triples))
+            m = lcm(*[e // gcd(a, b, e) for a, b, e in triples])
             survivors.append({j: (a * m // e, b * m // e) for j, (a, b, e) in zip(orbit, triples)})
     return survivors
 
 
-def _complex_orbits(per_generator: list, generators: list, n: int, d: int, backend) -> list[dict]:
+def _complex_orbits(per_generator: list, generators: list, d: int, weights: list, backend) -> list[dict]:
     """_orbits on complex floats, whose phases agree within the backend tolerance.
 
     Each survivor comes as W V_c by position, V_c = v_c / sqrt(|orbit|): W is
     constant on an orbit, so V_c has unit Bombieri norm. With no generators
     each monomial is its own orbit, and the survivors are the columns of W.
     """
-    weights, eq = _bombieri_weights(MonomialBasis(n, d)), backend.eq
+    eq = backend.eq
     values, survivors = {}, []
     for start in range(len(weights)):
         if start in values:
@@ -352,7 +352,7 @@ def _cleared(row: dict, p: int, scale: int, pivot_row: dict) -> tuple:
 
 def _divided(scale: int, row: dict) -> tuple:
     """(scale, row) divided by the gcd of scale and all the row's parts."""
-    g = gcd(scale, *(part for pair in row.values() for part in pair))
+    g = gcd(scale, *[part for pair in row.values() for part in pair])
     return scale // g, {k: (x // g, y // g) for k, (x, y) in row.items()}
 
 
@@ -441,26 +441,31 @@ def _fixed_spaces(group: FiniteMatrixGroup, ladder: _Ladder, degrees):
     ancestors of the survivors' support when a generator is monomial.
     """
     backend, generators = group.backend, group.generators()
-    orbits_of, rows_of, eliminate = _SPACES[backend.scalar]
+    frame_of, orbits_of, rows_of, eliminate = _SPACES[backend.scalar]
     monomial = [s for s in generators if _monomial(s)]
     others = [s for s in generators if not _monomial(s)]
-    orbits, wanted = {}, None
+    frames, orbits, wanted = {}, {}, None
     for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder) for s in monomial)):
         if d in degrees:
-            orbits[d] = orbits_of(images, monomial, group.n, d, backend)
+            frames[d] = frame_of(group.n, d)
+            orbits[d] = orbits_of(images, monomial, d, frames[d], backend)
     if monomial and others:
-        bases = {d: MonomialBasis(group.n, d).monomials for d in degrees}
-        wanted = ladder.ancestors([bases[d][q] for d in degrees for v in orbits[d] for q in v])[0]
+        # a monomial walk permutes each degree's monomials, so it has coded every position
+        survivors = [ladder.monomial(d, q) for d in degrees for v in orbits[d] for q in v]
+        wanted = ladder.ancestors(survivors)[0]
     for d, *images in zip(range(ladder.top + 1), *(monomial_images(s, ladder, wanted) for s in others)):
         if d in degrees:
-            yield orbits[d], eliminate(rows_of(images, others, group.n, d, orbits[d]), backend)
+            yield orbits[d], eliminate(rows_of(images, others, d, frames[d], orbits[d]), backend)
 
 
-# each backend's bodies, by its scalar type
+# each backend's bodies, by its scalar type; the fixed-space bodies read one frame per degree,
+# built from (n, d): the basis size when exact, the Bombieri weights on floats
 _TRACES = {complex: _complex_traces, GaussianRational: _pair_traces}
 _SPACES = {
-    complex: (_complex_orbits, _complex_rows, _complex_eliminate),
-    GaussianRational: (_orbits, _pair_rows, lambda rows, _: _pair_eliminate(rows)),
+    complex: (_bombieri_weights, _complex_orbits, _complex_rows, _complex_eliminate),
+    GaussianRational: (
+        lambda n, d: comb(n + d - 1, d), _orbits, _pair_rows, lambda rows, _: _pair_eliminate(rows)
+    ),
 }
 _BASES = {complex: _complex_basis, GaussianRational: _pair_basis}
 

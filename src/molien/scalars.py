@@ -249,7 +249,7 @@ class _ExactBackend(ScalarBackend):
 
     def lift(self, rows) -> tuple[int, list]:
         """(m, rows of pairs): m the lcm of the values' denominators, m*value as (a, b) for each."""
-        m = math.lcm(*(x._d for row in rows for x in row))
+        m = math.lcm(*[x._d for row in rows for x in row])
         return m, [[(x._a * (m // x._d), x._b * (m // x._d)) for x in row] for row in rows]
 
     def __repr__(self):

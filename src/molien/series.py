@@ -9,7 +9,7 @@ The series coefficients are computed three independent ways and compared:
 Their degree-by-degree agreement is the content of Molien's 1897 formula.
 det(id - lambda*T_g) is a class function, so on both backends the series
 sums one reciprocal per distinct det, weighted by class size, and the
-rational form reads the same sum over the lcm of those dets. Traces are
+rational form reads the same sum times the lcm of those dets. Traces are
 summed per conjugacy class too, walked once per orbit of classes under
 central scalars and inversion, and the rank is the dimension of the
 generators' common fixed space, so rank shares nothing with the other
@@ -20,20 +20,25 @@ det(id - lambda*T_g) is the product of (1 - zeta*lambda) over the
 eigenvalues zeta of T_g, roots of unity, so its coefficients are
 algebraic integers in Q(i), that is in Z[i]. With constant term 1, each
 reciprocal and the class-weighted sum stay in Z[i]; the one division is
-by |G|, as each coefficient is built. A det coefficient outside Z[i] is
-a ConsistencyError, never rounded.
+by |G|, as each coefficient is built. The rational form stays on the
+same int pairs: every factor of a det with constant term 1 is a product
+of such (1 - zeta*lambda), so the lcm, its gcd with the numerator and
+the quotients by it are all in Z[i][lambda], and a scalar is built once
+per output coefficient. A det coefficient outside Z[i], or a division
+that is not exact there, is a ConsistencyError, never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from molien.action import _Ladder
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import _class_traces, _fixed_space_dimensions
-from molien.matrices import UnivariatePoly, det_one_minus_lambda, poly_divmod, poly_gcd
+from molien.matrices import UnivariatePoly, det_one_minus_lambda
 from molien.scalars import ScalarBackend, _make
 
 
@@ -117,35 +122,110 @@ def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> Truncat
     """
     backend = group.backend
     if backend.lift is not None:
-        re, im = [0] * (order + 1), [0] * (order + 1)
-        for p, multiplicity in terms:
-            # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j), over p_j != 0
-            m, (tail,) = backend.lift([p.coeffs[1:]])
-            if m != 1:
-                raise ConsistencyError(f"a coefficient of {p!r} is not a Gaussian integer")
-            nonzero = [(j, pair) for j, pair in enumerate(tail, 1) if pair != (0, 0)]
-            qr, qi = [1], [0]
-            for k in range(1, order + 1):
-                sr = si = 0
-                for j, (a, b) in nonzero:
-                    if j > k:
-                        break
-                    c, d = qr[k - j], qi[k - j]
-                    sr += a * c - b * d
-                    si += a * d + b * c
-                qr.append(-sr)
-                qi.append(-si)
-            re = [x + multiplicity * y for x, y in zip(re, qr)]
-            im = [x + multiplicity * y for x, y in zip(im, qi)]
-        return TruncatedSeries(
-            order, tuple(map(_make, re, im, [group.order] * (order + 1))), backend
-        )
+        re, im = _gaussian_sum(_lifted(terms, backend), order)
+        return TruncatedSeries(order, tuple(map(_make, re, im, [group.order] * (order + 1))), backend)
     acc = [backend.zero] * (order + 1)
     for p, multiplicity in terms:
         expansion = series_reciprocal(p, order)
         acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
     factor = backend.coerce(Fraction(1, group.order))
     return TruncatedSeries(order, tuple(c * factor for c in acc), backend)
+
+
+def _lifted(terms: list, backend: ScalarBackend) -> list:
+    """Each det as Gaussian-integer (re, im) pairs, lambda^0 first, with its multiplicity."""
+    out = []
+    for p, multiplicity in terms:
+        m, (pairs,) = backend.lift([p.coeffs])
+        if m != 1:
+            raise ConsistencyError(f"a coefficient of {p!r} is not a Gaussian integer")
+        out.append((pairs, multiplicity))
+    return out
+
+
+def _gaussian_sum(dets: list, order: int) -> tuple[list, list]:
+    """Real and imaginary parts of sum multiplicity/p over the lifted dets, to the order, on ints."""
+    re, im = [0] * (order + 1), [0] * (order + 1)
+    for pairs, multiplicity in dets:
+        # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j), over p_j != 0
+        nonzero = [(j, pair) for j, pair in enumerate(pairs) if j and pair != (0, 0)]
+        qr, qi = [1], [0]
+        for k in range(1, order + 1):
+            sr = si = 0
+            for j, (a, b) in nonzero:
+                if j > k:
+                    break
+                c, d = qr[k - j], qi[k - j]
+                sr += a * c - b * d
+                si += a * d + b * c
+            qr.append(-sr)
+            qi.append(-si)
+        re = [x + multiplicity * y for x, y in zip(re, qr)]
+        im = [x + multiplicity * y for x, y in zip(im, qi)]
+    return re, im
+
+
+def _pair_multiply(a: list, b: list, size: int) -> list:
+    """Coefficients 0..size-1 of the product of two (re, im) int pair polynomials, lambda^0 first."""
+    out = [(0, 0)] * size
+    for i, (x, y) in enumerate(a[:size]):
+        for j, (u, v) in enumerate(b[:size - i], i):
+            r, s = out[j]
+            out[j] = (r + x * u - y * v, s + x * v + y * u)
+    return out
+
+
+def _pair_gcd(a: list, b: list) -> list:
+    """The gcd over Q(i) of pair polynomials a and b, b a product of dets, scaled to constant term 1.
+
+    A pseudo-remainder sequence on Z[i]: the divisor is multiplied by the
+    conjugate of its leading coefficient, which becomes a positive int N,
+    and the dividend by N only where a step would not divide exactly. Each
+    remainder is divided by the int gcd of its parts. The gcd divides b,
+    and each factor of a det with constant term 1 is a product of
+    (1 - zeta*lambda), zeta roots of unity, whose coefficients are
+    algebraic integers in Q(i): so the last divisor over its constant term
+    is in Z[i][lambda].
+    """
+    while b:
+        lr, li = b[-1]
+        n, top, r = lr * lr + li * li, len(b) - 1, list(a)
+        b = [(x * lr + y * li, y * lr - x * li) for x, y in b]
+        while len(r) > top:
+            # clear the top f: r - (f/N) lambda^k b, or N r - f lambda^k b where N does not divide f
+            fr, fi = r.pop()
+            if fr % n or fi % n:
+                r = [(n * x, n * y) for x, y in r]
+            else:
+                fr, fi = fr // n, fi // n
+            for j, (u, v) in enumerate(b[:top], len(r) - top):
+                x, y = r[j]
+                r[j] = (x - fr * u + fi * v, y - fr * v - fi * u)
+        while r and r[-1] == (0, 0):
+            r.pop()
+        g = 0
+        for x, y in r:
+            g = gcd(g, x, y)
+        a, b = b, [(x // g, y // g) for x, y in r]
+    return _pair_quotient(a, a[:1])
+
+
+def _pair_quotient(a: list, b: list) -> list:
+    """a / b as a power series on pairs, b(0) != 0; ConsistencyError unless it is exact in Z[i]."""
+    (cr, ci), q = b[0], []
+    n = cr * cr + ci * ci
+    for k, (x, y) in enumerate(a):
+        for j in range(1, min(k, len(b) - 1) + 1):
+            (u, v), (s, t) = b[j], q[k - j]
+            x, y = x - u * s + v * t, y - u * t - v * s
+        x, y = x * cr + y * ci, y * cr - x * ci
+        if x % n or y % n:
+            raise ConsistencyError(f"{b} does not divide {a} in Z[i][lambda]")
+        q.append((x // n, y // n))
+    size = max(len(a) - len(b) + 1, 0)
+    if any(pair != (0, 0) for pair in q[size:]):
+        raise ConsistencyError(f"{b} does not divide {a} in Z[i][lambda]")
+    return q[:size]
 
 
 def _truncated_product(a: tuple, b: tuple, order: int, backend: ScalarBackend) -> tuple:
@@ -183,41 +263,36 @@ def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
 def molien_rational(group: FiniteMatrixGroup) -> tuple[UnivariatePoly, UnivariatePoly]:
     """The Molien series as a reduced rational function (exact backend only).
 
-    With L the lcm of the distinct det(id - lambda*T_g), the series times
-    L is a polynomial of degree at most deg L, so the numerator is the
-    series to order deg L times L, truncated there. The monic polynomial
-    GCD is then removed and both sides scaled so the denominator has
-    constant term 1.
+    Every det(id - lambda*T_g) is taken once per distinct det as Gaussian
+    integer pairs, and the whole form is worked out on ints. With L the lcm
+    of the distinct dets, L <- L * (p / gcd(L, p)) over them, the series
+    times L is a polynomial of degree at most deg L, so |G| times the
+    numerator is the class sum to order deg L times L, truncated there.
+    Its gcd with L is divided out of both. Each gcd is scaled to constant
+    term 1, and each such factor of a det is a product of (1 - zeta*lambda),
+    zeta roots of unity, so it and every quotient by it have coefficients
+    in Z[i]: an inexact step is a ConsistencyError, never rounded. The
+    reduced form with denominator(0) = 1 is unique, and a GaussianRational
+    is built once per output coefficient.
     """
     backend = group.backend
     if not backend.is_exact:
         raise BackendError("molien_rational requires the exact backend")
-    terms = _distinct_dets(group)
-    denominator = UnivariatePoly.one(backend)
-    for p, _ in terms:
-        denominator = denominator * poly_divmod(p, poly_gcd(denominator, p))[0]
-    order = denominator.degree
-    series = _class_average(group, terms, order)
-    numerator = UnivariatePoly(
-        _truncated_product(series.coeffs, denominator.coeffs, order, backend), backend
+    dets = _lifted(_distinct_dets(group), backend)
+    denominator = [(1, 0)]
+    for p, _ in dets:
+        p = _pair_quotient(p, _pair_gcd(denominator, p))
+        denominator = _pair_multiply(denominator, p, len(denominator) + len(p) - 1)
+    order = len(denominator) - 1
+    numerator = _pair_multiply(list(zip(*_gaussian_sum(dets, order))), denominator, order + 1)
+    common = _pair_gcd(numerator, denominator)
+    numerator, denominator = _pair_quotient(numerator, common), _pair_quotient(denominator, common)
+    if any(y for _, y in numerator + denominator):
+        raise ConsistencyError(f"non-real rational form {numerator} / {group.order} over {denominator}")
+    return (
+        UnivariatePoly([_make(x, y, group.order) for x, y in numerator], backend),
+        UnivariatePoly([_make(x, y, 1) for x, y in denominator], backend),
     )
-
-    common = poly_gcd(numerator, denominator)
-    if common.degree > 0:
-        numerator, rem_n = poly_divmod(numerator, common)
-        denominator, rem_d = poly_divmod(denominator, common)
-        if not (rem_n.is_zero() and rem_d.is_zero()):
-            raise ConsistencyError("polynomial GCD failed to divide exactly")
-    constant = denominator.coefficient(0)
-    if not constant:
-        raise ConsistencyError("reduced denominator has zero constant term")
-    numerator = numerator.scale(backend.one / constant)
-    denominator = denominator.scale(backend.one / constant)
-    for poly in (numerator, denominator):
-        for coeff in poly.coeffs:
-            if not coeff.is_real():
-                raise ConsistencyError(f"rational form has non-real coefficient {coeff!r}")
-    return numerator, denominator
 
 
 def expand_rational(

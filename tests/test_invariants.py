@@ -442,7 +442,7 @@ class TestFixedSpace:
                 for j, image in enumerate(images):
                     for q, c in image.items():
                         rho[q, j] = c
-                w = np.array(_bombieri_weights(basis))
+                w = np.array(_bombieri_weights(group.n, d))
                 scaled = rho * w[np.newaxis, :] / w[:, np.newaxis]
                 assert np.abs(scaled.conj().T @ scaled - np.eye(size)).max() <= 1e-12
 

@@ -246,9 +246,9 @@ class TestNonUnitMonomials:
 def test_no_generators_give_one_orbit_per_monomial(d):
     """With no monomial generator each monomial is its own orbit on both backends, in position order."""
     basis = MonomialBasis(3, d)
-    assert _orbits([], [], 3, d, EXACT) == [{j: (1, 0)} for j in range(len(basis))]
-    weights = _bombieri_weights(basis)
-    assert _complex_orbits([], [], 3, d, float_backend()) == [{j: w} for j, w in enumerate(weights)]
+    assert _orbits([], [], d, len(basis), EXACT) == [{j: (1, 0)} for j in range(len(basis))]
+    weights = _bombieri_weights(3, d)
+    assert _complex_orbits([], [], d, weights, float_backend()) == [{j: w} for j, w in enumerate(weights)]
 
 
 class TestOrbitValues:
@@ -391,7 +391,7 @@ class TestRowStreams:
         group = close_group([SquareMatrix(corpus.ROTATION, float_backend())])
         walks = zip(*(monomial_images(s, _Ladder(2, 1)) for s in group.generators()))
         columns = [{0: 1.0}, {1: 1.0}]  # the degree-1 Bombieri weights: W itself
-        rows = list(_complex_rows(list(walks)[1], group.generators(), 2, 1, columns))
+        rows = list(_complex_rows(list(walks)[1], group.generators(), 1, [1.0, 1.0], columns))
         assert [list(row) for row in rows] == [[0, 1], [0, 1]]
         for q, row in enumerate(rows):
             assert row[q] == -1 and math.copysign(1.0, row[q].imag) == -1.0

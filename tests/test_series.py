@@ -34,7 +34,8 @@ from molien import (
 )
 from molien.cli import main
 from molien.invariants import fixed_space_dimensions, reynolds_traces
-from molien.series import _class_average
+from molien.matrices import _monomial
+from molien.series import _class_average, _pair_gcd, _pair_multiply, _pair_quotient
 from oracles import (
     LAM,
     partitions_with_parts_at_most,
@@ -391,6 +392,100 @@ class TestMolienRational:
         group = close_group([SquareMatrix.identity(2, float_backend())])
         with pytest.raises(BackendError):
             molien_rational(group)
+
+
+class TestRationalOnGaussianIntegers:
+    """molien_rational works on Z[i] (re, im) int pairs, lambda^0 first, with no scalar Euclid."""
+
+    ONE_MINUS_I = [(1, 0), (0, -1)]  # 1 - i*lambda
+
+    def test_gcd_with_a_non_real_leading_coefficient(self):
+        # (1 - i*lambda)(1 + lambda) and (1 - i*lambda)(1 - lambda): leading coefficients -i and i
+        a = _pair_multiply(self.ONE_MINUS_I, [(1, 0), (1, 0)], 3)
+        b = _pair_multiply(self.ONE_MINUS_I, [(1, 0), (-1, 0)], 3)
+        assert a == [(1, 0), (1, -1), (0, -1)]
+        assert _pair_gcd(a, b) == _pair_gcd(b, a) == self.ONE_MINUS_I
+        # 1 + lambda^2 = (1 - i*lambda)(1 + i*lambda) is real with a non-real factor
+        assert _pair_gcd([(1, 0), (0, 0), (1, 0)], a) == self.ONE_MINUS_I
+
+    def test_coprime_inputs_give_one(self):
+        assert _pair_gcd([(1, 0), (-1, 0)], [(1, 0), (1, 0)]) == [(1, 0)]
+        assert _pair_gcd([(1, 0), (0, 1)], self.ONE_MINUS_I) == [(1, 0)]  # 1 + i*lambda
+        assert _pair_gcd([(1, 0)], [(1, 0), (0, 0), (0, 0), (-1, 0)]) == [(1, 0)]
+
+    def test_repeated_factors(self):
+        # gcd((1 - lambda)^2, 1 - lambda^2) = 1 - lambda, whichever comes first
+        square, difference = [(1, 0), (-2, 0), (1, 0)], [(1, 0), (0, 0), (-1, 0)]
+        assert _pair_gcd(square, difference) == _pair_gcd(difference, square) == [(1, 0), (-1, 0)]
+        assert _pair_gcd(square, square) == square
+
+    def test_exact_division(self):
+        product = _pair_multiply(self.ONE_MINUS_I, [(1, 0), (0, 0), (-1, 0)], 4)
+        assert _pair_quotient(product, self.ONE_MINUS_I) == [(1, 0), (0, 0), (-1, 0)]
+        assert _pair_quotient([(2, 2), (0, 4)], [(1, 1)]) == [(2, 0), (2, 2)]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([(1, 0), (1, 0)], [(1, 0), (-1, 0)]),  # 1 - lambda does not divide 1 + lambda
+            ([(1, 0), (0, 0), (1, 0)], [(1, 0), (-1, 0)]),  # nor 1 + lambda^2
+            ([(1, 0), (1, 0)], [(2, 0)]),  # 1/2 is not a Gaussian integer
+            ([(1, 0)], [(1, 1)]),  # nor 1/(1 + i)
+            ([(1, 0)], [(1, 0), (1, 0)]),  # a divisor of higher degree
+        ],
+    )
+    def test_inexact_division_raises(self, a, b):
+        with pytest.raises(ConsistencyError, match="does not divide"):
+            _pair_quotient(a, b)
+
+    def test_non_integral_det_raises(self, monkeypatch):
+        import molien.series
+
+        det = UnivariatePoly([1, Fraction(1, 2)], EXACT)
+        monkeypatch.setattr(molien.series, "_distinct_dets", lambda group: [(det, 2)])
+        with pytest.raises(ConsistencyError, match="not a Gaussian integer"):
+            molien_rational(corpus.s2())
+
+    def test_non_real_form_raises(self, monkeypatch):
+        import molien.series
+
+        det = UnivariatePoly([1, "-i"], EXACT)  # 1/(1 - i*lambda) has no real form
+        monkeypatch.setattr(molien.series, "_distinct_dets", lambda group: [(det, 2)])
+        with pytest.raises(ConsistencyError, match="non-real rational form"):
+            molien_rational(corpus.s2())
+
+    @pytest.mark.parametrize("build", [corpus.s4, corpus.binary_tetrahedral], ids=["s4", "2t"])
+    def test_calls_no_scalar_euclid(self, build, monkeypatch):
+        import molien.matrices
+        import molien.series
+
+        calls = []
+        for name in ("poly_gcd", "poly_divmod"):
+            original = getattr(molien.matrices, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(molien.matrices, name, counted)
+            # should series ever import the name again, count those calls too
+            monkeypatch.setattr(molien.series, name, counted, raising=False)
+        group = build()
+        numerator, denominator = molien_rational(group)
+        assert calls == []
+        # the wrappers count: the scalar Euclid on the form finds it reduced
+        assert molien.matrices.poly_gcd(numerator, denominator) == UnivariatePoly.one(EXACT)
+        assert {"poly_gcd", "poly_divmod"} <= set(calls)
+
+    @pytest.mark.parametrize("build", [corpus.binary_tetrahedral, corpus.g8_type], ids=["2t", "g8_type"])
+    def test_equals_the_listed_average(self, build):
+        # non-monomial groups, each element listed: sympy's cancelled (1/|G|) sum of 1/det(1 - lambda g)
+        group = build()
+        oracle = sympy_molien_function([to_sympy(g) for g in group.elements])
+        numerator, denominator = molien_rational(group)
+        num, den = (sp.Poly(fraction_coeffs(p)[::-1], LAM) for p in (numerator, denominator))
+        assert sp.cancel(num.as_expr() / den.as_expr() - oracle) == 0
+        assert not all(map(_monomial, group.generators()))
 
 
 def fraction_coeffs(poly):
