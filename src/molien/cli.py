@@ -60,6 +60,9 @@ def _load_spec(path: str) -> dict:
             raise ScalarParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("group spec must be a JSON object")
+    for key in spec:
+        if key not in SPEC_KEYS:
+            raise ValidationError(f"unknown spec key {key!r}; the keys are {', '.join(SPEC_KEYS)}")
     return spec
 
 
@@ -78,10 +81,7 @@ def _tolerance(value) -> float:
     raise ValidationError(f"tolerance must be a real number, got {value!r}")
 
 
-def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
-    for key in spec:
-        if key not in SPEC_KEYS:
-            raise ValidationError(f"unknown spec key {key!r}; the keys are {', '.join(SPEC_KEYS)}")
+def _build_from_spec(spec: dict, args, max_order: int) -> FiniteMatrixGroup:
     try:
         n = spec["dimension"]
         backend_tag = spec["backend"]
@@ -108,33 +108,40 @@ def _build_from_spec(spec: dict, args) -> FiniteMatrixGroup:
         ):
             raise ValidationError(f"generator {pos} is not an {n}x{n} matrix")
         generators.append(SquareMatrix(rows, backend))
-    max_order = args.max_order
-    if max_order is None:
-        max_order = spec.get("max_group_order", DEFAULT_MAX_ORDER)
-    if not _is_int(max_order) or max_order < 1:
-        raise ValidationError("max_group_order must be a positive integer")
     return close_group(generators, max_order=max_order)
 
 
-def _build_from_perms(args) -> FiniteMatrixGroup:
+def _build_from_perms(args, max_order: int) -> FiniteMatrixGroup:
     if args.tolerance is not None:
         raise ValidationError("tolerance only applies to the float backend")
     one_line = [permutation_from_cycles(text) for text in args.perm]
     n = max(len(p) for p in one_line)
     padded = [p + tuple(range(len(p) + 1, n + 1)) for p in one_line]
     generators = from_permutations(padded)
-    max_order = args.max_order if args.max_order is not None else DEFAULT_MAX_ORDER
     return close_group(generators, max_order=max_order)
 
 
 def build_group(args) -> FiniteMatrixGroup:
+    """The group of a spec file or of --perm generators, closed within one bound.
+
+    The bound is --max-order, else the spec's max_group_order, else
+    DEFAULT_MAX_ORDER, and is validated where it is read.
+    """
     if args.perm and args.file:
         raise ValidationError("give either a spec file or --perm generators, not both")
-    if args.perm:
-        return _build_from_perms(args)
-    if not args.file:
+    if not args.perm and not args.file:
         raise ValidationError("a group spec file (or --perm) is required")
-    return _build_from_spec(_load_spec(args.file), args)
+    spec = _load_spec(args.file) if args.file else {}
+    max_order = args.max_order
+    if max_order is None:
+        max_order = spec.get("max_group_order", DEFAULT_MAX_ORDER)
+        if not _is_int(max_order) or max_order < 1:
+            raise ValidationError("max_group_order must be a positive integer")
+    elif max_order < 1:
+        raise ValidationError("--max-order must be a positive integer")
+    if args.perm:
+        return _build_from_perms(args, max_order)
+    return _build_from_spec(spec, args, max_order)
 
 
 def cmd_series(args) -> int:

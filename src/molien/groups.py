@@ -14,7 +14,7 @@ DEFAULT_MAX_ORDER = 10000
 
 
 class FiniteMatrixGroup:
-    """Closed list of unitary matrices; element 0 is the identity.
+    """Closed list of unitary matrices; elements[0] is the identity.
 
     Element order is the breadth-first discovery order of close_group and
     is part of the contract: float-backend averaging sums over the
@@ -39,14 +39,8 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity(self) -> SquareMatrix:
-        return self.elements[0]
-
     def generators(self) -> list[SquareMatrix]:
         return [self.elements[i] for i in self.generator_indices]
-
-    def inverse(self, index: int) -> SquareMatrix:
-        return self.elements[self.inverse_of[index]]
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """The conjugacy classes as sorted tuples of element indices.
@@ -76,9 +70,6 @@ class FiniteMatrixGroup:
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __repr__(self):
         return f"FiniteMatrixGroup(n={self.n}, order={self.order}, backend={self.backend!r})"

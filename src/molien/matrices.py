@@ -134,7 +134,13 @@ def _nonzero_terms(rows: tuple) -> tuple:
 
 
 class UnivariatePoly:
-    """Polynomial in one variable; coeffs[k] is the coefficient of lambda^k."""
+    """Polynomial in one variable; coeffs[k] is the coefficient of lambda^k.
+
+    A record, as det_one_minus_lambda and molien_rational return it:
+    coefficients, degree, equality and hash. The algebra left on it serves
+    no command: scale stays for poly_gcd, and __mul__ because the
+    benchmark's tracer (perfbench/spans.py) wraps it.
+    """
 
     __slots__ = ("coeffs", "backend")
 
@@ -145,10 +151,6 @@ class UnivariatePoly:
         self.coeffs = tuple(cs)
         self.backend = backend
 
-    @classmethod
-    def one(cls, backend: ScalarBackend) -> "UnivariatePoly":
-        return cls([backend.one], backend)
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -156,18 +158,6 @@ class UnivariatePoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.backend.zero
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        check_same_backend(self.backend, other.backend)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(m)], self.backend
-        )
 
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         check_same_backend(self.backend, other.backend)

@@ -10,7 +10,7 @@ reads the monomial images of molien.action.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from molien.errors import ScalarParseError, ShapeError
 from molien.matrices import SquareMatrix
@@ -65,8 +65,9 @@ class MonomialBasis:
 class SparsePolynomial:
     """Polynomial in n variables as a map from exponent tuples to scalars.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
-    Instances are treated as immutable.
+    Zero coefficients are never stored; the zero polynomial has no terms,
+    and the coefficient of m is terms.get(m, backend.zero). Instances are
+    treated as immutable.
     """
 
     __slots__ = ("n", "terms", "backend")
@@ -83,29 +84,8 @@ class SparsePolynomial:
         self.terms = clean
         self.backend = backend
 
-    @classmethod
-    def zero(cls, n: int, backend: ScalarBackend) -> "SparsePolynomial":
-        return cls(n, {}, backend)
-
-    @classmethod
-    def constant(cls, n: int, value, backend: ScalarBackend) -> "SparsePolynomial":
-        return cls(n, {(0,) * n: value}, backend)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree, with the zero polynomial at -1."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.backend.zero)
 
     def _check_compatible(self, other: "SparsePolynomial") -> None:
         if self.n != other.n:
@@ -152,26 +132,6 @@ class SparsePolynomial:
             if not is_zero(a - b):
                 return False
         return True
-
-    def coefficient_vector(self, basis: MonomialBasis) -> list:
-        """Coordinates in a degree basis; terms outside the basis are an error."""
-        if basis.n != self.n:
-            raise ShapeError(f"variable count mismatch: {self.n} vs {basis.n}")
-        vec = [self.backend.zero] * len(basis)
-        for mono, coeff in self.terms.items():
-            pos = basis.index.get(mono)
-            if pos is None:
-                raise ShapeError(f"monomial {mono!r} is not in the degree-{basis.d} basis")
-            vec[pos] = coeff
-        return vec
-
-    @classmethod
-    def from_coefficient_vector(
-        cls, vec: Sequence, basis: MonomialBasis, backend: ScalarBackend
-    ) -> "SparsePolynomial":
-        if len(vec) != len(basis):
-            raise ShapeError("coefficient vector does not match basis size")
-        return cls(basis.n, dict(zip(basis.monomials, vec)), backend)
 
     def sorted_terms(self) -> list:
         """Terms in graded-lex descending monomial order."""
@@ -260,7 +220,7 @@ def parse_polynomial(text: str, n: int, backend: ScalarBackend) -> SparsePolynom
     """Parse the canonical polynomial form back into a polynomial."""
     stripped = text.strip()
     if stripped == "0":
-        return SparsePolynomial.zero(n, backend)
+        return SparsePolynomial(n, {}, backend)
     terms: dict = {}
     for signed, chunk in _split_terms(stripped):
         mono, coeff_str, negate = _parse_term(chunk, n)

@@ -81,9 +81,6 @@ class GaussianRational:
         # values are immutable, so a real one is its own conjugate
         return _make(self._a, -self._b, self._d) if self._b else self
 
-    def is_real(self) -> bool:
-        return self._b == 0
-
     def is_integer(self) -> bool:
         return self._b == 0 and self._d == 1
 

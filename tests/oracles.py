@@ -98,7 +98,7 @@ def averaged_monomial_basis(reynolds) -> list:
         return []
     rank, reduced = row_reduce(image_rows, backend)
     return [
-        SparsePolynomial.from_coefficient_vector(row, reynolds.basis, backend)
+        SparsePolynomial(reynolds.basis.n, dict(zip(reynolds.basis.monomials, row)), backend)
         for row in reduced[:rank]
     ]
 
@@ -293,6 +293,12 @@ def sympy_fixed_space_dimension(mats: list[sp.Matrix], monomials: list[tuple], n
     blocks = [sympy_induced(m, monomials, n) - sp.eye(size) for m in mats]
     stacked = sp.Matrix.vstack(*blocks)
     return size - stacked.rank()
+
+
+def coordinates(f, basis) -> list:
+    """f's coefficients in the degree basis, which must hold every term of f."""
+    assert f.terms.keys() <= basis.index.keys()
+    return [f.terms.get(m, f.backend.zero) for m in basis.monomials]
 
 
 def brute_monomials(n: int, d: int) -> set[tuple]:

@@ -143,7 +143,7 @@ def test_structural_identities(corpus):
                 tuple(x.conjugate() for x in row) for row in element.rows
             )
             assert first.rows == expected_rows, name
-            inverse_first = group.inverse(i).entrywise_conj()
+            inverse_first = group.elements[group.inverse_of[i]].entrywise_conj()
             assert inverse_first @ first == identity, name
             assert inverse_first == first.conj_transpose(), name
 

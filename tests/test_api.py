@@ -41,6 +41,25 @@ def test_traced_functions_stay_bound(module, name):
         assert callable(getattr(owner, name))
 
 
+# aliases and test-only helpers the value types no longer carry: the
+# canonical attribute or constructor serves each caller
+REMOVED_ATTRIBUTES = {
+    molien.SparsePolynomial: (
+        "coefficient_vector", "from_coefficient_vector", "is_homogeneous",
+        "degree", "coefficient", "constant", "zero",
+    ),
+    molien.UnivariatePoly: ("one", "coefficient", "__add__"),
+    molien.FiniteMatrixGroup: ("identity", "inverse", "__len__"),
+    molien.GaussianRational: ("is_real",),
+}
+
+
+def test_value_types_carry_no_aliases():
+    for cls, names in REMOVED_ATTRIBUTES.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
 def test_names_the_benchmark_reads():
     # the run metadata records ACTIVE_IMPLEMENTATION, and the distinct-det
     # count reads is_exact off each closed group's backend

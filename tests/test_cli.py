@@ -124,8 +124,8 @@ class TestInvariantsCommand:
         block = payload["invariants"]
         assert block["d"] == 2 and block["dimension"] == 2
         parsed = [parse_polynomial(text, 2, EXACT) for text in block["basis"]]
-        assert parsed[0].coefficient((2, 0)) == EXACT.one
-        assert parsed[1].coefficient((1, 1)) == EXACT.one
+        assert parsed[0].terms.get((2, 0)) == EXACT.one
+        assert parsed[1].terms.get((1, 1)) == EXACT.one
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_float_invariants_with_non_real_coefficients(self, tmp_path, capsys, fmt):
@@ -406,6 +406,21 @@ class TestErrorPaths:
         args = source if isinstance(source, list) else [write_spec(tmp_path, source)]
         assert main(["series", "--degree", "2", *args]) == 1
         assert capsys.readouterr().err == f"error:validation: {message}\n"
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    @pytest.mark.parametrize("source", ["perm", "spec"])
+    def test_max_order_must_be_positive(self, tmp_path, capsys, source, bound):
+        # the flag is checked once, with one message whatever the group's source
+        args = ["--perm", "(1 2)"] if source == "perm" else [write_spec(tmp_path, C4_SPEC)]
+        assert main(["series", "--degree", "2", *args, "--max-order", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:validation: --max-order must be a positive integer\n"
+
+    def test_spec_max_group_order_must_be_positive(self, tmp_path, capsys):
+        path = write_spec(tmp_path, dict(C4_SPEC, max_group_order=0))
+        assert main(["series", "--degree", "2", path]) == 1
+        assert capsys.readouterr().err == "error:validation: max_group_order must be a positive integer\n"
 
     def test_bad_cycle_notation(self, capsys):
         code = main(["series", "--degree", "2", "--perm", "(1 2"])

@@ -72,7 +72,7 @@ class TestClosure:
         # S5 and 2T are exact, one monomial and one not; D_9 is float
         groups = [corpus.q8(), corpus.s5(), corpus.binary_tetrahedral(), corpus.dihedral_float(9)]
         for group in groups:
-            identity = group.identity()
+            identity = group.elements[0]
             for i in range(group.order):
                 j = group.inverse_of[i]
                 assert group.inverse_of[j] == i
@@ -326,7 +326,7 @@ class TestConjugacyClasses:
         for members in group.conjugacy_classes():
             g = group.elements[members[0]]
             conjugates = {
-                position[(group.inverse(i) @ g @ h).rows] for i, h in enumerate(group.elements)
+                position[(group.elements[group.inverse_of[i]] @ g @ h).rows] for i, h in enumerate(group.elements)
             }
             assert conjugates == set(members)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -318,7 +319,8 @@ def sympy_det(a) -> list:
 
 def as_sympy(poly, n) -> list:
     """The coefficients of poly in lambda^0..lambda^n as sympy numbers."""
-    return [sp.Rational(c.re) + sp.I * sp.Rational(c.im) for c in map(poly.coefficient, range(n + 1))]
+    coeffs = (list(poly.coeffs) + [poly.backend.zero] * (n + 1))[: n + 1]
+    return [sp.Rational(c.re) + sp.I * sp.Rational(c.im) for c in coeffs]
 
 
 EXACT_GROUPS = {
@@ -487,5 +489,6 @@ class TestUnivariatePoly:
             if b.is_zero():
                 continue
             q, r = poly_divmod(a, b)
-            assert q * b + r == a
+            terms = zip_longest((q * b).coeffs, r.coeffs, fillvalue=EXACT.zero)
+            assert UnivariatePoly([x + y for x, y in terms], EXACT) == a
             assert r.degree < b.degree
