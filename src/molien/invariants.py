@@ -118,7 +118,7 @@ def _orbit_traces(group: FiniteMatrixGroup, ladder: _Ladder):
     for c, members in enumerate(classes):
         if found[c] is None:
             # a monomial member's fullest column holds one entry, the fewest there can be
-            walked = next((g for g in members if _monomial(elements[g])), None)
+            walked = next((g for g in members if group.monomial[g]), None)
             if walked is None:
                 walked = min(
                     members, key=lambda g: max(sum(map(bool, col)) for col in zip(*elements[g].rows)))

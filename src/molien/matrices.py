@@ -4,17 +4,19 @@ Everything here is a pure function over immutable values. Matrices are
 small (dimension at most a few hundred) and stored dense, so the
 algorithms favour exactness over asymptotics: det(id - lambda*A) comes off
 the cycles of a monomial A (one nonzero entry per column, _monomial) and
-otherwise from traces of powers via Newton's identities, rank from
+otherwise from traces of powers via Newton's identities, on the
+Gaussian-integer pairs of m*A when exact (_pair_det), rank from
 Gauss-Jordan elimination. Products skip exact zeros, so a monomial matrix
 costs n multiplications per product, not n^3.
 """
 
 from __future__ import annotations
 
+from operator import mul, sub
 from typing import Sequence
 
-from molien.errors import ShapeError
-from molien.scalars import ScalarBackend, check_same_backend
+from molien.errors import ConsistencyError, ShapeError
+from molien.scalars import ScalarBackend, _make, check_same_backend
 
 
 class SquareMatrix:
@@ -219,47 +221,101 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
 def det_one_minus_lambda(a: SquareMatrix) -> UnivariatePoly:
     """Characteristic-style polynomial det(id - lambda*A) of degree <= n, constant term 1.
 
-    A monomial A, with A e_i = a_i e_pi(i), gives the product over the
-    cycles C of pi of 1 - (prod_{i in C} a_i) lambda^|C| (Polya's cycle
-    form of Molien's sum): no matrix product. Any other A takes the power
-    traces p_k = Tr(A^k), k = 1..n, from n - 1 products, and Newton's
-    identities e_k = (1/k) * sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j; the
-    coefficient of lambda^k is (-1)^k e_k.
+    Where the backend lifts (exact), the coefficient of lambda^k is
+    p_k/m^k from _pair_det, built once, on every A. On floats, a monomial
+    A, with A e_i = a_i e_pi(i), gives the product over the cycles C of pi
+    of 1 - (prod_{i in C} a_i) lambda^|C| (Polya's cycle form of Molien's
+    sum): no matrix product. Any other A takes the power traces
+    p_k = Tr(A^k), k = 1..n, from n - 1 products, and Newton's identities
+    e_k = (1/k) * sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j; the coefficient of
+    lambda^k is (-1)^k e_k.
     """
     backend = a.backend
     n = a.n
+    if backend.lift is not None:
+        m, pairs = _pair_det(a)
+        return UnivariatePoly([_make(x, y, m**k) for k, (x, y) in enumerate(pairs)], backend)
     if _monomial(a):
-        # column i holds a_i at row pi(i)
-        image = {i: next((k, x) for k, x in enumerate(c) if x) for i, c in enumerate(zip(*a.rows))}
-        coeffs = [backend.one] + [backend.zero] * n
-        while image:
-            start, (i, phase) = image.popitem()
-            length = 1
-            while i != start:
-                i, x = image.pop(i)
-                phase, length = phase * x, length + 1
-            # times 1 - phase lambda^length, from the top down
-            for k in range(n, length - 1, -1):
-                if coeffs[k - length]:
-                    coeffs[k] = coeffs[k] - phase * coeffs[k - length]
-        return UnivariatePoly(coeffs, backend)
-    traces = [a.trace()]
-    power = a
+        return UnivariatePoly(_cycle_form(list(zip(*a.rows)), backend.one, backend.zero, mul, sub), backend)
+    traces, power = [a.trace()], a
     for _ in range(n - 1):
         power = power @ a
         traces.append(power.trace())
-    one = backend.one
-    e = [one]
+    e = [backend.one]
     for k in range(1, n + 1):
         acc = backend.zero
-        sign = 1
         for j in range(1, k + 1):
             term = e[k - j] * traces[j - 1]
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        e.append(acc * (one / k))
-    coeffs = [e[k] if k % 2 == 0 else -e[k] for k in range(n + 1)]
-    return UnivariatePoly(coeffs, backend)
+            acc = acc + (term if j % 2 else -term)
+        e.append(acc * (backend.one / k))
+    return UnivariatePoly([x if k % 2 == 0 else -x for k, x in enumerate(e)], backend)
+
+
+def _cycle_form(columns: list, one, zero, times, minus) -> list:
+    """The coefficients of det(id - lambda*B), B monomial, given by its columns: Polya's cycle form.
+
+    B's entries are scalars or int pairs, with their one, zero, product
+    and difference. Column i holds its nonzero entry b_i at row pi(i),
+    and each cycle C of pi multiplies in 1 - (prod_{i in C} b_i)
+    lambda^|C|, from the top down: no matrix product.
+    """
+    n = len(columns)
+    image = {i: next((k, x) for k, x in enumerate(c) if x != zero) for i, c in enumerate(columns)}
+    coeffs = [one] + [zero] * n
+    while image:
+        start, (i, phase) = image.popitem()
+        length = 1
+        while i != start:
+            i, x = image.pop(i)
+            phase, length = times(phase, x), length + 1
+        for k in range(n, length - 1, -1):
+            if coeffs[k - length] != zero:
+                coeffs[k] = minus(coeffs[k], times(phase, coeffs[k - length]))
+    return coeffs
+
+
+def _pair_mul(p: tuple, q: tuple) -> tuple:
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _pair_sub(p: tuple, q: tuple) -> tuple:
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _pair_dot(u, v) -> tuple:
+    """sum_k u_k v_k over int pairs (re, im), as far as the shorter of u and v goes."""
+    return (sum(x * s - y * t for (x, y), (s, t) in zip(u, v)), sum(x * t + y * s for (x, y), (s, t) in zip(u, v)))
+
+
+def _pair_det(a: SquareMatrix) -> tuple[int, list]:
+    """(m, p): m the lcm of a's denominators, p_k the coefficient of mu^k in det(id - mu*B), B = m*a.
+
+    All on int pairs, and det(id - lambda*a) has p_k/m^k at lambda^k. A
+    monomial a (one nonzero entry per column, as _monomial tests) takes
+    the cycle form: each cycle of B multiplies in 1 - (the product of its
+    entries) mu^|C|. Any other takes the power traces P_j = Tr(B^j) and
+    Newton's identities, k p_k = -sum_{j=1..k} p_{k-j} P_j. p_k is
+    (-1)^k times a sum of principal minors of B, a Gaussian integer, so
+    the division by k is exact; one that is not raises ConsistencyError.
+    """
+    m, rows = a.backend.lift(a.rows)
+    n = a.n
+    columns = list(zip(*rows))
+    if all(len(c) - c.count((0, 0)) == 1 for c in columns):
+        return m, _cycle_form(columns, (1, 0), (0, 0), _pair_mul, _pair_sub)
+    traces, power = [], rows
+    for j in range(n):
+        if j:
+            power = [[_pair_dot(row, column) for column in columns] for row in power]
+        traces.append(tuple(map(sum, zip(*[row[k] for k, row in enumerate(power)]))))
+    p = [(1, 0)]
+    for k in range(1, n + 1):
+        # k p_k = -sum_{j=1..k} p_(k-j) P_j
+        sr, si = _pair_dot(p[::-1], traces)
+        if sr % k or si % k:
+            raise ConsistencyError(f"Newton's identities do not divide exactly by {k} at {a!r}")
+        p.append((-sr // k, -si // k))
+    return m, p
 
 
 def row_reduce(rows: Sequence[Sequence], backend: ScalarBackend) -> tuple[int, list[list]]:

@@ -18,14 +18,19 @@ two and no method sweeps the group. No trace is read off a det.
 On the exact backend the series sum runs in the Gaussian integers Z[i]:
 det(id - lambda*T_g) is the product of (1 - zeta*lambda) over the
 eigenvalues zeta of T_g, roots of unity, so its coefficients are
-algebraic integers in Q(i), that is in Z[i]. With constant term 1, each
-reciprocal and the class-weighted sum stay in Z[i]; the one division is
-by |G|, as each coefficient is built. The rational form stays on the
-same int pairs: every factor of a det with constant term 1 is a product
-of such (1 - zeta*lambda), so the lcm, its gcd with the numerator and
-the quotients by it are all in Z[i][lambda], and a scalar is built once
-per output coefficient. A det coefficient outside Z[i], or a division
-that is not exact there, is a ConsistencyError, never rounded.
+algebraic integers in Q(i), that is in Z[i]. Each class's det comes as
+a tuple of (re, im) int pairs, taken on the pairs of m*g at the class's
+first monomial member (its cycle form) or else at its first member
+(power traces and Newton's identities), with no GaussianRational
+arithmetic. With constant term 1, each reciprocal and the class-weighted
+sum stay in Z[i]; the one division is by |G|, as each coefficient is
+built. The rational form stays on the same int pairs: every factor of a
+det with constant term 1 is a product of such (1 - zeta*lambda), so the
+lcm, its gcd with the numerator and the quotients by it are all in
+Z[i][lambda], and a scalar is built once per output coefficient. A det
+coefficient outside Z[i], or a division that is not exact there, is a
+ConsistencyError, never rounded. Floats take each class's det at its
+first member with matrices.det_one_minus_lambda.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from molien.action import _Ladder
 from molien.errors import BackendError, ConsistencyError, ValidationError
 from molien.groups import FiniteMatrixGroup
 from molien.invariants import _class_traces, _fixed_space_dimensions
-from molien.matrices import UnivariatePoly, det_one_minus_lambda
+from molien.matrices import UnivariatePoly, _pair_det, det_one_minus_lambda
 from molien.scalars import ScalarBackend, _make
 
 
@@ -88,18 +93,36 @@ def series_reciprocal(p: UnivariatePoly, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, tuple(coeffs), backend)
 
 
-def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple[UnivariatePoly, int]]:
+def _distinct_dets(group: FiniteMatrixGroup) -> list[tuple]:
     """The distinct det(id - lambda*T_g) over the group with their multiplicities.
 
     The determinant is a class function: it is taken once per conjugacy
     class and counted with the class size. Listed in order of first
-    occurrence in element order.
+    occurrence in element order. Where the backend lifts, each det is a
+    tuple of Gaussian-integer pairs (_gaussian_det); on floats a
+    UnivariatePoly at the class's first member.
     """
-    counts: dict[UnivariatePoly, int] = {}
+    counts, lifted = {}, group.backend.lift is not None
     for members in group.conjugacy_classes():
-        p = det_one_minus_lambda(group.elements[members[0]])
+        p = _gaussian_det(group, members) if lifted else det_one_minus_lambda(group.elements[members[0]])
         counts[p] = counts.get(p, 0) + len(members)
     return list(counts.items())
+
+
+def _gaussian_det(group: FiniteMatrixGroup, members: tuple) -> tuple:
+    """det(id - lambda*g) of a class, given by its members' indices, as (re, im) int pairs, lambda^0 first.
+
+    Taken at the class's first monomial member, whose _pair_det is its
+    cycle form, or else at its first member. Each p_k/m^k must divide
+    exactly: a coefficient outside Z[i] is a ConsistencyError.
+    """
+    a = group.elements[next((g for g in members if group.monomial[g]), members[0])]
+    m, pairs = _pair_det(a)
+    if m == 1:
+        return tuple(pairs)
+    if any(x % m**k or y % m**k for k, (x, y) in enumerate(pairs)):
+        raise ConsistencyError(f"a coefficient of det(id - lambda*g) at {a!r} is not a Gaussian integer")
+    return tuple((x // m**k, y // m**k) for k, (x, y) in enumerate(pairs))
 
 
 def averaged_reciprocal_series(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:
@@ -122,7 +145,7 @@ def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> Truncat
     """
     backend = group.backend
     if backend.lift is not None:
-        re, im = _gaussian_sum(_lifted(terms, backend), order)
+        re, im = _gaussian_sum(terms, order)
         return TruncatedSeries(order, tuple(map(_make, re, im, [group.order] * (order + 1))), backend)
     acc = [backend.zero] * (order + 1)
     for p, multiplicity in terms:
@@ -132,19 +155,8 @@ def _class_average(group: FiniteMatrixGroup, terms: list, order: int) -> Truncat
     return TruncatedSeries(order, tuple(c * factor for c in acc), backend)
 
 
-def _lifted(terms: list, backend: ScalarBackend) -> list:
-    """Each det as Gaussian-integer (re, im) pairs, lambda^0 first, with its multiplicity."""
-    out = []
-    for p, multiplicity in terms:
-        m, (pairs,) = backend.lift([p.coeffs])
-        if m != 1:
-            raise ConsistencyError(f"a coefficient of {p!r} is not a Gaussian integer")
-        out.append((pairs, multiplicity))
-    return out
-
-
 def _gaussian_sum(dets: list, order: int) -> tuple[list, list]:
-    """Real and imaginary parts of sum multiplicity/p over the lifted dets, to the order, on ints."""
+    """Real and imaginary parts of sum multiplicity/p over the pair dets, to the order, on ints."""
     re, im = [0] * (order + 1), [0] * (order + 1)
     for pairs, multiplicity in dets:
         # p_0 = 1, so q_0 = 1 and q_k = -sum_{j=1..min(k, deg p)} p_j q_(k-j), over p_j != 0
@@ -263,8 +275,8 @@ def molien_series(group: FiniteMatrixGroup, max_degree: int) -> MolienReport:
 def molien_rational(group: FiniteMatrixGroup) -> tuple[UnivariatePoly, UnivariatePoly]:
     """The Molien series as a reduced rational function (exact backend only).
 
-    Every det(id - lambda*T_g) is taken once per distinct det as Gaussian
-    integer pairs, and the whole form is worked out on ints. With L the lcm
+    Every det(id - lambda*T_g) is taken once per class as Gaussian
+    integer pairs (_gaussian_det), and the whole form is worked out on ints. With L the lcm
     of the distinct dets, L <- L * (p / gcd(L, p)) over them, the series
     times L is a polynomial of degree at most deg L, so |G| times the
     numerator is the class sum to order deg L times L, truncated there.
@@ -278,7 +290,7 @@ def molien_rational(group: FiniteMatrixGroup) -> tuple[UnivariatePoly, Univariat
     backend = group.backend
     if not backend.is_exact:
         raise BackendError("molien_rational requires the exact backend")
-    dets = _lifted(_distinct_dets(group), backend)
+    dets = _distinct_dets(group)
     denominator = [(1, 0)]
     for p, _ in dets:
         p = _pair_quotient(p, _pair_gcd(denominator, p))

@@ -22,9 +22,8 @@ from math import comb
 
 import sympy as sp
 
-from molien import SparsePolynomial, SquareMatrix, row_reduce, series_reciprocal
+from molien import SparsePolynomial, SquareMatrix, det_one_minus_lambda, row_reduce, series_reciprocal
 from molien.action import _Ladder
-from molien.series import _distinct_dets
 
 LAM = sp.symbols("lam")
 
@@ -65,13 +64,18 @@ def reference_closure(generators):
 def reference_class_average(group, order: int) -> tuple:
     """Molien's average on backend scalars: sum of multiplicity * 1/det, times 1/|G|.
 
-    One series_reciprocal per distinct det, summed in the order of
-    _distinct_dets, then scaled once: on the exact backend every step is
-    GaussianRational arithmetic, with no lift to Gaussian integers.
+    One series_reciprocal per distinct det_one_minus_lambda of the classes'
+    first members, summed in class order, then scaled once: on the exact
+    backend every step after the det is GaussianRational arithmetic, with
+    no lift to Gaussian integers.
     """
     backend = group.backend
     acc = [backend.zero] * (order + 1)
-    for p, multiplicity in _distinct_dets(group):
+    dets: dict = {}
+    for members in group.conjugacy_classes():
+        p = det_one_minus_lambda(group.elements[members[0]])
+        dets[p] = dets.get(p, 0) + len(members)
+    for p, multiplicity in dets.items():
         expansion = series_reciprocal(p, order)
         acc = [a + multiplicity * c for a, c in zip(acc, expansion.coeffs)]
     factor = backend.coerce(Fraction(1, group.order))

@@ -19,6 +19,7 @@ from molien import (
 )
 from molien import groups as groups_module
 from molien.groups import _ElementIndex
+from molien.matrices import _monomial
 from oracles import reference_closure
 
 ROTATION = SquareMatrix(corpus.ROTATION, EXACT)
@@ -116,7 +117,7 @@ class TestClosure:
         generators = from_permutations([(2, 1, 3, 4), (2, 3, 4, 1)])
         group = close_group(generators)
         products, row_products = [], []
-        matmul, row_product = SquareMatrix.__matmul__, groups_module._row_product
+        matmul, row_product = SquareMatrix.__matmul__, groups_module._pair_row_product
 
         def counting_matmul(self, other):
             products.append(1)
@@ -127,16 +128,52 @@ class TestClosure:
             return row_product(*args)
 
         monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
-        monkeypatch.setattr(groups_module, "_row_product", counting_row_product)
+        monkeypatch.setattr(groups_module, "_pair_row_product", counting_row_product)
         close_group(generators)
-        # the only matrix products are the unitarity checks, one per
-        # generator; every (row point, generator) pair is one row product,
-        # made once, and the table entries and inverse pairs are lookups
+        # the exact closure makes no matrix product, the unitarity checks
+        # included; every (row point, generator) pair is one int row
+        # product, made once, and the table entries and inverse pairs are lookups
         row_points = {(j, row) for g in group.elements for j, row in enumerate(g.rows)}
         assert group.order == 24
         assert len(row_points) == 16
-        assert len(products) == len(generators)
+        assert len(products) == 0
         assert len(row_products) == len(row_points) * len(generators)
+
+    @pytest.mark.parametrize("build", [corpus.s4, corpus.binary_tetrahedral], ids=["S4", "2T"])
+    def test_exact_closure_makes_no_matrix_product(self, build, monkeypatch):
+        generators = build().generators()
+        products = []
+        matmul = SquareMatrix.__matmul__
+
+        def counting_matmul(self, other):
+            products.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting_matmul)
+        assert close_group(generators).order == 24
+        assert products == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            corpus.build_corpus,
+            corpus.binary_tetrahedral,
+            corpus.wf4,
+            corpus.g8_type,
+            lambda: corpus.gaussian_unitary_conjugate(corpus.b3(), 0),
+            lambda: corpus.dihedral_float(12),
+            corpus.h3_dense_conjugate,
+        ],
+        ids=["corpus", "2T", "W(F4)", "G8-type", "B3-gaussian", "D12-float", "H3-dense-float"],
+    )
+    def test_monomial_flags_are_the_column_test(self, build):
+        # read off the row points, they agree with matrices._monomial on every element
+        built = build()
+        kinds = set()
+        for group in built.values() if isinstance(built, dict) else [built]:
+            assert list(group.monomial) == [_monomial(g) for g in group.elements]
+            kinds |= set(group.monomial)
+        assert True in kinds
 
     def test_rows_are_shared_between_elements(self):
         group = corpus.s4()
@@ -156,7 +193,7 @@ class TestClosure:
 
     def test_element_whose_conjugate_transpose_is_missing_has_no_inverse(self, monkeypatch):
         # g squares to the identity, but g^H = [[0, 1/2], [2, 0]] is not g
-        monkeypatch.setattr(SquareMatrix, "is_unitary", lambda self: True)
+        monkeypatch.setattr(groups_module, "_pair_unitary", lambda m, rows: True)
         generator = SquareMatrix([[0, 2], ["1/2", 0]], EXACT)
         with pytest.raises(ValidationError, match="element 1 has no inverse in the closure"):
             close_group([generator])
@@ -379,10 +416,10 @@ class TestFloatElementIdentity:
             pytest.fail("no row in the sweep crosses a bin boundary")
         point = index.add(0, row)
         assert all(fb.eq(a, b) for a, b in zip(moved, row))
-        assert index.find(0, moved) == point
+        assert index.find((0, moved)) == point
         # the same row at another position is another point
-        assert index.find(1, row) is None
-        assert index.find(0, tuple(-x for x in row)) is None
+        assert index.find((1, row)) is None
+        assert index.find((0, tuple(-x for x in row))) is None
 
     def test_coarse_tolerance_keeps_the_rows_of_an_element_apart(self):
         # at tolerance 1.5, e1 and e2 are equal entrywise, and so are the
@@ -405,9 +442,8 @@ class TestFloatElementIdentity:
 class ScanningIndex(_ElementIndex):
     """_ElementIndex whose float lookups scan every known point: the smallest index within tolerance."""
 
-    def find(self, position, row):
-        if not self.binned:
-            return super().find(position, row)
+    def find(self, point):
+        position, row = point
         eq = self.backend.eq
         known = enumerate(self.points)
         return next((p for p, (k, r) in known if k == position and all(map(eq, row, r))), None)
@@ -415,7 +451,7 @@ class ScanningIndex(_ElementIndex):
     def add(self, position, row):
         if not self.binned:
             return super().add(position, row)
-        found = self.find(position, row)
+        found = self.find((position, row))
         if found is None:
             self.points.append((position, row))
             return len(self.points) - 1
@@ -447,21 +483,48 @@ class TestFloatIndexAgainstScan:
         assert group.inverse_of == scanned.inverse_of
 
 
+def key(row):
+    """The reduced int tuple (d, a_0, b_0, ...) of an exact row, as the closure keys it."""
+    m, (pairs,) = EXACT.lift([row])
+    return (m, *[part for pair in pairs for part in pair])
+
+
 class TestExactElementIdentity:
     def test_conjugate_rows_are_found_by_entry_ids(self):
         index = _ElementIndex(EXACT, 2)
+        # points 0 and 1 are the identity's rows
+        assert index.points == [(0, (1, 1, 0, 0, 0)), (1, (1, 0, 0, 1, 0))]
         half = EXACT.coerce("1/2+1/2i")
-        rows = [(half, EXACT.coerce("i")), (half.conjugate(), EXACT.coerce("-i")), (EXACT.one, half)]
-        points = [index.add(0, row) for row in rows]
-        assert points == [0, 1, 2]
-        assert index.add(0, (EXACT.coerce("1/2+1/2i"), EXACT.coerce("i"))) == 0
-        conjugates = index.conjugates()
-        # rows 0 and 1 are each other's conjugates; row 2's conjugate is unknown
-        assert index.find(0, conjugates[0]) == 1
-        assert index.find(0, conjugates[1]) == 0
-        assert index.find(0, conjugates[2]) is None
-        assert index.find(1, conjugates[0]) is None
+        rows_in = [(half, EXACT.coerce("i")), (half.conjugate(), EXACT.coerce("-i")), (EXACT.one, half)]
+        keys = [key(row) for row in rows_in]
+        # one reduced int tuple (d, a_0, b_0, a_1, b_1) per row
+        assert keys == [(2, 1, 1, 0, 2), (2, 1, -1, 0, -2), (2, 2, 0, 1, 1)]
+        points = [index.add(0, k) for k in keys]
+        assert points == [2, 3, 4]
+        assert index.add(0, key((EXACT.coerce("1/2+1/2i"), EXACT.coerce("i")))) == 2
+        # a step on the key of [[i, 0], [0, 1]] over m = 1: row 2 becomes (i/2 - 1/2, i)
+        assert index.step(2, (1, (((0, 0, 1),), ((2, 1, 0),)))) == 5
+        assert index.points[5] == (0, (2, -1, 1, 0, 2))
+        rows, conjugates, find = index.rows()
+        assert rows[2:] == [*rows_in, (EXACT.coerce("-1/2+1/2i"), EXACT.coerce("i"))]
+        # rows 2 and 3 are each other's conjugates; rows 4 and 5 have unknown conjugates
+        assert find((0, conjugates[2])) == 3
+        assert find((0, conjugates[3])) == 2
+        assert find((0, conjugates[4])) is None
+        assert find((1, conjugates[2])) is None
+        # the identity's rows are real
+        assert [find((j, conjugates[j])) for j in (0, 1)] == [0, 1]
         assert all(type(k) is int for row in conjugates for k in row)
+
+    def test_keys_reduce_by_one_gcd_over_the_row(self):
+        index = _ElementIndex(EXACT, 2)
+        # (1/2, 1/2) times the generator 2 * [[1, 0], [0, 1]] / 2: (2/4, 2/4) reduces to (1, 1, 0, 1, 0) over 2
+        point = index.add(0, key((EXACT.coerce("1/2"), EXACT.coerce("1/2"))))
+        assert index.points[point][1] == (2, 1, 0, 1, 0)
+        assert index.step(point, (2, (((0, 2, 0),), ((2, 2, 0),)))) == point
+        # times [[0, 1], [1, 0]] it is the same row again; times [[1, 0], [0, -1]] a new one
+        assert index.step(point, (1, (((2, 1, 0),), ((0, 1, 0),)))) == point
+        assert index.points[index.step(point, (1, (((0, 1, 0),), ((2, -1, 0),))))] == (0, (2, 1, 0, -1, 0))
 
 
 class TestReferenceClosure:

@@ -172,26 +172,27 @@ class TestZeroAwareProduct:
             left = SquareMatrix([[rng.choice(entries) for _ in range(4)] for _ in range(4)], backend) @ reused
 
     def test_monomial_products_make_n_multiplications(self, monkeypatch):
-        # closure multiplies rows by generators: against a monomial
-        # generator each row product makes at most n multiplications, dense
-        # rows of W(F4) included
-        monomial_counts, multiplications = [], []
-        row_product, mul = groups._row_product, GaussianRational.__mul__
+        # closure multiplies rows by generators on int pairs: against a
+        # monomial generator each row product multiplies at most n terms,
+        # dense rows of W(F4) included
+        monomial_counts, products = [], []
+        row_product = groups._pair_row_product
 
-        def counting_row_product(row, terms, zero):
-            before = len(multiplications)
-            out = row_product(row, terms, zero)
+        class Counted(tuple):
+            def __iter__(self):
+                for term in tuple.__iter__(self):
+                    products.append(1)
+                    yield term
+
+        def counting_row_product(row, m, terms):
+            products.clear()
+            out = row_product(row, m, tuple(map(Counted, terms)))
             if all(len(row_terms) == 1 for row_terms in terms):
-                monomial_counts.append(len(multiplications) - before)
+                monomial_counts.append(len(products))
             return out
 
-        def counting_mul(self, other):
-            multiplications.append(1)
-            return mul(self, other)
-
         generators = corpus.wf4().generators()
-        monkeypatch.setattr(groups, "_row_product", counting_row_product)
-        monkeypatch.setattr(GaussianRational, "__mul__", counting_mul)
+        monkeypatch.setattr(groups, "_pair_row_product", counting_row_product)
         assert close_group(generators).order == 1152
         assert max(monomial_counts) == 4
 
@@ -280,22 +281,27 @@ class TestDetOneMinusLambda:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_takes_n_minus_one_products(self, n, monkeypatch):
-        # the power traces Tr(A^1..A^n) of a dense A need A^2..A^n and nothing
-        # beyond. The reflection H = id - 2 v v*/(v* v), v = (1, .., n-1, n i),
-        # has no zero entry for n >= 2; a 1x1 matrix is monomial, and takes
-        # 0 = n - 1 products either way
+        # on floats the power traces Tr(A^1..A^n) of a dense A need A^2..A^n
+        # and nothing beyond; exact, they are taken on the int pairs of m*A,
+        # with no SquareMatrix product. The reflection H = id - 2 v v*/(v* v),
+        # v = (1, .., n-1, n i), has no zero entry for n >= 2; a 1x1 matrix is
+        # monomial, and takes 0 = n - 1 products either way
         v = [GaussianRational(k) for k in range(1, n)] + [GaussianRational(0, n)]
         scale = Fraction(2, sum(k * k for k in range(1, n + 1)))
         h = exact([[int(j == k) - v[j] * v[k].conjugate() * scale for k in range(n)] for j in range(n)])
         assert h.is_unitary() and _monomial(h) == (n == 1)
         calls = counted_products(monkeypatch)
         poly = det_one_minus_lambda(h)
-        assert len(calls) == n - 1
+        assert calls == []
         # eigenvalue -1 once and 1 n - 1 times: (1 + lambda)(1 - lambda)^(n-1)
         expected = UnivariatePoly([1, 1], EXACT)
         for _ in range(n - 1):
             expected = expected * UnivariatePoly([1, -1], EXACT)
         assert poly == expected
+        approx = det_one_minus_lambda(SquareMatrix(h.rows, float_backend()))
+        assert len(calls) == n - 1
+        assert len(approx.coeffs) == n + 1
+        assert all(abs(x - complex(float(c.re))) < 1e-9 for x, c in zip(approx.coeffs, expected.coeffs))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_phased_cycle_takes_no_products(self, n, monkeypatch):

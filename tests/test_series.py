@@ -35,7 +35,7 @@ from molien import (
 from molien.cli import main
 from molien.invariants import fixed_space_dimensions, reynolds_traces
 from molien.matrices import _monomial
-from molien.series import _class_average, _pair_gcd, _pair_multiply, _pair_quotient
+from molien.series import _pair_gcd, _pair_multiply, _pair_quotient
 from oracles import (
     LAM,
     partitions_with_parts_at_most,
@@ -183,10 +183,13 @@ class TestGaussianIntegerAverage:
             assert series.coeffs == reference_class_average(group, 40)
             assert all(type(c) is GaussianRational for c in series.coeffs)
 
-    def test_non_integral_det_coefficient_raises(self):
-        det = UnivariatePoly([1, Fraction(1, 2)], EXACT)
+    def test_non_integral_det_coefficient_raises(self, monkeypatch):
+        import molien.series
+
+        # m = 2 and p_1 = 1: the det 1 + lambda/2
+        monkeypatch.setattr(molien.series, "_pair_det", lambda a: (2, [(1, 0), (1, 0)]))
         with pytest.raises(ConsistencyError, match="not a Gaussian integer"):
-            _class_average(corpus.s2(), [(det, 2)], 5)
+            averaged_reciprocal_series(corpus.s2(), 5)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_conjugating_by_a_gaussian_rational_unitary_keeps_the_series(self, seed):
@@ -228,7 +231,7 @@ class TestDetsPerClass:
     @pytest.mark.parametrize("build", [corpus.s5, corpus.binary_tetrahedral, corpus.b3])
     def test_one_det_per_class_matches_per_element_grouping(self, build, monkeypatch):
         import molien.series
-        from molien.matrices import det_one_minus_lambda
+        from molien.matrices import _pair_det, det_one_minus_lambda
 
         group = build()
         expected: dict = {}
@@ -239,12 +242,50 @@ class TestDetsPerClass:
 
         def counting(a):
             calls.append(a)
-            return det_one_minus_lambda(a)
+            return _pair_det(a)
 
-        monkeypatch.setattr(molien.series, "det_one_minus_lambda", counting)
-        # same polynomials, multiplicities and first-occurrence order
-        assert molien.series._distinct_dets(group) == list(expected.items())
+        monkeypatch.setattr(molien.series, "_pair_det", counting)
+        # same polynomials as int pairs, multiplicities and first-occurrence order
+        lifted = [(tuple(EXACT.lift([p.coeffs])[1][0]), count) for p, count in expected.items()]
+        assert molien.series._distinct_dets(group) == lifted
         assert len(calls) == len(group.conjugacy_classes())
+
+    @pytest.mark.parametrize(
+        "build",
+        [corpus.build_corpus, corpus.binary_tetrahedral, corpus.wf4, corpus.g8_type, corpus.clifford2],
+        ids=["corpus", "2t", "wf4", "g8_type", "clifford2"],
+    )
+    def test_pair_det_of_each_class_is_the_det_at_its_first_member(self, build, monkeypatch):
+        import molien.series
+        from molien.matrices import _pair_det, det_one_minus_lambda
+
+        built = build()
+        dense = 0
+        for group in built.values() if isinstance(built, dict) else [built]:
+            used = []
+
+            def recording(a):
+                used.append(a)
+                return _pair_det(a)
+
+            monkeypatch.setattr(molien.series, "_pair_det", recording)
+            dets = molien.series._distinct_dets(group)
+            classes = group.conjugacy_classes()
+            assert len(used) == len(classes)
+            pinned: dict = {}
+            for members, a in zip(classes, used):
+                monomial = [g for g in members if _monomial(group.elements[g])]
+                # the first monomial member where the class has one, else the first member
+                assert a is group.elements[(monomial or members)[0]]
+                dense += not monomial and EXACT.lift(a.rows)[0] > 1
+                first = det_one_minus_lambda(group.elements[members[0]])
+                p = tuple((int(c.re), int(c.im)) for c in first.coeffs)
+                assert all(c == GaussianRational(x, y) for c, (x, y) in zip(first.coeffs, p))
+                pinned[p] = pinned.get(p, 0) + len(members)
+            assert dets == list(pinned.items())
+        if build is not corpus.build_corpus:
+            # some classes have only dense members, with denominators: Newton's identities on m*g
+            assert dense > 0
 
     def test_float_series_takes_one_det_per_class(self, monkeypatch):
         import molien.series
@@ -441,16 +482,16 @@ class TestRationalOnGaussianIntegers:
     def test_non_integral_det_raises(self, monkeypatch):
         import molien.series
 
-        det = UnivariatePoly([1, Fraction(1, 2)], EXACT)
-        monkeypatch.setattr(molien.series, "_distinct_dets", lambda group: [(det, 2)])
+        # m = 2 and p_1 = 1: the det 1 + lambda/2
+        monkeypatch.setattr(molien.series, "_pair_det", lambda a: (2, [(1, 0), (1, 0)]))
         with pytest.raises(ConsistencyError, match="not a Gaussian integer"):
             molien_rational(corpus.s2())
 
     def test_non_real_form_raises(self, monkeypatch):
         import molien.series
 
-        det = UnivariatePoly([1, "-i"], EXACT)  # 1/(1 - i*lambda) has no real form
-        monkeypatch.setattr(molien.series, "_distinct_dets", lambda group: [(det, 2)])
+        # the det 1 - i*lambda of both classes: 1/(1 - i*lambda) has no real form
+        monkeypatch.setattr(molien.series, "_pair_det", lambda a: (1, [(1, 0), (0, -1)]))
         with pytest.raises(ConsistencyError, match="non-real rational form"):
             molien_rational(corpus.s2())
 
